@@ -8,14 +8,13 @@ countable statements; horizons are explicit everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .constructions import midpoint_set
-from .exprs import All, CesaroError, Empty, Explicit, SetExpr, indicator
+from .exprs import All, CesaroError, Empty, Explicit, SetExpr, SymDiff, indicator
 from .limits import (
     DEFAULT_HORIZON,
     NotExactlySolvable,
@@ -23,6 +22,7 @@ from .limits import (
     estimate_limits,
     exact_limits,
 )
+from .nullmod import _as_fraction
 
 
 class ChainError(CesaroError):
@@ -54,12 +54,6 @@ def _exact_nu(e: SetExpr) -> Fraction:
     if rep.verdict is not Verdict.IN_F:
         raise ChainError("element has no Cesàro limit (not in the convergent family)")
     return rep.limit
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 def verify_chain(elements, horizon: int = 10**4) -> Chain:
@@ -129,8 +123,6 @@ def subfamily_bounds(chain: Chain, indices) -> tuple[SetExpr, SetExpr]:
 
 def pseudo_metric(a: SetExpr, b: SetExpr, horizon: int = DEFAULT_HORIZON):
     """Upper Cesàro limit of the symmetric difference; exact when possible."""
-    from .exprs import SymDiff
-
     d = SymDiff(a, b)
     try:
         return exact_limits(d).upper

@@ -37,13 +37,14 @@ from .exprs import (
     Predicate,
     Residue,
     Union,
-    count_upto,
     gap_functions,
     indicator,
-    member,
     partial_average,
 )
 from .limits import (
+    DEFAULT_HORIZON,
+    DEFAULT_TOLERANCE,
+    DEFAULT_WINDOW,
     NotExactlySolvable,
     Verdict,
     classify,
@@ -54,14 +55,17 @@ from .nullmod import NullModError, null_modify
 from .quotient import Ideal, QuotientError, build_algebra, build_quotient, monotone_closure
 
 
-def _default_horizon() -> int:
+def _default_horizon(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("CESARO_DEFAULT_HORIZON")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return 10**6
+    if not raw:
+        return DEFAULT_HORIZON
+    try:
+        horizon = int(raw)
+    except ValueError:
+        horizon = 0
+    if horizon < 1:
+        parser.error(f"CESARO_DEFAULT_HORIZON must be a positive integer, got {raw!r}")
+    return horizon
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -253,29 +257,27 @@ def cmd_quotient(args) -> int:
 
 
 def _repro_checks():
-    from fractions import Fraction as F
-
     evens = Residue(2, frozenset({0}))
     geo = Blocks(Geometric(2))
 
     def residue_densities():
         return all(
-            exact_limits(Residue(m, frozenset({0}))).limit == F(1, m)
+            exact_limits(Residue(m, frozenset({0}))).limit == Fraction(1, m)
             for m in (2, 3, 5, 7, 100)
         )
 
     def geometric_limits():
         rep = exact_limits(geo)
-        return rep.upper == F(2, 3) and rep.lower == F(1, 3)
+        return rep.upper == Fraction(2, 3) and rep.lower == Fraction(1, 3)
 
     def poly_limit():
         return all(
-            exact_limits(Blocks(Poly(q))).limit == F(1, 2) for q in (1, 2, 3)
+            exact_limits(Blocks(Poly(q))).limit == Fraction(1, 2) for q in (1, 2, 3)
         )
 
     def counterexample_one_per_pair():
         b, c = constructions.counterexample_pair()
-        if exact_limits(b).limit != F(1, 2):
+        if exact_limits(b).limit != Fraction(1, 2):
             return False
         arr = indicator(c, 2 * 10**5)
         return bool(np.all(arr[0::2] ^ arr[1::2]))
@@ -291,12 +293,12 @@ def _repro_checks():
 
     def evens_in_f():
         cls = classify(evens)
-        return cls.kind == "InF" and cls.report.limit == F(1, 2)
+        return cls.kind == "InF" and cls.report.limit == Fraction(1, 2)
 
     def dyadic_partial_averages():
         parts = constructions.dyadic_partition(5)
         for k, d in enumerate(parts):
-            if exact_limits(d).limit != F(1, 2 ** (k + 1)):
+            if exact_limits(d).limit != Fraction(1, 2 ** (k + 1)):
                 return False
             cnt = np.cumsum(indicator(d, 10**5), dtype=np.int64)
             narr = np.arange(1, 10**5 + 1, dtype=np.int64)
@@ -306,12 +308,12 @@ def _repro_checks():
 
     def nullmod_odds():
         odds = Residue(2, frozenset({1}))
-        return null_modify(odds, F(1, 2), 10**5).removed == (1,)
+        return null_modify(odds, Fraction(1, 2), 10**5).removed == (1,)
 
     def uniformity_rejects_divergent():
         chain = verify_chain([geo], 1000)
         try:
-            uniformity_check(chain, F(1, 100), 10**4)
+            uniformity_check(chain, Fraction(1, 100), 10**4)
         except ChainError:
             return True
         return False
@@ -371,8 +373,8 @@ def cmd_repro(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    horizon = _default_horizon()
     top = argparse.ArgumentParser(prog="cesaro")
+    horizon = _default_horizon(top)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="exact partial average at N")
@@ -383,8 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="exact or streamed limit report")
     p.add_argument("expr")
     p.add_argument("--horizon", type=int, default=horizon)
-    p.add_argument("--window", type=float, default=0.5)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("trace", help="CSV of partial averages, geometric spacing")

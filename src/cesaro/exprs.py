@@ -10,6 +10,13 @@ returned as ``fractions.Fraction``.
 The streaming kernel is ``indicator``, which materialises the 0/1 prefix
 of a set as a numpy array; ``prefix_scan`` is the range-splittable
 counting primitive built on it.
+
+Leaf kernels are closed forms that keep nothing between calls.  A greedy
+set with target p/q has period q from n = 3 on, and a ``RunList`` block
+set is periodic once its listed runs are spent: both are one period tiled
+out to N, and their ``member``/``count_upto`` reduce n modulo the period.
+Geometric and polynomial block sets are built per call from their
+O(log N), resp. O(N^(1/(e+1))), runs.  The one cache is the primes sieve.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -251,105 +259,114 @@ class Midpoint(SetExpr):
 
 
 # ---------------------------------------------------------------------------
-# block boundary memoisation
-
-_block_lock = threading.Lock()
-# zspec -> (boundaries list Z_k, cumulative ones at each boundary)
-_block_cache: dict[ZSpec, tuple[list[int], list[int]]] = {}
+# eventually periodic bit patterns
 
 
-def _block_tables(z: ZSpec, upto: int) -> tuple[list[int], list[int]]:
-    """Partial-sum boundaries Z_k and cumulative one-counts, with Z_last >= upto."""
-    with _block_lock:
-        entry = _block_cache.get(z)
-        if entry is None:
-            entry = ([], [])
-            _block_cache[z] = entry
-        bounds, ones = entry
-        while not bounds or bounds[-1] < upto:
-            k = len(bounds) + 1
-            zk = z.run(k)
-            if k >= 2 and zk < 1:
-                raise ValueError("run lengths after the first must be >= 1")
-            prev = bounds[-1] if bounds else 0
-            prev_ones = ones[-1] if ones else 0
-            bounds.append(prev + zk)
-            ones.append(prev_ones + (zk if k % 2 == 0 else 0))
-        return bounds, ones
+def _periodic(head: np.ndarray, period: np.ndarray, N: int) -> np.ndarray:
+    """The first N bits of ``head`` followed by ``period`` repeated forever."""
+    out = np.empty(N, dtype=bool)
+    h = min(head.size, N)
+    out[:h] = head[:h]
+    body = out[h:]
+    if body.size:
+        # tile a block of at least 4096 bits: numpy copies short periods
+        # slowly, one small chunk at a time
+        block = np.tile(period, -(-4096 // period.size))
+        reps, rest = divmod(body.size, block.size)
+        body[: reps * block.size].reshape(reps, block.size)[:] = block
+        body[reps * block.size :] = block[:rest]
+    return out
 
 
-def _blocks_member(z: ZSpec, n: int) -> bool:
-    bounds, _ = _block_tables(z, n)
-    k = bisect_left(bounds, n)  # 0-based index of block containing n
-    return k % 2 == 1
+# ---------------------------------------------------------------------------
+# block sets from their run lengths
+
+
+def _block_runs(z: ZSpec, N: int) -> tuple[list[int], int]:
+    """Run lengths from run 1 on, and the period in positions (0 if none).
+
+    A ``RunList`` is periodic once its listed runs are spent, so its runs
+    are the listed ones followed by one period of the tail: an even number
+    of runs, so that run parities repeat too.  Other specs are listed up to
+    the run holding N.
+    """
+    if isinstance(z, RunList):
+        if z.tail == "repeat-last":
+            tail = [z.runs[-1]] * 2
+        else:
+            tail = list(z.runs) * (1 + len(z.runs) % 2)
+        return [z.head, *z.runs, *tail], sum(tail)
+    runs, total = [], 0
+    while total < N:
+        zk = z.run(len(runs) + 1)
+        if runs and zk < 1:
+            raise ValueError("run lengths after the first must be >= 1")
+        runs.append(zk)
+        total += zk
+    return runs, 0
+
+
+def _clip(runs: list[int], N: int) -> list[int]:
+    """The runs covering [1, N], the last one cut to end at N."""
+    bounds = list(accumulate(runs))
+    k = bisect_left(bounds, N)
+    if k == len(runs):
+        return runs
+    return runs[:k] + [runs[k] - (bounds[k] - N)]
 
 
 def _blocks_count(z: ZSpec, N: int) -> int:
     if N <= 0:
         return 0
-    bounds, ones = _block_tables(z, N)
-    k = bisect_left(bounds, N)
-    prev_bound = bounds[k - 1] if k > 0 else 0
-    prev_ones = ones[k - 1] if k > 0 else 0
-    partial = (N - prev_bound) if k % 2 == 1 else 0
-    return prev_ones + partial
+    runs, period = _block_runs(z, N)
+    start = sum(runs) - period
+    if period and N > start:
+        full, rest = divmod(N - start, period)
+        period_ones = sum(runs[1::2]) - sum(_clip(runs, start)[1::2])
+        return full * period_ones + sum(_clip(runs, start + rest)[1::2])
+    return sum(_clip(runs, N)[1::2])  # runs 2, 4, ... are the ones
+
+
+def _blocks_indicator(z: ZSpec, N: int) -> np.ndarray:
+    runs, period = _block_runs(z, N)
+    start = sum(runs) - period
+    runs = _clip(runs, N)
+    bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+    return _periodic(bits[:start], bits[start:], N) if period else bits
 
 
 # ---------------------------------------------------------------------------
 # greedy target-density sets
+#
+# Start from {1}; each later n joins exactly when the average over 1..n-1
+# is strictly below the target t = p/q.  By induction (t <= 1, so ceil(t*m)
+# steps by 0 or 1) the count up to N is max(1, ceil(t*(N-1))): 2 never
+# joins, and from 3 on n joins when ceil(t*(n-1)) > ceil(t*(n-2)), which
+# has period q in n.
 
 
-class _GreedyState:
-    """Memoised membership prefix of a greedy target-density set.
-
-    Extension of the memo is serialised behind a lock; reads of already
-    computed prefixes are plain list indexing.
-    """
-
-    __slots__ = ("bits", "count", "lock")
-
-    def __init__(self):
-        self.bits = bytearray()
-        self.count = 0
-        self.lock = threading.Lock()
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
-_greedy_lock = threading.Lock()
-_greedy_states: dict[Fraction, _GreedyState] = {}
+def _greedy_member(t: Fraction, n: int) -> bool:
+    if n <= 2:
+        return n == 1
+    p, q = t.numerator, t.denominator
+    return _ceil_div(p * (n - 1), q) > _ceil_div(p * (n - 2), q)
 
 
-def _greedy_state(target: Fraction) -> _GreedyState:
-    with _greedy_lock:
-        state = _greedy_states.get(target)
-        if state is None:
-            state = _GreedyState()
-            _greedy_states[target] = state
-    return state
+def _greedy_count(t: Fraction, N: int) -> int:
+    return max(1, _ceil_div(t.numerator * (N - 1), t.denominator))
 
 
-def _greedy_extend(target: Fraction, n: int) -> _GreedyState:
-    """Replay the greedy recurrence until the membership prefix covers n.
-
-    Start from {1}; after each prefix of length N, the next integer N+1
-    is added exactly when the running average is strictly below the
-    target.  The same rule is applied from N = 1 on.
-    """
-    state = _greedy_state(target)
-    if len(state.bits) >= n:
-        return state
-    p, q = target.numerator, target.denominator
-    with state.lock:
-        bits, c = state.bits, state.count
-        if not bits:
-            bits.append(1)
-            c = 1
-        for m in range(len(bits) + 1, n + 1):
-            # m joins iff the average over 1..m-1 is strictly below target
-            take = c * q < p * (m - 1)
-            bits.append(take)
-            c += take
-        state.count = c
-    return state
+def _greedy_indicator(t: Fraction, N: int) -> np.ndarray:
+    p, q = t.numerator, t.denominator
+    span = min(q, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
+    dtype = np.int64 if p * (span + 1) < 2**63 else object
+    m = np.arange(1, span + 2, dtype=dtype)
+    steps = np.diff(_ceil_div(p * m, q)) > 0  # entry i is membership of n = i + 3
+    return _periodic(np.array([True, False]), steps, N)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +433,8 @@ _PAIRED_BLOCKS = Blocks(Geometric(2))
 
 def _paired_member(n: int) -> bool:
     if n % 2 == 0:
-        return _blocks_member(_PAIRED_BLOCKS.z, n // 2)
-    return not _blocks_member(_PAIRED_BLOCKS.z, (n + 1) // 2)
+        return member(_PAIRED_BLOCKS, n // 2)
+    return not member(_PAIRED_BLOCKS, (n + 1) // 2)
 
 
 def _paired_indicator(N: int) -> np.ndarray:
@@ -504,10 +521,9 @@ def member(e: SetExpr, n: int) -> bool:
     if isinstance(e, Residue):
         return n % e.modulus in e.residues
     if isinstance(e, Blocks):
-        return _blocks_member(e.z, n)
+        return _blocks_count(e.z, n) > _blocks_count(e.z, n - 1)
     if isinstance(e, Greedy):
-        state = _greedy_extend(e.target, n)
-        return bool(state.bits[n - 1])
+        return _greedy_member(e.target, n)
     if isinstance(e, Predicate):
         return bool(predicate_spec(e.name).member(n))
     if isinstance(e, Union):
@@ -558,17 +574,9 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
             arr[(r - 1) % e.modulus :: e.modulus] = True
         return arr
     if isinstance(e, Blocks):
-        if N == 0:
-            return np.zeros(0, dtype=bool)
-        bounds, _ = _block_tables(e.z, N)
-        zarr = np.fromiter(bounds, dtype=np.int64)
-        idx = np.searchsorted(zarr, np.arange(1, N + 1, dtype=np.int64), side="left")
-        return (idx % 2 == 1).astype(bool)
+        return _blocks_indicator(e.z, N)
     if isinstance(e, Greedy):
-        if N == 0:
-            return np.zeros(0, dtype=bool)
-        state = _greedy_extend(e.target, N)
-        return np.frombuffer(bytes(state.bits[:N]), dtype=np.uint8).astype(bool)
+        return _greedy_indicator(e.target, N)
     if isinstance(e, Predicate):
         spec = predicate_spec(e.name)
         if spec.indicator is not None:
@@ -624,7 +632,7 @@ def count_upto(e: SetExpr, N: int) -> int:
     if isinstance(e, Blocks):
         return _blocks_count(e.z, N)
     if isinstance(e, Greedy):
-        return int(indicator(e, N).sum())
+        return _greedy_count(e.target, N)
     if isinstance(e, Predicate):
         spec = predicate_spec(e.name)
         if spec.count_upto is not None:

@@ -38,9 +38,10 @@ from .exprs import (
     Shift,
     SymDiff,
     Union,
+    _lift_residues,
     canonicalize,
+    gap_functions,
     indicator,
-    member,
     predicate_spec,
 )
 
@@ -124,16 +125,12 @@ class _Form:
         return Fraction(len(self.residues), self.modulus)
 
 
-def _lift(res: frozenset[int], m: int, L: int) -> frozenset[int]:
-    return frozenset(r + i * m for r in res for i in range(L // m))
-
-
 def _merge(a: _Form, b: _Form, op) -> _Form:
     L = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
     if L > MAX_MODULUS:
         raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
-    ra = _lift(a.residues, a.modulus, L)
-    rb = _lift(b.residues, b.modulus, L)
+    ra = _lift_residues(a.residues, a.modulus, L)
+    rb = _lift_residues(b.residues, b.modulus, L)
     return _Form(L, op(ra, rb), a.fuzz or b.fuzz)
 
 
@@ -340,8 +337,6 @@ def gap_sublinearity(e: SetExpr, horizon: int) -> GapDiagnostic:
     convergence; ratios staying bounded away from zero witness long runs
     of the complement growing with N.
     """
-    from .exprs import gap_functions
-
     if horizon < 1000:
         raise ValueError("horizon must be >= 1000")
     p_samples: list[tuple[int, float | None]] = []

@@ -25,9 +25,7 @@ from .exprs import (
     Union,
     indicator,
 )
-from .limits import NotExactlySolvable, Verdict, classify, exact_limits
-
-DEFAULT_HORIZON = 10**6
+from .limits import DEFAULT_HORIZON, NotExactlySolvable, Verdict, classify, exact_limits
 
 
 class NullModError(CesaroError):

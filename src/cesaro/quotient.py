@@ -15,12 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprs import CesaroError, SetExpr, SymDiff, indicator
+from .exprs import CesaroError, Diff, Empty, Inter, SetExpr, SymDiff, Union, indicator
 from .limits import (
     DEFAULT_HORIZON,
     DEFAULT_TOLERANCE,
     NotExactlySolvable,
-    Verdict,
     estimate_limits,
     exact_limits,
 )
@@ -350,14 +349,10 @@ def disjoint_representatives(classes, horizon: int = DEFAULT_HORIZON) -> list[Se
     evidence).  Earlier inputs win overlaps; the cleanup pass then trims
     the parts so no partial average overshoots.
     """
-    from .exprs import Diff as _Diff, Union as _Union
-
     classes = list(classes)
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            from .exprs import Inter
-
-            verdict = null_equivalent(Inter(classes[i], classes[j]), _empty(), horizon)
+            verdict = null_equivalent(Inter(classes[i], classes[j]), Empty(), horizon)
             if verdict.value == "Distinct":
                 raise QuotientError(
                     f"classes {i} and {j} intersect in a non-null set: "
@@ -366,13 +361,8 @@ def disjoint_representatives(classes, horizon: int = DEFAULT_HORIZON) -> list[Se
     parts: list[SetExpr] = []
     acc: SetExpr | None = None
     for c in classes:
-        parts.append(c if acc is None else _Diff(c, acc))
-        acc = c if acc is None else _Union(acc, c)
+        parts.append(c if acc is None else Diff(c, acc))
+        acc = c if acc is None else Union(acc, c)
     result = disjoint_modify(parts, horizon)
     return [m.modified_expr for m in result.modifications]
 
-
-def _empty() -> SetExpr:
-    from .exprs import Empty
-
-    return Empty()

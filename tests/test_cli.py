@@ -184,3 +184,12 @@ def test_default_horizon_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "limits", "inter(blocks geometric 2, residue 2 {0})")
     assert code == 0
     assert json.loads(out)["horizon"] == 4096
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_default_horizon_env_rejects_bad_value(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CESARO_DEFAULT_HORIZON", raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["limits", "residue 2 {0}"])
+    assert exc.value.code == 2
+    assert "CESARO_DEFAULT_HORIZON" in capsys.readouterr().err

@@ -3,11 +3,12 @@ canonicalisation.  Everything is checked against the brute-force oracle
 in conftest, which evaluates set membership from first principles."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
@@ -173,3 +174,98 @@ def test_indicator_matches_member_on_blocks_far_out():
     ind = c.indicator(e, 5000)
     for n in (999, 1000, 2500, 4999, 5000):
         assert bool(ind[n - 1]) == (n in brute_set(e, 5000))
+
+
+# ---------------------------------------------------------------------------
+# leaf kernels: greedy and block sets are eventually periodic or built from
+# few runs; every evaluator must agree with the recurrence replayed by the
+# brute-force oracle
+
+LONG_DECIMAL = Fraction("0.123456789012345678901234567891")  # p*q overflows int64
+
+greedy_targets = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), LONG_DECIMAL]),
+    st.integers(1, 10**4).flatmap(
+        lambda q: st.builds(Fraction, st.integers(0, q), st.just(q))
+    ),
+)
+block_specs = st.one_of(
+    st.builds(c.Geometric, st.integers(2, 50)),
+    st.builds(c.Poly, st.integers(1, 4)),
+    st.builds(
+        c.RunList,
+        st.integers(0, 5),
+        st.lists(st.integers(1, 6), min_size=1, max_size=6).map(tuple),
+        st.sampled_from(["repeat-last", "cycle"]),
+    ),
+)
+
+
+def _assert_leaf_agrees(e, N):
+    truth = brute_set(e, N)
+    ind = c.indicator(e, N)
+    assert ind.dtype == bool and ind.shape == (N,)
+    assert set((np.flatnonzero(ind) + 1).tolist()) == truth
+    counts = [c.count_upto(e, n) for n in range(N + 1)]
+    for n in range(1, N + 1):
+        assert c.member(e, n) == (n in truth) == (counts[n] - counts[n - 1] == 1), (e, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=greedy_targets)
+def test_greedy_kernels_agree_with_oracle(target):
+    # three full periods past the fixed start: 1 in, 2 out
+    _assert_leaf_agrees(c.Greedy(target), 3 * min(target.denominator, 10**4) + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=block_specs)
+@example(z=c.RunList(3, (2, 5, 1), "cycle"))
+@example(z=c.RunList(0, (1,), "cycle"))
+def test_block_kernels_agree_with_oracle(z):
+    _assert_leaf_agrees(c.Blocks(z), 3000)
+
+
+def _far_out(e, N, start, period):
+    """Count and membership at N, with N reduced into the first period
+    after ``start`` and read off the oracle."""
+    k = (N - start - 1) // period
+    n0 = N - k * period  # start < n0 <= start + period
+    per_period = len(brute_set(e, start + period)) - len(brute_set(e, start))
+    near = brute_set(e, n0)
+    return len(near) + k * per_period, n0 in near
+
+
+@pytest.mark.parametrize(
+    "e, start, period",
+    [
+        (c.Greedy(Fraction(1234, 4999)), 2, 4999),
+        (c.Blocks(c.RunList(3, (2, 5, 1), "cycle")), 11, 16),
+        (c.Blocks(c.RunList(1, (4, 2))), 7, 4),
+    ],
+    ids=["greedy", "cycle", "repeat-last"],
+)
+def test_leaf_counts_far_out_by_period_arithmetic(e, start, period):
+    N = 10**12
+    want_count, want_member = _far_out(e, N, start, period)
+    tracemalloc.start()
+    try:
+        got = c.count_upto(e, N), c.member(e, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (want_count, want_member)
+    assert peak < 1 << 16  # a few Python ints, no prefix array
+
+
+def test_leaf_kernels_keep_no_state():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(20):
+            c.indicator(c.Greedy(Fraction(k + 1, 7919 + 2 * k)), 1 << 20)
+            c.indicator(c.Blocks(c.Geometric(51 + k)), 1 << 20)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1 << 20
