@@ -162,44 +162,57 @@ class UniformityFailure:
     deviation: float
 
 
+def _prefix_counts(e: SetExpr, horizon: int) -> np.ndarray:
+    """|e on 1..n| for n = 1..horizon, accumulated in place."""
+    cnt = indicator(e, horizon).astype(np.int32 if horizon < 2**31 else np.int64)
+    return np.add.accumulate(cnt, out=cnt)
+
+
+def _deviations(cnt: np.ndarray, narr: np.ndarray, nu: Fraction) -> np.ndarray:
+    """|cnt/n - nu| in float, computed in place."""
+    dev = cnt / narr
+    dev -= nu.numerator / nu.denominator
+    return np.abs(dev, out=dev)
+
+
 def uniformity_check(chain: Chain, epsilon, horizon: int):
     """Least N_eps with every element's partial average within epsilon of
     its limit for all N in (N_eps, horizon]; failure report if a violation
-    reaches the horizon itself."""
+    reaches the horizon itself.
+
+    Two passes keep one element's counts in memory at a time: the first
+    finds each element's last N at or beyond epsilon, the second measures
+    the deviations above N_eps.
+    """
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ChainError("epsilon must be positive")
     nus = [_exact_nu(e) for e in chain.elements]
-    narr = np.arange(1, horizon + 1, dtype=np.int64)
+    narr = np.arange(1, horizon + 1, dtype=np.float64)  # exact below 2**53
+    # float pre-filter: its rounding error is far below the 1e-12 margin,
+    # so every N the exact integer test flags is among the candidates
+    cutoff = float(eps) - 1e-12
     last_bad = 0
     worst = (0, 0.0)
-    per_element_last_bad = []
-    devs_cache = []
-    for e, nu in zip(chain.elements, nus):
-        cnt = np.cumsum(indicator(e, horizon), dtype=np.int64)
+    for i, (e, nu) in enumerate(zip(chain.elements, nus)):
         q, p = nu.denominator, nu.numerator
         if q * eps.denominator * horizon >= 2**62:
             raise ChainError("parameters too large for exact deviation scan")
-        lhs = np.abs(cnt * q - p * narr) * eps.denominator
-        rhs = eps.numerator * q * narr
-        bad = np.flatnonzero(lhs >= rhs)
-        devs_cache.append((cnt, q, p))
-        if bad.size:
-            n = int(bad[-1]) + 1
-            per_element_last_bad.append(n)
-            if n > last_bad:
-                last_bad = n
-                dev = abs(cnt[n - 1] / n - p / q)
-                worst = (len(per_element_last_bad) - 1, dev)
-        else:
-            per_element_last_bad.append(0)
+        cnt = _prefix_counts(e, horizon)
+        cand = np.flatnonzero(_deviations(cnt, narr, nu) >= cutoff)
+        n = cand + 1
+        lhs = np.abs(cnt[cand].astype(np.int64) * q - p * n) * eps.denominator
+        bad = cand[lhs >= eps.numerator * q * n]
+        if bad.size and bad[-1] + 1 > last_bad:
+            last_bad = int(bad[-1]) + 1
+            worst = (i, abs(cnt[last_bad - 1] / last_bad - p / q))
     if last_bad >= horizon:
         i, dev = worst
         return UniformityFailure(i, chain.elements[i], last_bad, dev)
     n_eps = max(1, last_bad)
     deviations = []
-    for cnt, q, p in devs_cache:
-        tail = np.abs(cnt[n_eps:] / narr[n_eps:] - p / q)
+    for e, nu in zip(chain.elements, nus):
+        tail = _deviations(_prefix_counts(e, horizon)[n_eps:], narr[n_eps:], nu)
         deviations.append(float(tail.max()) if tail.size else 0.0)
     return UniformityCertificate(eps, n_eps, horizon, tuple(deviations))
 

@@ -360,11 +360,34 @@ def _greedy_count(t: Fraction, N: int) -> int:
     return max(1, _ceil_div(t.numerator * (N - 1), t.denominator))
 
 
+def _ceil_equivalent(t: Fraction, D: int) -> tuple[int, int]:
+    """The smallest fraction p/q >= t with q <= D.
+
+    It has ceil(m*p/q) == ceil(m*t) for every 1 <= m <= D: if
+    ceil(m*t) = k then (k-1)/m < t <= p/q <= k/m.  The continued-fraction
+    loop of ``Fraction.limit_denominator`` brackets t between its two
+    neighbours in the Farey sequence of order D; p/q is the upper one.
+    """
+    n, d = t.numerator, t.denominator
+    if d <= D:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while q0 + (n // d) * q1 <= D:
+        a = n // d
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (D - q0) // q1
+    upper = max(Fraction(p0 + k * p1, q0 + k * q1), Fraction(p1, q1))
+    return upper.numerator, upper.denominator
+
+
 def _greedy_indicator(t: Fraction, N: int) -> np.ndarray:
-    p, q = t.numerator, t.denominator
-    span = min(q, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
-    dtype = np.int64 if p * (span + 1) < 2**63 else object
-    m = np.arange(1, span + 2, dtype=dtype)
+    span = min(t.denominator, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
+    if (span + 1) ** 2 >= 2**63:
+        raise CesaroError("greedy period too long for int64 arithmetic")
+    # a long-decimal target has the ceilings of a nearby short fraction
+    p, q = _ceil_equivalent(t, span + 1)
+    m = np.arange(1, span + 2, dtype=np.int64)
     steps = np.diff(_ceil_div(p * m, q)) > 0  # entry i is membership of n = i + 3
     return _periodic(np.array([True, False]), steps, N)
 

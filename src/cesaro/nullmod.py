@@ -11,6 +11,8 @@ unmodified.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from .exprs import (
     Explicit,
     SetExpr,
     Union,
+    _periodic,
     indicator,
 )
 from .limits import DEFAULT_HORIZON, NotExactlySolvable, Verdict, classify, exact_limits
@@ -38,26 +41,59 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Replay the trimming pass on an indicator prefix.
+def _excess(mask: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Count excess e_n = |mask on 1..n| - floor(p*n/q) for n = 1..N.
 
-    Walk n upward; a member joins the kept set unless that would push the
-    kept count above floor(p*n/q).  Vector form: a member is removed
-    exactly when its count deficit reaches a new running maximum.
+    For 0 <= p <= q, floor(p*n/q) steps up by 0 or 1, at n = ceil(k*q/p),
+    with period q in n.  One period of steps is built with exact integers
+    and tiled, so the pass is an int8 subtraction and one cumsum.
     """
     n = mask.size
+    if not 0 <= p <= q:
+        raise NullModError("bound must lie in [0, 1]")
     if p * n >= 2**62:
         raise NullModError("bound numerator times horizon too large")
-    narr = np.arange(1, n + 1, dtype=np.int64)
-    cnt = np.cumsum(mask, dtype=np.int64)
-    delta = cnt - (p * narr) // q
-    run = np.maximum.accumulate(np.maximum(delta, 0))
-    prev = np.empty_like(run)
-    if n:
-        prev[0] = 0
-        prev[1:] = run[:-1]
-    removed = mask & (delta > prev)
-    return mask & ~removed, np.flatnonzero(removed)
+    span = min(q, n)
+    period = np.zeros(span, dtype=bool)
+    if p:
+        k = np.arange(1, p * span // q + 1, dtype=np.int64)
+        period[-(-k * q // p) - 1] = True
+    steps = _periodic(period[:0], period, n).view(np.int8)
+    excess = np.subtract(
+        np.asarray(mask, dtype=bool).view(np.int8),
+        steps,
+        dtype=np.int32 if n < 2**31 else np.int64,
+    )
+    return np.add.accumulate(excess, out=excess)
+
+
+def _removed_points(mask: np.ndarray, p: int, q: int) -> np.ndarray:
+    """0-based indices the trimming pass removes from ``mask``.
+
+    Walk n upward; a member joins the kept set unless that would push the
+    kept count above floor(p*n/q).  The excess rises by at most 1 per
+    step, so a member is removed exactly when the excess first reaches
+    1, 2, ..., max excess: found by a search in its running maximum, which
+    is needed only up to the first place the maximum is reached.
+    """
+    excess = _excess(mask, p, q)
+    run = excess[: int(np.argmax(excess)) + 1] if excess.size else excess
+    if not run.size or run[-1] <= 0:
+        return np.empty(0, dtype=np.intp)
+    np.maximum.accumulate(run, out=run)
+    return np.searchsorted(run, np.arange(1, int(run[-1]) + 1, dtype=run.dtype))
+
+
+def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kept mask and removed indices of the trimming pass on a prefix."""
+    removed = _removed_points(mask, p, q)
+    kept = mask.copy()
+    kept[removed] = False
+    return kept, removed
+
+
+_AUDIT_CHUNK = 2**14  # rows per write: bounds the memory of the audit text
+_AUDIT_LABELS = np.array(["0,,", "1,kept,", "1,removed,"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -89,7 +125,7 @@ class NullModResult:
     def removed_density(self, n: int) -> Fraction:
         if not (1 <= n <= self.horizon):
             raise ValueError("n outside the materialized prefix")
-        return Fraction(sum(1 for r in self.removed if r <= n), n)
+        return Fraction(bisect_right(self.removed, n), n)
 
     def verify(self) -> None:
         """Re-check the decomposition and the bound, exhaustively."""
@@ -102,24 +138,24 @@ class NullModResult:
         if not np.array_equal(self.kept_mask | rem, mask):
             raise NullModError("kept and removed do not partition the source")
         p, q = self.bound.numerator, self.bound.denominator
-        narr = np.arange(1, self.horizon + 1, dtype=np.int64)
-        if np.any(np.cumsum(self.kept_mask, dtype=np.int64) * q > p * narr):
+        if _excess(self.kept_mask, p, q).max(initial=0) > 0:
             raise NullModError("kept part exceeds the bound somewhere")
 
     def export_audit(self, stream) -> None:
-        """CSV audit: one row per prefix position."""
+        """CSV audit: one row per prefix position, written in chunks."""
         stream.write("N,member,kept_or_removed,running_nu\n")
-        mask = indicator(self.source, self.horizon)
-        kept_cnt = 0
-        removed = set(self.removed)
-        for n in range(1, self.horizon + 1):
-            m = bool(mask[n - 1])
-            if m:
-                status = "removed" if n in removed else "kept"
-                kept_cnt += status == "kept"
-            else:
-                status = ""
-            stream.write(f"{n},{int(m)},{status},{kept_cnt / n:.12g}\n")
+        status = self.kept_mask.astype(np.int8)  # 0 non-member, 1 kept, 2 removed
+        status[np.asarray(self.removed, dtype=np.intp) - 1] = 2
+        kept = 0
+        for lo in range(0, self.horizon, _AUDIT_CHUNK):
+            hi = min(lo + _AUDIT_CHUNK, self.horizon)
+            n = np.arange(lo + 1, hi + 1, dtype=np.int64)
+            cnt = np.cumsum(self.kept_mask[lo:hi], dtype=np.int64) + kept
+            kept = int(cnt[-1])
+            labels = _AUDIT_LABELS[status[lo:hi]].tolist()
+            rows = zip(n.tolist(), labels, (cnt / n).tolist())
+            fields = tuple(itertools.chain.from_iterable(rows))
+            stream.write(("%d,%s%.12g\n" * (hi - lo)) % fields)
 
 
 def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModResult:
@@ -221,7 +257,7 @@ def _psi_masks(
             base, base_nu = np.zeros(masks[k].size, dtype=bool), Fraction(0)
         inc = masks[k] & ~base
         gap = nus[k] - base_nu
-        _, rem_idx = _null_modify_mask(inc, gap.numerator, gap.denominator)
+        rem_idx = _removed_points(inc, gap.numerator, gap.denominator)
         if rem_idx.size:
             for j in range(n):
                 if base_nu < nus[j] <= nus[k]:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.chains import interval_blocks
@@ -89,6 +91,57 @@ def test_uniformity_failure_at_horizon():
     res = c.uniformity_check(chain, Fraction(1, 10), 400)
     assert isinstance(res, c.UniformityFailure)
     assert res.n == 400 and res.element_index == 0
+
+
+def one_pass_uniformity(chain, eps, horizon):
+    """Reference uniformity scan: every element's counts kept at once and
+    an exact integer test at every N."""
+    nus = [c.exact_limits(e).limit for e in chain.elements]
+    narr = np.arange(1, horizon + 1, dtype=np.int64)
+    last_bad = 0
+    worst = (0, 0.0)
+    cache = []
+    for i, (e, nu) in enumerate(zip(chain.elements, nus)):
+        cnt = np.cumsum(c.indicator(e, horizon), dtype=np.int64)
+        q, p = nu.denominator, nu.numerator
+        lhs = np.abs(cnt * q - p * narr) * eps.denominator
+        bad = np.flatnonzero(lhs >= eps.numerator * q * narr)
+        cache.append((cnt, q, p))
+        if bad.size and int(bad[-1]) + 1 > last_bad:
+            last_bad = int(bad[-1]) + 1
+            worst = (i, abs(cnt[last_bad - 1] / last_bad - p / q))
+    if last_bad >= horizon:
+        i, dev = worst
+        return c.UniformityFailure(i, chain.elements[i], last_bad, dev)
+    n_eps = max(1, last_bad)
+    devs = []
+    for cnt, q, p in cache:
+        tail = np.abs(cnt[n_eps:] / narr[n_eps:] - p / q)
+        devs.append(float(tail.max()) if tail.size else 0.0)
+    return c.UniformityCertificate(eps, n_eps, horizon, tuple(devs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(0, 2**9 - 1),
+    js=st.sets(st.integers(1, 9), min_size=1, max_size=6),
+    prefix=st.integers(0, 60),
+    eps=st.sampled_from(
+        [Fraction(1, 2), Fraction(3, 7), Fraction(1, 10), Fraction(1, 100), Fraction(1, 10**4)]
+    ),
+    horizon=st.integers(1, 5000),
+)
+@example(bits=5, js={1, 2, 3}, prefix=0, eps=Fraction(1, 10**4), horizon=5000)
+@example(bits=0, js={9}, prefix=50, eps=Fraction(1, 100), horizon=4000)  # fails
+def test_uniformity_check_matches_one_pass_scan(bits, js, prefix, eps, horizon):
+    # dyadic residues of one integer form a chain; a finite prefix of N
+    # added to all of them keeps it a chain and delays convergence
+    elements = [c.Residue(2**j, frozenset({bits % 2**j})) for j in sorted(js)]
+    if prefix:
+        elements = [c.Union(e, c.Explicit(tuple(range(1, prefix + 1)))) for e in elements]
+    chain = c.verify_chain(elements, 1024)
+    got = c.uniformity_check(chain, eps, horizon)
+    assert got == one_pass_uniformity(chain, eps, horizon)
 
 
 def test_dense_extension_from_trivial_chain():

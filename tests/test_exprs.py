@@ -269,3 +269,33 @@ def test_leaf_kernels_keep_no_state():
     finally:
         tracemalloc.stop()
     assert after - before < 1 << 20
+
+
+def _big_int_greedy_bits(t, N):
+    """Greedy indicator from exact Python-integer ceilings, n = 1..N."""
+    p, q = t.numerator, t.denominator
+    ceils = [-(-p * m // q) for m in range(1, N)]  # ceil(t*m), m = n - 1
+    return np.array([True, False] + [b > a for a, b in zip(ceils, ceils[1:])])[:N]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "greedy 0.00000000000000000000123",  # q beyond int64
+        "greedy 0.123456789012345678901234567891",
+        "greedy 0.999999999999999999999999999987",
+        "greedy 0.500000000000000000000000000001",
+    ],
+)
+def test_greedy_long_decimal_targets_match_big_int_ceilings(text):
+    e = c.parse_expr(text)
+    assert e.target.denominator > 2**63
+    for N in (1, 2, 3, 1000, 20_000):
+        ind = c.indicator(e, N)
+        assert np.array_equal(ind, _big_int_greedy_bits(e.target, N)), N
+        assert int(ind.sum()) == c.count_upto(e, N)
+
+
+def test_greedy_indicator_rejects_period_beyond_int64_before_allocating():
+    with pytest.raises(c.CesaroError, match="int64"):
+        c.indicator(c.Greedy(Fraction(1, 10**30)), 2**33)

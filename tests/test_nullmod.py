@@ -7,14 +7,16 @@ partial average at or below the density)."""
 
 import io
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
+from cesaro.cli import main
 from cesaro.nullmod import _null_modify_mask
 from conftest import random_fragment
 
@@ -51,6 +53,61 @@ def test_trimming_pass_matches_sequential_reference(bits, p, q):
     ref_kept, ref_removed = sequential_trim(mask, p, q)
     assert np.array_equal(kept, ref_kept)
     assert list(removed_idx) == ref_removed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.integers(1, 10**4),
+    p=st.integers(0, 10**4),
+    kind=st.sampled_from(["random", "periodic", "full"]),
+    length=st.integers(0, 25_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=1, p=0, kind="full", length=0, seed=0)  # the empty mask
+@example(q=7, p=0, kind="random", length=500, seed=1)  # p = 0 removes every member
+@example(q=10**4, p=10**4, kind="full", length=25_000, seed=2)  # p = q removes none
+@example(q=9973, p=4001, kind="periodic", length=25_000, seed=3)  # 2.5 step periods
+def test_excess_kernel_matches_sequential_reference(q, p, kind, length, seed):
+    p = min(p, q)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mask = rng.random(length) < rng.random()
+    elif kind == "periodic":
+        mask = np.resize(rng.random(int(rng.integers(1, 65))) < 0.5, length)
+    else:
+        mask = np.ones(length, dtype=bool)
+    kept, removed_idx = _null_modify_mask(mask, p, q)
+    ref_kept, ref_removed = sequential_trim(mask, p, q)
+    assert np.array_equal(kept, ref_kept)
+    assert removed_idx.tolist() == ref_removed
+
+
+def test_verify_rejects_tampered_kept_mask():
+    res = c.null_modify(c.Residue(2, frozenset({1})), Fraction(1, 2), 1000)
+    res.verify()
+    mask = c.indicator(res.source, 1000)
+    added_back = res.kept_mask.copy()
+    added_back[0] = True
+    with pytest.raises(c.NullModError, match="overlap"):
+        replace(res, kept_mask=added_back).verify()
+    dropped = res.kept_mask.copy()
+    dropped[2] = False
+    with pytest.raises(c.NullModError, match="partition"):
+        replace(res, kept_mask=dropped).verify()
+    # a partition of the source that removes 3 instead of 1: 1 alone
+    # already averages above 1/2
+    moved = mask.copy()
+    moved[2] = False
+    with pytest.raises(c.NullModError, match="exceeds"):
+        replace(res, kept_mask=moved, removed=(3,)).verify()
+
+
+def test_removed_density_counts_removed_elements_up_to_n():
+    res = c.null_modify(c.Blocks(c.Poly(1)), Fraction(1, 2), 10**4)
+    assert len(res.removed) > 10
+    for n in (1, res.removed[0], res.removed[5] - 1, res.removed[5], 10**4):
+        want = sum(1 for r in res.removed if r <= n)
+        assert res.removed_density(n) == Fraction(want, n)
 
 
 def test_null_modify_odds():
@@ -105,6 +162,48 @@ def test_export_audit():
     assert lines[1] == "1,1,removed,0"
     assert lines[3] == "3,1,kept,0.333333333333"
     assert len(lines) == 7
+
+
+def per_row_audit(res):
+    """Reference audit: the per-row loop the chunked writer replaced."""
+    out = ["N,member,kept_or_removed,running_nu\n"]
+    mask = c.indicator(res.source, res.horizon)
+    kept_cnt = 0
+    removed = set(res.removed)
+    for n in range(1, res.horizon + 1):
+        m = bool(mask[n - 1])
+        if m:
+            status = "removed" if n in removed else "kept"
+            kept_cnt += status == "kept"
+        else:
+            status = ""
+        out.append(f"{n},{int(m)},{status},{kept_cnt / n:.12g}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize(
+    "expr, bound, horizon",
+    [
+        ("residue 2 {1}", "1/2", 1),
+        ("greedy 17/199", "17/199", 2**14 + 1),  # one row past a chunk
+        ("blocks poly 1", "1/2", 40_000),  # 71 removals, 3 chunks
+    ],
+)
+def test_export_audit_matches_per_row_loop(expr, bound, horizon):
+    res = c.null_modify(c.parse_expr(expr), Fraction(bound), horizon)
+    buf = io.StringIO()
+    res.export_audit(buf)
+    assert buf.getvalue() == per_row_audit(res)
+
+
+def test_cli_audit_file_matches_per_row_loop(capsys, tmp_path):
+    audit = tmp_path / "audit.csv"
+    expr = "union(residue 3 {0}, explicit {1,2,4})"
+    assert main(["nullmod", expr, "--horizon", "20000", "--audit", str(audit)]) == 0
+    capsys.readouterr()
+    res = c.null_modify(c.parse_expr(expr), Fraction(1, 3), 20_000)
+    assert res.removed
+    assert audit.read_text(encoding="utf-8") == per_row_audit(res)
 
 
 def _averages_never_exceed(mask, nu, horizon):
