@@ -118,7 +118,7 @@ def cmd_trace(args) -> int:
     if args.horizon < 2:
         raise ParseError("trace horizon must be >= 2", 0)
     e = parse_expr(args.expr)
-    counts = np.cumsum(indicator(e, args.horizon), dtype=np.int64)
+    mask = indicator(e, args.horizon)
     ns = []
     i = 0
     while True:
@@ -131,8 +131,11 @@ def cmd_trace(args) -> int:
     if ns[-1] != args.horizon:
         ns.append(args.horizon)
     sys.stdout.write("N,nu_N\n")
+    count = prev = 0
     for n in ns:
-        sys.stdout.write(f"{n},{counts[n - 1] / n:.12g}\n")
+        count += int(np.count_nonzero(mask[prev:n]))
+        prev = n
+        sys.stdout.write(f"{n},{count / n:.12g}\n")
     return 0
 
 

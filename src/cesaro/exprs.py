@@ -577,8 +577,24 @@ def member(e: SetExpr, n: int) -> bool:
 # bulk indicator / counting
 
 
+#: The binary Boolean combinators as ufuncs on bool arrays; a > b is a & ~b.
+_BOOL_UFUNCS = {
+    Union: np.logical_or,
+    Inter: np.logical_and,
+    Diff: np.greater,
+    SymDiff: np.logical_xor,
+}
+
+
 def indicator(e: SetExpr, N: int) -> np.ndarray:
-    """Boolean array of length N; entry i is membership of n = i + 1."""
+    """Boolean array of length N; entry i is membership of n = i + 1.
+
+    The array is fresh and the caller owns it: it may be changed in place
+    without affecting any later call.  The combinators rely on this and
+    combine into their left child's array, so every leaf kernel, and every
+    registered predicate's ``indicator``, must return an array it keeps no
+    reference to.
+    """
     if N < 0:
         raise ValueError("prefix length must be >= 0")
     if isinstance(e, Empty):
@@ -605,16 +621,13 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
         if spec.indicator is not None:
             return spec.indicator(N)
         return np.fromiter((spec.member(n) for n in range(1, N + 1)), dtype=bool, count=N)
-    if isinstance(e, Union):
-        return indicator(e.left, N) | indicator(e.right, N)
-    if isinstance(e, Inter):
-        return indicator(e.left, N) & indicator(e.right, N)
+    ufunc = _BOOL_UFUNCS.get(type(e))
+    if ufunc is not None:
+        out = indicator(e.left, N)
+        return ufunc(out, indicator(e.right, N), out=out)
     if isinstance(e, Compl):
-        return ~indicator(e.inner, N)
-    if isinstance(e, Diff):
-        return indicator(e.left, N) & ~indicator(e.right, N)
-    if isinstance(e, SymDiff):
-        return indicator(e.left, N) ^ indicator(e.right, N)
+        out = indicator(e.inner, N)
+        return np.logical_not(out, out=out)
     if isinstance(e, Dilate):
         arr = np.zeros(N, dtype=bool)
         inner = indicator(e.inner, N // e.factor)
@@ -627,10 +640,12 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
         return arr
     if isinstance(e, Midpoint):
         lo = indicator(e.lower, N)
-        hi = indicator(e.upper, N)
-        gap = hi & ~lo
-        pos = np.cumsum(gap)
-        return lo | (gap & (pos % 2 == 1))
+        gap = indicator(e.upper, N)
+        np.greater(gap, lo, out=gap)  # members of upper not in lower
+        odd = np.logical_xor.accumulate(gap)  # parity of the gap count so far
+        odd &= gap
+        lo |= odd
+        return lo
     raise TypeError(f"unknown expression variant {type(e).__name__}")
 
 
@@ -672,7 +687,7 @@ def count_upto(e: SetExpr, N: int) -> int:
         chi = count_upto(e.upper, N)
         return clo + (chi - clo + 1) // 2
     # general combinators: one bulk scan
-    return int(indicator(e, N).sum())
+    return int(np.count_nonzero(indicator(e, N)))
 
 
 def partial_average(e: SetExpr, N: int) -> Fraction:
@@ -701,7 +716,12 @@ def prefix_scan(e: SetExpr, frm: int, to: int) -> PrefixStat:
     """Membership count over [frm, to].  Associative under concatenation."""
     if not (1 <= frm <= to):
         raise ValueError("need 1 <= frm <= to")
-    return PrefixStat(to - frm + 1, count_upto(e, to) - count_upto(e, frm - 1))
+    if type(e) in _BOOL_UFUNCS:
+        # count_upto would walk the tree twice, to frm - 1 and to to
+        count = int(np.count_nonzero(indicator(e, to)[frm - 1 :]))
+    else:
+        count = count_upto(e, to) - count_upto(e, frm - 1)
+    return PrefixStat(to - frm + 1, count)
 
 
 # ---------------------------------------------------------------------------

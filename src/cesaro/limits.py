@@ -239,6 +239,72 @@ def exact_limits(e: SetExpr) -> LimitReport:
 # streamed estimation
 
 
+#: Elements per chunk of the partial-average pass; its buffers are reused.
+_CHUNK = 1 << 16
+
+
+def _window_extremes(
+    mask: np.ndarray, segments: list[tuple[int, int]]
+) -> list[tuple[float, float]]:
+    """(max, min) of the partial averages c_n/n over n in (lo, hi], per window.
+
+    c_n counts the members of ``mask`` among its first n entries.  One pass
+    over the union of the windows, in chunks of ``_CHUNK`` elements: each
+    chunk's running count goes into a reused int32 buffer (int64 from 2^31
+    elements on), the count before the chunk is added into a reused float64
+    buffer, and that is divided by the chunk's n.  Every c_n/n is the same
+    float64 as an N-long count array divided by an N-long arange.  Windows
+    must be nonempty.
+    """
+    first = min(lo for lo, _ in segments)
+    last = max(hi for _, hi in segments)
+    dtype = np.int32 if last < 2**31 else np.int64
+    run = np.empty(_CHUNK, dtype=dtype)
+    avg = np.empty(_CHUNK, dtype=np.float64)
+    n = np.arange(first + 1, first + 1 + _CHUNK, dtype=np.float64)
+    carry = int(np.count_nonzero(mask[:first]))
+    extremes = [(-math.inf, math.inf)] * len(segments)
+    for a in range(first, last, _CHUNK):
+        k = min(_CHUNK, last - a)
+        np.add.accumulate(mask[a : a + k], dtype=dtype, out=run[:k])
+        # carry + run[i] <= last, so the integer sum cannot overflow dtype
+        np.add(run[:k], carry, out=avg[:k])
+        np.divide(avg[:k], n[:k], out=avg[:k])
+        carry += int(run[k - 1])
+        n += _CHUNK
+        for j, (lo, hi) in enumerate(segments):
+            s, t = max(lo, a), min(hi, a + k)
+            if s < t:
+                part = avg[s - a : t - a]
+                mx, mn = extremes[j]
+                extremes[j] = (max(mx, float(part.max())), min(mn, float(part.min())))
+    return extremes
+
+
+def _estimate(
+    e: SetExpr, horizon: int, window: float, tolerance: float
+) -> tuple[LimitReport, list[tuple[float, float]]]:
+    """``estimate_limits``, plus the (max, min) of each doubling sub-window."""
+    if horizon < 1000:
+        raise ValueError("estimation horizon must be >= 1000")
+    if not (0 < window < 1):
+        raise ValueError("window must lie in (0, 1)")
+    start = max(1, math.ceil((1 - window) * horizon))
+    doubling = [(horizon // 2, horizon), (horizon // 4, horizon // 2), (horizon // 8, horizon // 4)]
+    (upper, lower), *subs = _window_extremes(
+        indicator(e, horizon), [(start - 1, horizon), *doubling]
+    )
+    persistent = all(mx - mn > tolerance for mx, mn in subs)
+
+    if upper - lower <= tolerance:
+        verdict, limit = Verdict.IN_F, (upper + lower) / 2
+    elif persistent:
+        verdict, limit = Verdict.NOT_IN_F, None
+    else:
+        verdict, limit = Verdict.UNKNOWN, None
+    return LimitReport(upper, lower, limit, "streamed", horizon, tolerance, verdict), subs
+
+
 def estimate_limits(
     e: SetExpr,
     horizon: int,
@@ -250,37 +316,10 @@ def estimate_limits(
     The upper/lower estimates are the max/min of the partial averages over
     the trailing window.  NotInF requires the oscillation to persist in
     three consecutive doubling sub-windows; a single wide swing is not
-    treated as divergence.
+    treated as divergence.  The cost is one ``indicator`` walk and one
+    chunked pass over the windows; no N-long count array is built.
     """
-    if horizon < 1000:
-        raise ValueError("estimation horizon must be >= 1000")
-    if not (0 < window < 1):
-        raise ValueError("window must lie in (0, 1)")
-    counts = np.cumsum(indicator(e, horizon), dtype=np.int64)
-
-    def seg_extremes(lo: int, hi: int) -> tuple[float, float]:
-        # partial averages for N in (lo, hi]
-        nu = counts[lo:hi] / np.arange(lo + 1, hi + 1, dtype=np.float64)
-        return float(nu.max()), float(nu.min())
-
-    start = max(1, math.ceil((1 - window) * horizon))
-    upper, lower = seg_extremes(start - 1, horizon)
-
-    persistent = False
-    if horizon >= 8:
-        oscs = []
-        for lo, hi in ((horizon // 2, horizon), (horizon // 4, horizon // 2), (horizon // 8, horizon // 4)):
-            mx, mn = seg_extremes(lo, hi)
-            oscs.append(mx - mn)
-        persistent = all(o > tolerance for o in oscs)
-
-    if upper - lower <= tolerance:
-        verdict, limit = Verdict.IN_F, (upper + lower) / 2
-    elif persistent:
-        verdict, limit = Verdict.NOT_IN_F, None
-    else:
-        verdict, limit = Verdict.UNKNOWN, None
-    return LimitReport(upper, lower, limit, "streamed", horizon, tolerance, verdict)
+    return _estimate(e, horizon, window, tolerance)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .exprs import CesaroError, Diff, Empty, Inter, SetExpr, SymDiff, Union, indicator
+from .exprs import CesaroError, Diff, Empty, Inter, SetExpr, SymDiff, Union
 from .limits import (
     DEFAULT_HORIZON,
     DEFAULT_TOLERANCE,
+    DEFAULT_WINDOW,
     NotExactlySolvable,
-    estimate_limits,
+    _estimate,
     exact_limits,
 )
 from .nullmod import disjoint_modify
@@ -313,18 +312,8 @@ def null_equivalent(
             rep.upper,
             True,
         )
-    est = estimate_limits(d, horizon, tolerance=tolerance)
-    counts = np.cumsum(indicator(d, horizon), dtype=np.int64)
-    persistent_floor = min(
-        float(
-            (counts[lo:hi] / np.arange(lo + 1, hi + 1, dtype=np.float64)).min()
-        )
-        for lo, hi in (
-            (horizon // 2, horizon),
-            (horizon // 4, horizon // 2),
-            (horizon // 8, horizon // 4),
-        )
-    )
+    est, subs = _estimate(d, horizon, DEFAULT_WINDOW, tolerance)
+    persistent_floor = min(mn for _, mn in subs)
     if persistent_floor > tolerance:
         return EquivalenceVerdict(
             "Distinct",

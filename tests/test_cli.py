@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import cesaro as c
 from cesaro.cli import main
 
 
@@ -60,6 +62,38 @@ def test_trace_csv(capsys):
     assert lines[-1] == "16,1"
     ns = [int(row.split(",")[0]) for row in lines[1:]]
     assert ns == sorted(set(ns))
+
+
+def _trace_oracle(expr, horizon):
+    """The trace CSV from an N-long int64 count array."""
+    counts = np.cumsum(c.indicator(c.parse_expr(expr), horizon), dtype=np.int64)
+    ns = []
+    i = 0
+    while True:
+        n = int(2 ** (i / 8))
+        if n > horizon:
+            break
+        if not ns or n > ns[-1]:
+            ns.append(n)
+        i += 1
+    if ns[-1] != horizon:
+        ns.append(horizon)
+    return "N,nu_N\n" + "".join(f"{n},{counts[n - 1] / n:.12g}\n" for n in ns)
+
+
+@pytest.mark.parametrize(
+    "expr, horizon",
+    [
+        ("blocks geometric 2", 2),
+        ("inter(blocks geometric 2, residue 2 {0})", 65536),
+        ("union(greedy 2/7, predicate primes)", 100_003),
+        ("midpoint(residue 4 {0}, residue 2 {0})", 4097),
+    ],
+)
+def test_trace_csv_matches_count_array(capsys, expr, horizon):
+    code, out, _ = run(capsys, "trace", expr, "--horizon", str(horizon))
+    assert code == 0
+    assert out == _trace_oracle(expr, horizon)
 
 
 def test_nullmod_json_and_audit(capsys, tmp_path):

@@ -6,13 +6,17 @@ oracle from conftest, which counts members over one full period far
 beyond any finite perturbation.
 """
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.limits import NotExactlySolvable
+from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes
 from conftest import random_fragment, window_density
 
 
@@ -151,3 +155,101 @@ def test_report_as_dict_rendering():
     d = c.estimate_limits(c.Blocks(c.Geometric(2)), 2**14).as_dict()
     assert d["method"] == "streamed" and d["limit"] is None
     assert d["verdict"] == "NotInF"
+
+
+# ---------------------------------------------------------------------------
+# the chunked partial-average pass against an N-long count array
+
+
+def _seg_extremes_oracle(mask, lo, hi):
+    """(max, min) of c_n/n for n in (lo, hi] from an N-long int64 cumsum."""
+    counts = np.cumsum(mask, dtype=np.int64)
+    nu = counts[lo:hi] / np.arange(lo + 1, hi + 1, dtype=np.float64)
+    return float(nu.max()), float(nu.min())
+
+
+def _estimate_windows(horizon, window):
+    start = max(1, math.ceil((1 - window) * horizon))
+    return [
+        (start - 1, horizon),
+        (horizon // 2, horizon),
+        (horizon // 4, horizon // 2),
+        (horizon // 8, horizon // 4),
+    ]
+
+
+def _test_mask(kind, horizon, seed, density):
+    rng = np.random.default_rng(seed)
+    if kind == "empty":
+        return np.zeros(horizon, dtype=bool)
+    if kind == "ones":
+        return np.ones(horizon, dtype=bool)
+    if kind == "bernoulli":
+        return rng.random(horizon) < density
+    # alternating runs of growing random length: partial averages swing
+    runs = rng.integers(1, 1 + np.geomspace(2, horizon, 40).astype(np.int64))
+    bits = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+    return np.resize(bits, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["empty", "ones", "bernoulli", "runs"]),
+    horizon=st.integers(1000, 3 * _CHUNK),
+    window=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+)
+# a window fraction above 7/8 starts the main window below H/8
+@example(kind="runs", horizon=3 * _CHUNK + 17, window=0.95, seed=1, density=0.5)
+@example(kind="bernoulli", horizon=_CHUNK + 1, window=0.05, seed=2, density=0.3)
+@example(kind="ones", horizon=2 * _CHUNK, window=0.5, seed=0, density=0.0)
+@example(kind="empty", horizon=1000, window=0.9, seed=0, density=0.0)
+def test_window_extremes_match_full_count_array(kind, horizon, window, seed, density):
+    mask = _test_mask(kind, horizon, seed, density)
+    segments = _estimate_windows(horizon, window)
+    want = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
+    assert _window_extremes(mask, segments) == want
+
+
+def _estimate_limits_oracle(e, horizon, window, tolerance):
+    """The streamed estimate from an N-long int64 cumsum, window by window."""
+    mask = c.indicator(e, horizon)
+    segments = _estimate_windows(horizon, window)
+    upper, lower = _seg_extremes_oracle(mask, *segments[0])
+    subs = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments[1:]]
+    oscs = [mx - mn for mx, mn in subs]
+    if upper - lower <= tolerance:
+        verdict, limit = c.Verdict.IN_F, (upper + lower) / 2
+    elif all(o > tolerance for o in oscs):
+        verdict, limit = c.Verdict.NOT_IN_F, None
+    else:
+        verdict, limit = c.Verdict.UNKNOWN, None
+    return c.LimitReport(upper, lower, limit, "streamed", horizon, tolerance, verdict)
+
+
+_GEO2 = c.Blocks(c.Geometric(2))
+STREAMED_TREES = [
+    c.Inter(_GEO2, c.Residue(2, frozenset({0}))),
+    c.Union(c.Blocks(c.Geometric(3)), c.Residue(3, frozenset({0}))),
+    c.Union(c.Greedy(Fraction(1, 2000)), c.Explicit((1,))),
+    c.Shift(5, c.Union(c.Blocks(c.Geometric(5)), c.Predicate("primes"))),
+    c.Dilate(3, c.SymDiff(c.Blocks(c.RunList(0, (1, 2, 4), "cycle")), c.Greedy(Fraction(3, 11)))),
+    c.Midpoint(c.Inter(_GEO2, c.Residue(3, frozenset({1}))), _GEO2),
+    c.Compl(c.Diff(c.Blocks(c.Geometric(4)), c.Predicate("squares"))),
+    c.Inter(c.Blocks(c.Poly(2)), c.Residue(3, frozenset({1, 2}))),
+    c.Predicate("paired"),
+]
+
+
+@pytest.mark.parametrize("e", STREAMED_TREES, ids=lambda e: type(e).__name__)
+def test_estimate_limits_report_matches_full_count_array(e):
+    for horizon, window, tolerance in (
+        (1000, 0.5, 1e-3),
+        (_CHUNK + 3, 0.9, 1e-2),
+        (2**18, 0.5, 1e-3),
+        (200_003, 0.1, 1e-4),
+    ):
+        assert c.estimate_limits(e, horizon, window, tolerance) == (
+            _estimate_limits_oracle(e, horizon, window, tolerance)
+        ), (horizon, window)

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cesaro as c
@@ -121,6 +122,50 @@ def test_null_equivalent_streamed_branches():
     # a large tolerance makes the streamed floor inconclusive
     v = c.null_equivalent(mixed, c.Empty(), 2**16, tolerance=0.4)
     assert v.value == "Unknown" and not v.exact
+
+
+def _streamed_verdict_oracle(a, b, horizon, tolerance):
+    """The streamed branch of null_equivalent from an N-long count array."""
+    d = c.SymDiff(a, b)
+    est = c.estimate_limits(d, horizon, tolerance=tolerance)
+    counts = np.cumsum(c.indicator(d, horizon), dtype=np.int64)
+    floor = min(
+        float((counts[lo:hi] / np.arange(lo + 1, hi + 1, dtype=np.float64)).min())
+        for lo, hi in (
+            (horizon // 2, horizon),
+            (horizon // 4, horizon // 2),
+            (horizon // 8, horizon // 4),
+        )
+    )
+    if floor > tolerance:
+        return c.EquivalenceVerdict(
+            "Distinct",
+            f"streamed density stays above {tolerance} in three doubling "
+            f"sub-windows up to horizon {horizon}",
+            est.upper,
+            False,
+        )
+    return c.EquivalenceVerdict(
+        "Unknown", f"streamed density inconclusive at horizon {horizon}", est.upper, False
+    )
+
+
+def test_null_equivalent_streamed_matches_count_array():
+    geo = c.Blocks(c.Geometric(2))
+    greedy = c.Greedy(Fraction(3, 7))
+    pairs = [
+        (c.Inter(geo, c.Residue(2, frozenset({0}))), c.Empty()),
+        (greedy, c.Union(greedy, c.Predicate("cubes"))),
+        (c.Union(geo, c.Residue(3, frozenset({0}))), c.Diff(geo, c.Predicate("pow2"))),
+        (c.Midpoint(c.Inter(geo, c.Residue(3, frozenset({1}))), geo), geo),
+        # {n > 200}, streamed: at horizon 1000 only the lowest sub-window
+        # holds a zero average
+        (c.Shift(200, c.Union(geo, c.Compl(geo))), c.Empty()),
+    ]
+    for a, b in pairs:
+        for horizon, tolerance in ((1000, 1e-3), (2**16 + 5, 1e-3), (200_000, 0.2)):
+            want = _streamed_verdict_oracle(a, b, horizon, tolerance)
+            assert c.null_equivalent(a, b, horizon, tolerance) == want, (a, b, horizon)
 
 
 def test_disjoint_representatives():
