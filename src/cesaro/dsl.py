@@ -51,18 +51,32 @@ class ParseError(CesaroError):
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*|\d+|[{}()\[\],;/.]")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, in one regex pass.
+
+    Tokens hold no whitespace, so they cover every other character exactly
+    when their concatenation is the text with its whitespace removed.
+    Positions are only worked out for an error message.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        _token_starts(text)  # raises at the first stray character
+    return tokens
+
+
+def _token_starts(text: str) -> list[int]:
+    """Start of every token; ParseError at the first stray character."""
+    starts = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):
         between = text[pos : m.start()]
         if between.strip():
             raise ParseError(f"unexpected character {between.strip()[0]!r}", pos)
-        tokens.append((m.group(), m.start()))
+        starts.append(m.start())
         pos = m.end()
     if text[pos:].strip():
         raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-    return tokens
+    return starts
 
 
 class _Parser:
@@ -72,16 +86,19 @@ class _Parser:
         self.i = 0
 
     def error(self, message: str):
-        pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+        if self.i < len(self.tokens):
+            pos = _token_starts(self.text)[self.i]
+        else:
+            pos = len(self.text)
         raise ParseError(message, pos)
 
     def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def take(self) -> str:
         if self.i >= len(self.tokens):
             self.error("unexpected end of input")
-        tok = self.tokens[self.i][0]
+        tok = self.tokens[self.i]
         self.i += 1
         return tok
 

@@ -782,15 +782,21 @@ def _lift_residues(res: frozenset[int], m: int, L: int) -> frozenset[int]:
     return frozenset(r + i * m for r in res for i in range(L // m))
 
 
+def _divisors(m: int) -> list[int]:
+    """The divisors of m in increasing order, by trial division up to isqrt(m)."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
+
+
 def _reduce_residue(m: int, res: frozenset[int]) -> SetExpr:
     """Smallest-modulus residue expression denoting the same set."""
     if not res:
         return Empty()
     if len(res) == m:
         return All()
-    for d in range(1, m + 1):
-        if m % d:
-            continue
+    for d in _divisors(m):
+        if len(res) % (m // d):
+            continue  # a set of period d has m/d lifted copies of each residue
         low = frozenset(r % d for r in res)
         if len(low) * (m // d) == len(res) and _lift_residues(low, d, m) == res:
             if len(low) == d:
@@ -856,7 +862,7 @@ def canonicalize(e: SetExpr) -> SetExpr:
             return All()
         if isinstance(inner, All):
             return Empty()
-        if isinstance(inner, Residue):
+        if isinstance(inner, Residue) and inner.modulus <= MAX_CANON_MODULUS:
             return _reduce_residue(
                 inner.modulus, frozenset(range(inner.modulus)) - inner.residues
             )

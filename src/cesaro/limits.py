@@ -1,12 +1,12 @@
 """Upper/lower Cesàro limits: exact where structure allows, streamed otherwise.
 
 The exact engine reduces an expression to a periodic normal form (a set of
-residues modulo m, possibly perturbed by a density-zero set).  Perturbing
-by a null set never moves the upper or lower limit, so the exact density
-|R|/m survives finite exceptions and unions with known null sets.  Block
-and greedy families get their closed forms at top level.  Everything else
-falls back to a windowed streaming estimate with an explicit Unknown
-verdict when the evidence is inconclusive.
+residues modulo m, held as a sorted int64 array, possibly perturbed by a
+density-zero set).  Perturbing by a null set never moves the upper or lower
+limit, so the exact density |R|/m survives finite exceptions and unions
+with known null sets.  Block and greedy families get their closed forms
+at top level.  Everything else falls back to a windowed streaming estimate
+with an explicit Unknown verdict when the evidence is inconclusive.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .exprs import (
     Shift,
     SymDiff,
     Union,
-    _lift_residues,
     canonicalize,
     gap_functions,
     indicator,
@@ -51,6 +50,10 @@ DEFAULT_TOLERANCE = 1e-3
 
 #: residue refinement guard: reject common moduli beyond this
 MAX_MODULUS = 10**9
+
+#: largest residue array the exact engine builds; a lift or complement
+#: that would need more entries raises NotExactlySolvable before allocating
+MAX_FORM_ENTRIES = 1 << 24
 
 
 class NotExactlySolvable(CesaroError):
@@ -108,69 +111,126 @@ class LimitReport:
 # exact fragment via periodic normal form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Form:
     """Residues mod modulus, possibly perturbed by some null set (fuzz).
 
-    The perturbation is never tracked pointwise; it only matters that it
-    is null, which leaves both Cesàro limits at |residues|/modulus.
+    ``residues`` is a sorted int64 array of distinct residues in
+    [0, modulus); every rule below keeps it so.  The perturbation is never
+    tracked pointwise; it only matters that it is null, which leaves both
+    Cesàro limits at |residues|/modulus.
     """
 
     modulus: int
-    residues: frozenset[int]
+    residues: np.ndarray
     fuzz: bool
 
     @property
     def density(self) -> Fraction:
-        return Fraction(len(self.residues), self.modulus)
+        return Fraction(self.residues.size, self.modulus)
 
 
-def _merge(a: _Form, b: _Form, op) -> _Form:
-    L = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
-    if L > MAX_MODULUS:
-        raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
-    ra = _lift_residues(a.residues, a.modulus, L)
-    rb = _lift_residues(b.residues, b.modulus, L)
-    return _Form(L, op(ra, rb), a.fuzz or b.fuzz)
+_NONE = np.empty(0, dtype=np.int64)
+_ZERO = np.zeros(1, dtype=np.int64)
+_NONE.flags.writeable = _ZERO.flags.writeable = False  # shared by many forms
+
+
+def _check_entries(entries: int) -> None:
+    if entries > MAX_FORM_ENTRIES:
+        raise NotExactlySolvable(f"periodic form of {entries} entries exceeds {MAX_FORM_ENTRIES}")
+
+
+def _lift(f: _Form, L: int) -> np.ndarray:
+    """The residues of f modulo L, a multiple of f.modulus, still sorted:
+    row i of the table holds r + i·modulus."""
+    if L == f.modulus or not f.residues.size:
+        return f.residues
+    _check_entries(f.residues.size * (L // f.modulus))
+    return (np.arange(0, L, f.modulus)[:, None] + f.residues).ravel()
+
+
+def _merged(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a and b merged in order, and where each entry differs from the next."""
+    c = np.concatenate((a, b))
+    c.sort(kind="stable")  # two sorted runs: a single merge
+    return c, c[1:] != c[:-1]
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, new = _merged(a, b)
+    keep = np.ones(c.size, dtype=bool)
+    keep[1:] = new
+    return c[keep]
+
+
+def _inter(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, new = _merged(a, b)
+    return c[:-1][~new]
+
+
+def _symdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, new = _merged(a, b)
+    keep = np.ones(c.size, dtype=bool)
+    keep[1:] = new
+    keep[:-1] &= new
+    return c[keep]
+
+
+def _diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _symdiff(a, _inter(a, b))
+
+
+#: Boolean operations on sorted arrays of distinct residues
+_ARRAY_OPS = {
+    Union: _union,
+    Inter: _inter,
+    Diff: _diff,
+    SymDiff: _symdiff,
+}
 
 
 def _form(e: SetExpr) -> _Form:
     if isinstance(e, Empty):
-        return _Form(1, frozenset(), False)
+        return _Form(1, _NONE, False)
     if isinstance(e, All):
-        return _Form(1, frozenset({0}), False)
+        return _Form(1, _ZERO, False)
     if isinstance(e, Explicit):
-        return _Form(1, frozenset(), bool(e.elements))
+        return _Form(1, _NONE, bool(e.elements))
     if isinstance(e, Residue):
-        return _Form(e.modulus, e.residues, False)
+        return _Form(e.modulus, np.array(sorted(e.residues), dtype=np.int64), False)
     if isinstance(e, Predicate):
         spec = predicate_spec(e.name)
         if spec.exact_upper == 0 and spec.exact_lower == 0:
-            return _Form(1, frozenset(), True)  # known null set
+            return _Form(1, _NONE, True)  # known null set
         raise NotExactlySolvable(f"predicate {e.name!r} is not periodic")
-    if isinstance(e, Union):
-        return _merge(_form(e.left), _form(e.right), lambda x, y: x | y)
-    if isinstance(e, Inter):
-        return _merge(_form(e.left), _form(e.right), lambda x, y: x & y)
-    if isinstance(e, Diff):
-        return _merge(_form(e.left), _form(e.right), lambda x, y: x - y)
-    if isinstance(e, SymDiff):
-        return _merge(_form(e.left), _form(e.right), lambda x, y: x ^ y)
+    op = _ARRAY_OPS.get(type(e))
+    if op is not None:
+        a, b = _form(e.left), _form(e.right)
+        L = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
+        if L > MAX_MODULUS:
+            raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
+        return _Form(L, op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
     if isinstance(e, Compl):
         f = _form(e.inner)
-        return _Form(f.modulus, frozenset(range(f.modulus)) - f.residues, f.fuzz)
+        _check_entries(f.modulus)
+        table = np.ones(f.modulus, dtype=bool)
+        table[f.residues] = False
+        return _Form(f.modulus, np.flatnonzero(table), f.fuzz)
     if isinstance(e, Dilate):
         f = _form(e.inner)
         L = f.modulus * e.factor
         if L > MAX_MODULUS:
             raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
-        return _Form(L, frozenset(r * e.factor for r in f.residues), f.fuzz)
+        return _Form(L, f.residues * e.factor, f.fuzz)
     if isinstance(e, Shift):
         f = _form(e.inner)
-        shifted = frozenset((r + e.offset) % f.modulus for r in f.residues)
+        m, s = f.modulus, e.offset % f.modulus
+        # r + s wraps below s exactly for the residues r >= m - s
+        i = int(np.searchsorted(f.residues, m - s))
+        shifted = np.concatenate((f.residues[i:] + (s - m), f.residues[:i] + s))
         # shifting drops nothing but delays the pattern: a finite prefix
         # of the shifted residue classes is missing, a null perturbation
-        return _Form(f.modulus, shifted, f.fuzz or e.offset > 0)
+        return _Form(m, shifted, f.fuzz or e.offset > 0)
     raise NotExactlySolvable(f"{type(e).__name__} is not in the periodic fragment")
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cesaro as c
+from cesaro import dsl
 from conftest import random_fragment
 
 GOLDEN = [
@@ -98,3 +99,101 @@ def test_unknown_predicate_parses_but_fails_at_evaluation():
     e = c.parse_expr("predicate nope")
     with pytest.raises(c.CesaroError):
         c.member(e, 1)
+
+
+def _positioned_tokenize(text):
+    """The earlier tokenizer: every token with its position, checking the
+    text between consecutive tokens as it goes."""
+    tokens = []
+    pos = 0
+    for m in dsl._TOKEN_RE.finditer(text):
+        between = text[pos : m.start()]
+        if between.strip():
+            raise c.ParseError(f"unexpected character {between.strip()[0]!r}", pos)
+        tokens.append((m.group(), m.start()))
+        pos = m.end()
+    if text[pos:].strip():
+        raise c.ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+    return tokens
+
+
+class _PositionedParser(dsl._Parser):
+    def __init__(self, text):
+        self.text = text
+        self.positioned = _positioned_tokenize(text)
+        self.tokens = [tok for tok, _ in self.positioned]
+        self.i = 0
+
+    def error(self, message):
+        i = self.i
+        raise c.ParseError(message, self.positioned[i][1] if i < len(self.tokens) else len(self.text))
+
+
+def _parse_with_positions(text):
+    parser = _PositionedParser(text)
+    if not parser.tokens:
+        raise c.ParseError("empty expression", 0)
+    e = parser.expr()
+    if parser.i != len(parser.tokens):
+        parser.error("trailing input after expression")
+    return e
+
+
+MALFORMED = [
+    "",
+    "   ",
+    "\t\n",
+    "@",
+    "all @",
+    "  all  #",
+    "residue 4 {0,2} !",
+    "union(all, empty)?",
+    "union(all, empty",
+    "union(all empty)",
+    "inter(residue 2 {0}, compl(residue 3 {1})",
+    "compl(all",
+    "compl all)",
+    "residue x {0}",
+    "residue 4 {a}",
+    "residue 4 {0,}",
+    "residue 4 {0 2}",
+    "residue 4 {0,2",
+    "residue -4 {0}",
+    "dilate -1 all",
+    "shift 1.5 all",
+    "greedy 1/0",
+    "greedy 1/",
+    "greedy 0.x",
+    "greedy 0.",
+    "greedy 3/2",
+    "explicit{1,2,x}",
+    "explicit{1;2}",
+    "explicit{0}",
+    "blocks geometric",
+    "blocks list [0;1,2 cycle",
+    "blocks list [0 1] cycle",
+    "blocks triangle 3",
+    "résidue 4 {0}",
+    "union(all,\u00a0empty)\u00a0$",
+    "all\u2003all",
+    "symdiff(all, empty))",
+    "midpoint(all, empty, all)",
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED, ids=[repr(b) for b in MALFORMED])
+def test_parse_error_matches_positioned_tokenizer(bad):
+    with pytest.raises(c.ParseError) as want:
+        _parse_with_positions(bad)
+    with pytest.raises(c.ParseError) as got:
+        c.parse_expr(bad)
+    assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
+
+
+def test_tokens_match_positioned_tokenizer():
+    rng = random.Random(161803)
+    texts = [t for t, _ in GOLDEN] + [c.format_expr(random_fragment(rng, 3)) for _ in range(40)]
+    for text in texts:
+        spaced = text.replace(",", " ,\t").replace("(", "( ")
+        for t in (text, spaced):
+            assert dsl._tokenize(t) == [tok for tok, _ in _positioned_tokenize(t)]

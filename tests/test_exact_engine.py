@@ -1,0 +1,278 @@
+"""Exact engine internals: the periodic normal form on sorted int64 arrays,
+checked against the frozenset engine it replaced, its allocation guards,
+and the residue reduction of ``canonicalize``.
+
+The oracles below are the earlier pure-Python implementations, kept here
+verbatim in substance: one Python set operation per lifted residue.
+"""
+
+import math
+import random
+import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cesaro as c
+from cesaro.exprs import MAX_CANON_MODULUS, _reduce_residue, predicate_spec
+from cesaro.limits import MAX_FORM_ENTRIES, MAX_MODULUS, NotExactlySolvable, _form
+
+# ---------------------------------------------------------------------------
+# the frozenset engine, as the oracle
+
+
+@dataclass(frozen=True)
+class _SetForm:
+    modulus: int
+    residues: frozenset
+    fuzz: bool
+
+
+def _lift_set(res, m, L):
+    return frozenset(r + i * m for r in res for i in range(L // m))
+
+
+def _set_merge(a, b, op):
+    L = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
+    if L > MAX_MODULUS:
+        raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
+    ra = _lift_set(a.residues, a.modulus, L)
+    rb = _lift_set(b.residues, b.modulus, L)
+    return _SetForm(L, op(ra, rb), a.fuzz or b.fuzz)
+
+
+def _set_form(e):
+    if isinstance(e, c.Empty):
+        return _SetForm(1, frozenset(), False)
+    if isinstance(e, c.All):
+        return _SetForm(1, frozenset({0}), False)
+    if isinstance(e, c.Explicit):
+        return _SetForm(1, frozenset(), bool(e.elements))
+    if isinstance(e, c.Residue):
+        return _SetForm(e.modulus, e.residues, False)
+    if isinstance(e, c.Predicate):
+        spec = predicate_spec(e.name)
+        if spec.exact_upper == 0 and spec.exact_lower == 0:
+            return _SetForm(1, frozenset(), True)
+        raise NotExactlySolvable(f"predicate {e.name!r} is not periodic")
+    if isinstance(e, c.Union):
+        return _set_merge(_set_form(e.left), _set_form(e.right), lambda x, y: x | y)
+    if isinstance(e, c.Inter):
+        return _set_merge(_set_form(e.left), _set_form(e.right), lambda x, y: x & y)
+    if isinstance(e, c.Diff):
+        return _set_merge(_set_form(e.left), _set_form(e.right), lambda x, y: x - y)
+    if isinstance(e, c.SymDiff):
+        return _set_merge(_set_form(e.left), _set_form(e.right), lambda x, y: x ^ y)
+    if isinstance(e, c.Compl):
+        f = _set_form(e.inner)
+        return _SetForm(f.modulus, frozenset(range(f.modulus)) - f.residues, f.fuzz)
+    if isinstance(e, c.Dilate):
+        f = _set_form(e.inner)
+        L = f.modulus * e.factor
+        if L > MAX_MODULUS:
+            raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
+        return _SetForm(L, frozenset(r * e.factor for r in f.residues), f.fuzz)
+    if isinstance(e, c.Shift):
+        f = _set_form(e.inner)
+        shifted = frozenset((r + e.offset) % f.modulus for r in f.residues)
+        return _SetForm(f.modulus, shifted, f.fuzz or e.offset > 0)
+    raise NotExactlySolvable(f"{type(e).__name__} is not in the periodic fragment")
+
+
+def _period(e) -> int:
+    """The modulus of e's periodic form, from lcm arithmetic alone."""
+    if isinstance(e, c.Residue):
+        return e.modulus
+    if isinstance(e, (c.Union, c.Inter, c.Diff, c.SymDiff)):
+        return math.lcm(_period(e.left), _period(e.right))
+    if isinstance(e, c.Dilate):
+        return e.factor * _period(e.inner)
+    if isinstance(e, (c.Compl, c.Shift)):
+        return _period(e.inner)
+    return 1
+
+
+# ---------------------------------------------------------------------------
+# random trees over the periodic fragment
+
+#: most residue moduli divide 2520, so common moduli stay small enough for
+#: the frozenset oracle; a few are drawn freely up to 2000
+_MODULI = [d for d in range(1, 2521) if 2520 % d == 0]
+_NULL_PREDICATES = ("squares", "cubes", "pow2", "primes")
+_BOOLEAN = (c.Union, c.Inter, c.Diff, c.SymDiff)
+_PERIOD_BUDGET = 200_000
+
+
+@st.composite
+def _residue_leaf(draw):
+    m = draw(st.sampled_from(_MODULI) | st.integers(1, 2000))
+    if draw(st.booleans()):
+        res = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=12))
+    else:  # dense sets, up to the whole of Z/m
+        res = {r for r in range(m) if draw(st.integers(0, 3)) or r == 0} if m <= 64 else {0}
+    return c.Residue(m, frozenset(res))
+
+
+_LEAVES = (
+    _residue_leaf()
+    | st.just(c.Empty())
+    | st.just(c.All())
+    | st.lists(st.integers(1, 200), max_size=5, unique=True).map(lambda x: c.Explicit(tuple(sorted(x))))
+    | st.sampled_from(_NULL_PREDICATES).map(c.Predicate)
+)
+
+
+@st.composite
+def _trees(draw, depth=4):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_LEAVES)
+    kind = draw(st.sampled_from(("boolean", "boolean", "compl", "dilate", "shift")))
+    if kind == "boolean":
+        op = draw(st.sampled_from(_BOOLEAN))
+        return op(draw(_trees(depth - 1)), draw(_trees(depth - 1)))
+    inner = draw(_trees(depth - 1))
+    if kind == "compl":
+        return c.Compl(inner)
+    if kind == "dilate":
+        return c.Dilate(draw(st.integers(1, 7)), inner)
+    return c.Shift(draw(st.integers(0, 3 * _period(inner))), inner)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees())
+def test_array_form_matches_frozenset_engine(e):
+    if _period(e) > _PERIOD_BUDGET:
+        return  # the oracle's lifted sets would dominate the test's time
+    try:
+        want = _set_form(e)
+    except NotExactlySolvable:
+        with pytest.raises(NotExactlySolvable):
+            _form(e)
+        return
+    got = _form(e)
+    r = got.residues
+    assert got.modulus == want.modulus
+    assert got.fuzz == want.fuzz
+    assert r.dtype == np.int64 and r.ndim == 1
+    assert np.all(r[1:] > r[:-1]), "residues must be sorted and distinct"
+    assert set(r.tolist()) == want.residues
+    assert got.density == Fraction(len(want.residues), want.modulus)
+
+
+def test_shift_offsets_at_and_beyond_the_modulus():
+    base = c.Residue(7, frozenset({0, 3, 6}))
+    for offset in range(0, 3 * 7 + 1):
+        got = _form(c.Shift(offset, base)).residues.tolist()
+        assert got == sorted(_set_form(c.Shift(offset, base)).residues), offset
+
+
+# ---------------------------------------------------------------------------
+# allocation guards
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_null_operand_is_never_lifted():
+    # the explicit set has the empty modulus-1 form; lifting it to the
+    # other operand's modulus of 7.8 million would build a 63 MB table
+    e = c.parse_expr(
+        "symdiff(explicit{9,91}, dilate 3 dilate 53 residue 49321 {24474,24616,28209})"
+    )
+    rep, peak = _peak(lambda: c.exact_limits(e))
+    assert rep.limit == Fraction(3, 49321 * 159)
+    assert peak < 1 << 20
+
+
+def test_complement_over_the_entry_cap_is_rejected_before_allocating():
+    m = MAX_FORM_ENTRIES + 1
+    e = c.Compl(c.Residue(m, frozenset({0})))
+
+    def attempt():
+        with pytest.raises(NotExactlySolvable):
+            _form(e)
+
+    _, peak = _peak(attempt)
+    assert peak < 4 << 20
+    # the complement rule still answers exactly, without the table
+    rep, peak = _peak(lambda: c.exact_limits(e))
+    assert rep.limit == Fraction(m - 1, m)
+    assert peak < 4 << 20
+
+
+def test_prime_modulus_complement_answers_exactly():
+    e = c.parse_expr("compl(residue 999999937 {0})")
+    rep, peak = _peak(lambda: c.exact_limits(e))
+    assert rep.limit == Fraction(999999936, 999999937) and rep.method == "exact"
+    assert peak < 4 << 20
+
+
+def test_lift_over_the_entry_cap_is_rejected_before_allocating():
+    # lcm 2·(2^24 + 1): residue 2 {0} would lift to 2^24 + 1 entries
+    e = c.Union(c.Residue(2, frozenset({0})), c.Residue(MAX_FORM_ENTRIES + 1, frozenset({0})))
+
+    def attempt():
+        with pytest.raises(NotExactlySolvable):
+            _form(e)
+        with pytest.raises(NotExactlySolvable):
+            c.exact_limits(e)
+
+    _, peak = _peak(attempt)
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("m", [MAX_CANON_MODULUS + 1, 999999937])
+def test_canonicalize_leaves_a_large_complement_unreduced(m):
+    e = c.Compl(c.Residue(m, frozenset({0})))
+    out, peak = _peak(lambda: c.canonicalize(e))
+    assert out == e
+    assert peak < 4 << 20
+
+
+def test_canonicalize_still_reduces_a_complement_at_the_cap():
+    e = c.Compl(c.Residue(MAX_CANON_MODULUS, frozenset(range(0, MAX_CANON_MODULUS, 2))))
+    assert c.canonicalize(e) == c.Residue(2, frozenset({1}))
+
+
+# ---------------------------------------------------------------------------
+# residue reduction
+
+
+def _reduce_by_every_d(m, res):
+    """The earlier reduction: try d = 1, 2, ..., m in turn."""
+    if not res:
+        return c.Empty()
+    if len(res) == m:
+        return c.All()
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        low = frozenset(r % d for r in res)
+        if len(low) * (m // d) == len(res) and _lift_set(low, d, m) == res:
+            if len(low) == d:
+                return c.All()
+            return c.Residue(d, low)
+    return c.Residue(m, res)
+
+
+def test_reduce_residue_matches_trying_every_d():
+    rng = random.Random(2718)
+    for _ in range(300):
+        d = rng.randint(1, 60)
+        m = d * rng.randint(1, 40)
+        low = rng.sample(range(d), rng.randint(1, d))
+        res = {r + i * d for r in low for i in range(m // d)}
+        if rng.random() < 0.4:  # break the period now and then
+            res ^= {rng.randrange(m)}
+        res = frozenset(res)
+        assert _reduce_residue(m, res) == _reduce_by_every_d(m, res), (m, sorted(res))
