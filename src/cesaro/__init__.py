@@ -5,27 +5,22 @@ analysis, and finite Boolean quotients."""
 from .chains import (
     Chain,
     ChainError,
-    Closures,
     OrderEvidence,
     UniformityCertificate,
     UniformityFailure,
-    closures,
     dense_extension,
     maximal_extension,
     pseudo_metric,
     skeleton,
-    subfamily_bounds,
     uniformity_check,
     verify_chain,
 )
 from .constructions import (
     ConstructionError,
-    block_set,
     counterexample_pair,
     dyadic_partition,
     greedy_target,
     midpoint_set,
-    residue_set,
 )
 from .dsl import ParseError, format_expr, parse_expr
 from .exprs import (

@@ -1,4 +1,4 @@
-"""Finite chains of sets: verification, closures, the symmetric-difference
+"""Finite chains of sets: verification, the symmetric-difference
 pseudo-metric, uniform-convergence certificates, dense and maximal
 extensions, and epsilon-skeletons.
 
@@ -85,36 +85,6 @@ def verify_chain(elements, horizon: int = 10**4) -> Chain:
             )
         evidence.append(OrderEvidence("prefix", horizon))
     return Chain(tuple(elems[i] for i in order), tuple(evidence), horizon)
-
-
-# ---------------------------------------------------------------------------
-# closures
-
-
-@dataclass(frozen=True)
-class Closures:
-    t_union: Chain
-    t_inter: Chain
-    t_star: Chain
-
-
-def closures(chain: Chain) -> Closures:
-    """Closure of a finite chain under unions, intersections, and both.
-
-    Every union (intersection) of a subfamily of a finite chain is its
-    maximal (minimal) element, so all three closures coincide with the
-    chain itself; this re-verifies the chain property and returns it.
-    """
-    verified = verify_chain(chain.elements, chain.horizon)
-    return Closures(verified, verified, verified)
-
-
-def subfamily_bounds(chain: Chain, indices) -> tuple[SetExpr, SetExpr]:
-    """(union, intersection) of the designated subfamily: its max and min."""
-    idx = sorted(set(indices))
-    if not idx or idx[0] < 0 or idx[-1] >= len(chain.elements):
-        raise ChainError("subfamily indices out of range")
-    return chain.elements[idx[-1]], chain.elements[idx[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Builders for the named set families.
 
-Residue classes, greedy target-density sets, block (run-length) sets, the
-divergent-intersection pair, midpoint sets, and the dyadic partition.
+Greedy target-density sets, the divergent-intersection pair, midpoint
+sets, and the dyadic partition.
 """
 
 from __future__ import annotations
@@ -11,17 +11,14 @@ from fractions import Fraction
 import numpy as np
 
 from .exprs import (
-    Blocks,
     CesaroError,
     Dilate,
-    Empty,
     Greedy,
     Midpoint,
     Predicate,
     Residue,
     SetExpr,
     Shift,
-    ZSpec,
     indicator,
 )
 from .limits import NotExactlySolvable, Verdict, exact_limits
@@ -29,17 +26,6 @@ from .limits import NotExactlySolvable, Verdict, exact_limits
 
 class ConstructionError(CesaroError):
     pass
-
-
-def residue_set(m: int, residues) -> SetExpr:
-    """All n with n mod m in the given residue list."""
-    res = frozenset(residues)
-    if not res:
-        return Empty()
-    try:
-        return Residue(m, res)
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from None
 
 
 def greedy_target(s) -> Greedy:
@@ -52,10 +38,6 @@ def greedy_target(s) -> Greedy:
         return Greedy(Fraction(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConstructionError(str(exc)) from None
-
-
-def block_set(z: ZSpec) -> Blocks:
-    return Blocks(z)
 
 
 def counterexample_pair() -> tuple[SetExpr, SetExpr]:

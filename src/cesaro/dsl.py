@@ -18,28 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exprs import (
-    All,
-    Blocks,
-    CesaroError,
-    Compl,
-    Diff,
-    Dilate,
-    Empty,
-    Explicit,
-    Geometric,
-    Greedy,
-    Inter,
-    Midpoint,
-    Poly,
-    Predicate,
-    Residue,
-    RunList,
-    SetExpr,
-    Shift,
-    SymDiff,
-    Union,
-)
+from .exprs import CesaroError, SetExpr, ZSpec
 
 
 class ParseError(CesaroError):
@@ -144,95 +123,33 @@ class _Parser:
             return whole + Fraction(int(digits), 10 ** len(digits))
         return Fraction(whole)
 
-    def expr(self) -> SetExpr:
-        tok = self.take()
-        if tok == "empty":
-            return Empty()
-        if tok == "all":
-            return All()
-        if tok == "explicit":
-            elems = self.int_list("{", "}")
-            try:
-                return Explicit(tuple(sorted(set(elems))))
-            except ValueError as exc:
-                self.error(str(exc))
-        if tok == "residue":
-            m = self.integer()
-            res = self.int_list("{", "}")
-            try:
-                return Residue(m, frozenset(res))
-            except ValueError as exc:
-                self.error(str(exc))
-        if tok == "blocks":
-            return Blocks(self.zspec())
-        if tok == "greedy":
-            target = self.rational()
-            try:
-                return Greedy(target)
-            except ValueError as exc:
-                self.error(str(exc))
-        if tok == "predicate":
-            return Predicate(self.take())
-        if tok in ("union", "inter", "diff", "symdiff", "midpoint"):
-            cls = {
-                "union": Union,
-                "inter": Inter,
-                "diff": Diff,
-                "symdiff": SymDiff,
-                "midpoint": Midpoint,
-            }[tok]
-            self.expect("(")
-            a = self.expr()
+    def operands(self, count: int) -> list[SetExpr]:
+        """``(e,e,...)``: count expressions in parentheses."""
+        self.expect("(")
+        out = [self.expr()]
+        for _ in range(count - 1):
             self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            return cls(a, b)
-        if tok == "compl":
-            self.expect("(")
-            a = self.expr()
-            self.expect(")")
-            return Compl(a)
-        if tok == "dilate":
-            k = self.integer()
-            if k < 1:
-                self.error("dilation factor must be >= 1")
-            return Dilate(k, self.expr())
-        if tok == "shift":
-            k = self.integer()
-            return Shift(k, self.expr())
-        self.i -= 1
-        self.error(f"unknown expression head {tok!r}")
+            out.append(self.expr())
+        self.expect(")")
+        return out
 
-    def zspec(self):
-        kind = self.take()
-        if kind == "geometric":
-            r = self.integer()
-            if r < 2:
-                self.error("geometric run ratio must be >= 2")
-            return Geometric(r)
-        if kind == "poly":
-            q = self.integer()
-            if q < 1:
-                self.error("polynomial run exponent must be >= 1")
-            return Poly(q)
-        if kind == "list":
-            self.expect("[")
-            head = self.integer()
-            self.expect(";")
-            runs = [self.integer()]
-            while self.peek() == ",":
-                self.take()
-                runs.append(self.integer())
-            self.expect("]")
-            tail = "repeat-last"
-            if self.peek() in ("repeat-last", "cycle"):
-                tail = self.take()
-            try:
-                return RunList(head, tuple(runs), tail)
-            except ValueError as exc:
-                self.error(str(exc))
-        self.i -= 1
-        self.error(f"unknown blocks form {kind!r}")
+    def expr(self) -> SetExpr:
+        return self._node(SetExpr.KINDS, "expression head")
+
+    def zspec(self) -> ZSpec:
+        return self._node(ZSpec.KINDS, "blocks form")
+
+    def _node(self, kinds: dict[str, type], what: str):
+        """The node named by the next token, parsed by its class."""
+        tok = self.take()
+        cls = kinds.get(tok)
+        if cls is None:
+            self.i -= 1
+            self.error(f"unknown {what} {tok!r}")
+        try:
+            return cls._parse(self)
+        except ValueError as exc:  # a constructor rejected the operands
+            self.error(str(exc))
 
 
 def parse_expr(text: str) -> SetExpr:
@@ -247,39 +164,4 @@ def parse_expr(text: str) -> SetExpr:
 
 def format_expr(e: SetExpr) -> str:
     """Render an expression in the DSL; parse(format(e)) == e."""
-    if isinstance(e, Empty):
-        return "empty"
-    if isinstance(e, All):
-        return "all"
-    if isinstance(e, Explicit):
-        return "explicit{%s}" % ",".join(map(str, e.elements))
-    if isinstance(e, Residue):
-        return "residue %d {%s}" % (e.modulus, ",".join(map(str, sorted(e.residues))))
-    if isinstance(e, Blocks):
-        z = e.z
-        if isinstance(z, Geometric):
-            return f"blocks geometric {z.ratio}"
-        if isinstance(z, Poly):
-            return f"blocks poly {z.exponent}"
-        return "blocks list [%d;%s] %s" % (z.head, ",".join(map(str, z.runs)), z.tail)
-    if isinstance(e, Greedy):
-        return f"greedy {e.target.numerator}/{e.target.denominator}"
-    if isinstance(e, Predicate):
-        return f"predicate {e.name}"
-    if isinstance(e, Union):
-        return f"union({format_expr(e.left)},{format_expr(e.right)})"
-    if isinstance(e, Inter):
-        return f"inter({format_expr(e.left)},{format_expr(e.right)})"
-    if isinstance(e, Diff):
-        return f"diff({format_expr(e.left)},{format_expr(e.right)})"
-    if isinstance(e, SymDiff):
-        return f"symdiff({format_expr(e.left)},{format_expr(e.right)})"
-    if isinstance(e, Midpoint):
-        return f"midpoint({format_expr(e.lower)},{format_expr(e.upper)})"
-    if isinstance(e, Compl):
-        return f"compl({format_expr(e.inner)})"
-    if isinstance(e, Dilate):
-        return f"dilate {e.factor} {format_expr(e.inner)}"
-    if isinstance(e, Shift):
-        return f"shift {e.offset} {format_expr(e.inner)}"
-    raise TypeError(f"unknown expression variant {type(e).__name__}")
+    return e._format()

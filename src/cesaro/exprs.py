@@ -7,6 +7,18 @@ sets, and Boolean/affine combinators on top of those.  Everything here is
 exact: membership is a pure total function and partial averages are
 returned as ``fractions.Fraction``.
 
+A node kind is one class; to add one, define its methods.  Each frozen
+dataclass below holds every rule of its kind: membership (``_member``),
+the 0/1 prefix (``_indicator``), the count (``_count``), the rewrite of
+``canonicalize`` (``_canon``), the periodic form of the exact engine
+(``_form``) and its exact-limit rule when there is none (``_limits``),
+and its DSL ``keyword``, ``_parse`` and ``_format``.  ``SetExpr`` holds
+the defaults.  The public functions check their arguments and dispatch.
+
+Residue sets are sorted int64 arrays of distinct residues; the exact
+engine and ``canonicalize`` lift and combine them with the same numpy
+operations (``_lift``, ``_union``, ``_inter``, ``_symdiff``, ``_diff``).
+
 The streaming kernel is ``indicator``, which materialises the 0/1 prefix
 of a set as a numpy array; ``prefix_scan`` is the range-splittable
 counting primitive built on it.
@@ -27,6 +39,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import and_, or_, sub, xor
 
 import numpy as np
 
@@ -37,6 +50,13 @@ MAX_EXPLICIT = 10**6
 #: Largest modulus produced by residue rewriting in ``canonicalize``.
 MAX_CANON_MODULUS = 10**6
 
+#: residue refinement guard: reject common moduli beyond this
+MAX_MODULUS = 10**9
+
+#: largest residue array the exact engine builds; a lift or complement
+#: that would need more entries raises NotExactlySolvable before allocating
+MAX_FORM_ENTRIES = 1 << 24
+
 
 class CesaroError(Exception):
     """Base class for errors raised by this package."""
@@ -46,216 +66,127 @@ class ConfigurationError(CesaroError):
     """Unknown predicate name or other registry misconfiguration."""
 
 
+class NotExactlySolvable(CesaroError):
+    """The expression is outside the exactly solvable fragment."""
+
+
 # ---------------------------------------------------------------------------
-# run-length specifications for block sets
+# residue sets as sorted int64 arrays
 
 
-class ZSpec:
-    """Run-length law for a block set: alternating runs of zeroes and ones."""
+@dataclass(frozen=True, eq=False)
+class _Form:
+    """Residues mod modulus, possibly perturbed by some null set (fuzz).
 
-    __slots__ = ()
-
-    def run(self, k: int) -> int:
-        """Length of the k-th run (k >= 1; run 1 is zeroes, run 2 ones, ...)."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Geometric(ZSpec):
-    """Runs z_k = ratio**(k-1)."""
-
-    ratio: int
-
-    def __post_init__(self):
-        if self.ratio < 2:
-            raise ValueError("geometric run ratio must be >= 2")
-
-    def run(self, k: int) -> int:
-        return self.ratio ** (k - 1)
-
-
-@dataclass(frozen=True)
-class Poly(ZSpec):
-    """Runs z_k = k**exponent."""
-
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 1:
-            raise ValueError("polynomial run exponent must be >= 1")
-
-    def run(self, k: int) -> int:
-        return k**self.exponent
-
-
-@dataclass(frozen=True)
-class RunList(ZSpec):
-    """Explicit run lengths with a tail rule.
-
-    ``head`` is the length of the initial zero run (may be 0); ``runs``
-    are the following run lengths (all >= 1).  Once ``runs`` is
-    exhausted the ``tail`` rule applies: ``repeat-last`` repeats the
-    final entry forever, ``cycle`` cycles through ``runs``.
+    ``residues`` is a sorted int64 array of distinct residues in
+    [0, modulus); every rule keeps it so.  The perturbation is never
+    tracked pointwise; it only matters that it is null, which leaves both
+    Cesàro limits at |residues|/modulus.
     """
 
-    head: int
-    runs: tuple[int, ...]
-    tail: str = "repeat-last"
-
-    def __post_init__(self):
-        if self.head < 0:
-            raise ValueError("initial zero run must be >= 0")
-        if not self.runs or any(z < 1 for z in self.runs):
-            raise ValueError("run lengths after the first must be >= 1")
-        if self.tail not in ("repeat-last", "cycle"):
-            raise ValueError(f"unknown tail rule {self.tail!r}")
-
-    def run(self, k: int) -> int:
-        if k == 1:
-            return self.head
-        i = k - 2
-        if i < len(self.runs):
-            return self.runs[i]
-        if self.tail == "repeat-last":
-            return self.runs[-1]
-        return self.runs[i % len(self.runs)]
-
-
-# ---------------------------------------------------------------------------
-# expression variants
-
-
-class SetExpr:
-    """Base class for set expressions.  All variants are frozen dataclasses."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Empty(SetExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class All(SetExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class Explicit(SetExpr):
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elems = self.elements
-        if len(elems) > MAX_EXPLICIT:
-            raise ValueError(f"explicit set larger than {MAX_EXPLICIT} elements")
-        if any(n < 1 for n in elems):
-            raise ValueError("explicit elements must be >= 1")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError("explicit elements must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class Residue(SetExpr):
     modulus: int
-    residues: frozenset[int]
+    residues: np.ndarray
+    fuzz: bool
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if not self.residues:
-            raise ValueError("residue set must be nonempty (use Empty instead)")
-        if any(not (0 <= r < self.modulus) for r in self.residues):
-            raise ValueError("residues must lie in [0, modulus)")
-        if not isinstance(self.residues, frozenset):
-            object.__setattr__(self, "residues", frozenset(self.residues))
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.residues.size, self.modulus)
 
 
-@dataclass(frozen=True)
-class Blocks(SetExpr):
-    z: ZSpec
+_NONE = np.empty(0, dtype=np.int64)
+_ZERO = np.zeros(1, dtype=np.int64)
+_NONE.flags.writeable = _ZERO.flags.writeable = False  # shared by many forms
 
 
-@dataclass(frozen=True)
-class Greedy(SetExpr):
-    target: Fraction
-
-    def __post_init__(self):
-        t = Fraction(self.target)
-        if not (0 <= t <= 1):
-            raise ValueError("greedy target must lie in [0, 1]")
-        object.__setattr__(self, "target", t)
+def _check_entries(entries: int) -> None:
+    if entries > MAX_FORM_ENTRIES:
+        raise NotExactlySolvable(f"periodic form of {entries} entries exceeds {MAX_FORM_ENTRIES}")
 
 
-@dataclass(frozen=True)
-class Predicate(SetExpr):
-    name: str
+def _common_modulus(L: int) -> int:
+    if L > MAX_MODULUS:
+        raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
+    return L
 
 
-@dataclass(frozen=True)
-class Union(SetExpr):
-    left: SetExpr
-    right: SetExpr
+def _lift(f: _Form, L: int) -> np.ndarray:
+    """The residues of f modulo L, a multiple of f.modulus, still sorted:
+    row i of the table holds r + i·modulus."""
+    if L == f.modulus or not f.residues.size:
+        return f.residues
+    _check_entries(f.residues.size * (L // f.modulus))
+    return (np.arange(0, L, f.modulus)[:, None] + f.residues).ravel()
 
 
-@dataclass(frozen=True)
-class Inter(SetExpr):
-    left: SetExpr
-    right: SetExpr
+def _complement(f: _Form) -> np.ndarray:
+    """The residues modulo f.modulus that f lacks, sorted."""
+    _check_entries(f.modulus)
+    table = np.ones(f.modulus, dtype=bool)
+    table[f.residues] = False
+    return np.flatnonzero(table)
 
 
-@dataclass(frozen=True)
-class Compl(SetExpr):
-    inner: SetExpr
+def _merged(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a and b merged in order, and where each entry differs from the next."""
+    c = np.concatenate((a, b))
+    c.sort(kind="stable")  # two sorted runs: a single merge
+    return c, c[1:] != c[:-1]
 
 
-@dataclass(frozen=True)
-class Diff(SetExpr):
-    left: SetExpr
-    right: SetExpr
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, new = _merged(a, b)
+    keep = np.ones(c.size, dtype=bool)
+    keep[1:] = new
+    return c[keep]
 
 
-@dataclass(frozen=True)
-class SymDiff(SetExpr):
-    left: SetExpr
-    right: SetExpr
+def _inter(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, new = _merged(a, b)
+    return c[:-1][~new]
 
 
-@dataclass(frozen=True)
-class Dilate(SetExpr):
-    """{factor * n : n in inner}."""
-
-    factor: int
-    inner: SetExpr
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ValueError("dilation factor must be >= 1")
+def _symdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    c, new = _merged(a, b)
+    keep = np.ones(c.size, dtype=bool)
+    keep[1:] = new
+    keep[:-1] &= new
+    return c[keep]
 
 
-@dataclass(frozen=True)
-class Shift(SetExpr):
-    """{n + offset : n in inner}; results <= 0 cannot occur (offset >= 0)."""
-
-    offset: int
-    inner: SetExpr
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError("shift offset must be >= 0")
+def _diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _symdiff(a, _inter(a, b))
 
 
-@dataclass(frozen=True)
-class Midpoint(SetExpr):
-    """``lower`` plus every second element of ``upper \\ lower``.
+def _divisors(m: int) -> list[int]:
+    """The divisors of m in increasing order, by trial division up to isqrt(m)."""
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
-    Selection starts with the first element of the difference.  Only
-    meaningful when lower is a subset of upper; builders verify that on
-    a prefix before constructing this node.
+
+def _rotate(res: np.ndarray, m: int, s: int) -> np.ndarray:
+    """The residues r + s mod m of the sorted residues ``res``, still
+    sorted (0 <= s < m)."""
+    # r + s wraps below s exactly for the residues r >= m - s
+    i = int(np.searchsorted(res, m - s))
+    return np.concatenate((res[i:] + (s - m), res[:i] + s))
+
+
+def _reduce_residue(m: int, res: np.ndarray) -> SetExpr:
+    """Smallest-modulus residue expression denoting the residues ``res``
+    (sorted and distinct) modulo m.
+
+    R has period d, a divisor of m, exactly when R + d = R mod m; it then
+    holds m/d lifted copies of each of its residues below d, which are its
+    first |R|·d/m entries.  So only d = m/c for c dividing gcd(m, |R|) can
+    pass, and d = m always does.
     """
-
-    lower: SetExpr
-    upper: SetExpr
+    if not res.size:
+        return Empty()
+    for copies in reversed(_divisors(math.gcd(m, res.size))):
+        d = m // copies  # increasing
+        if np.array_equal(_rotate(res, m, d % m), res):
+            low = res[: res.size // copies]
+            return All() if low.size == d else Residue(d, frozenset(low.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -278,34 +209,6 @@ def _periodic(head: np.ndarray, period: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# block sets from their run lengths
-
-
-def _block_runs(z: ZSpec, N: int) -> tuple[list[int], int]:
-    """Run lengths from run 1 on, and the period in positions (0 if none).
-
-    A ``RunList`` is periodic once its listed runs are spent, so its runs
-    are the listed ones followed by one period of the tail: an even number
-    of runs, so that run parities repeat too.  Other specs are listed up to
-    the run holding N.
-    """
-    if isinstance(z, RunList):
-        if z.tail == "repeat-last":
-            tail = [z.runs[-1]] * 2
-        else:
-            tail = list(z.runs) * (1 + len(z.runs) % 2)
-        return [z.head, *z.runs, *tail], sum(tail)
-    runs, total = [], 0
-    while total < N:
-        zk = z.run(len(runs) + 1)
-        if runs and zk < 1:
-            raise ValueError("run lengths after the first must be >= 1")
-        runs.append(zk)
-        total += zk
-    return runs, 0
-
-
 def _clip(runs: list[int], N: int) -> list[int]:
     """The runs covering [1, N], the last one cut to end at N."""
     bounds = list(accumulate(runs))
@@ -315,49 +218,8 @@ def _clip(runs: list[int], N: int) -> list[int]:
     return runs[:k] + [runs[k] - (bounds[k] - N)]
 
 
-def _blocks_count(z: ZSpec, N: int) -> int:
-    if N <= 0:
-        return 0
-    runs, period = _block_runs(z, N)
-    start = sum(runs) - period
-    if period and N > start:
-        full, rest = divmod(N - start, period)
-        period_ones = sum(runs[1::2]) - sum(_clip(runs, start)[1::2])
-        return full * period_ones + sum(_clip(runs, start + rest)[1::2])
-    return sum(_clip(runs, N)[1::2])  # runs 2, 4, ... are the ones
-
-
-def _blocks_indicator(z: ZSpec, N: int) -> np.ndarray:
-    runs, period = _block_runs(z, N)
-    start = sum(runs) - period
-    runs = _clip(runs, N)
-    bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
-    return _periodic(bits[:start], bits[start:], N) if period else bits
-
-
-# ---------------------------------------------------------------------------
-# greedy target-density sets
-#
-# Start from {1}; each later n joins exactly when the average over 1..n-1
-# is strictly below the target t = p/q.  By induction (t <= 1, so ceil(t*m)
-# steps by 0 or 1) the count up to N is max(1, ceil(t*(N-1))): 2 never
-# joins, and from 3 on n joins when ceil(t*(n-1)) > ceil(t*(n-2)), which
-# has period q in n.
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _greedy_member(t: Fraction, n: int) -> bool:
-    if n <= 2:
-        return n == 1
-    p, q = t.numerator, t.denominator
-    return _ceil_div(p * (n - 1), q) > _ceil_div(p * (n - 2), q)
-
-
-def _greedy_count(t: Fraction, N: int) -> int:
-    return max(1, _ceil_div(t.numerator * (N - 1), t.denominator))
 
 
 def _ceil_equivalent(t: Fraction, D: int) -> tuple[int, int]:
@@ -381,15 +243,762 @@ def _ceil_equivalent(t: Fraction, D: int) -> tuple[int, int]:
     return upper.numerator, upper.denominator
 
 
-def _greedy_indicator(t: Fraction, N: int) -> np.ndarray:
-    span = min(t.denominator, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
-    if (span + 1) ** 2 >= 2**63:
-        raise CesaroError("greedy period too long for int64 arithmetic")
-    # a long-decimal target has the ceilings of a nearby short fraction
-    p, q = _ceil_equivalent(t, span + 1)
-    m = np.arange(1, span + 2, dtype=np.int64)
-    steps = np.diff(_ceil_div(p * m, q)) > 0  # entry i is membership of n = i + 3
-    return _periodic(np.array([True, False]), steps, N)
+# ---------------------------------------------------------------------------
+# run-length specifications for block sets
+
+
+class _Keyed:
+    """Registers each subclass that names a DSL ``keyword`` in ``KINDS``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "keyword" in vars(cls):
+            cls.KINDS[cls.keyword] = cls
+
+
+class ZSpec(_Keyed):
+    """Run-length law for a block set: alternating runs of zeroes and ones."""
+
+    __slots__ = ()
+    #: DSL keyword after ``blocks`` -> spec class
+    KINDS: dict[str, type] = {}
+
+    def run(self, k: int) -> int:
+        """Length of the k-th run (k >= 1; run 1 is zeroes, run 2 ones, ...)."""
+        raise NotImplementedError
+
+    def _runs(self, N: int) -> tuple[list[int], int, int]:
+        """Run lengths from run 1 on, at least up to the run holding N; then
+        the position after which the runs repeat, and their period in
+        positions (0: they do not repeat)."""
+        runs, total = [], 0
+        while total < N:
+            zk = self.run(len(runs) + 1)
+            if runs and zk < 1:
+                raise ValueError("run lengths after the first must be >= 1")
+            runs.append(zk)
+            total += zk
+        return runs, total, 0
+
+    def _limits(self) -> tuple[Fraction, Fraction, str]:
+        raise NotExactlySolvable(f"blocks {self._format()} has no block formula")
+
+    @classmethod
+    def _parse(cls, p) -> ZSpec:
+        return cls(p.integer())
+
+
+@dataclass(frozen=True)
+class Geometric(ZSpec):
+    """Runs z_k = ratio**(k-1)."""
+
+    ratio: int
+    keyword = "geometric"
+
+    def __post_init__(self):
+        if self.ratio < 2:
+            raise ValueError("geometric run ratio must be >= 2")
+
+    def run(self, k: int) -> int:
+        return self.ratio ** (k - 1)
+
+    def _limits(self):
+        r = self.ratio
+        # run lengths r**(n-1): averages at block ends alternate between
+        # r/(r+1) (after a one-run) and 1/(r+1) (after a zero-run)
+        return Fraction(r, r + 1), Fraction(1, r + 1), "block-formula"
+
+    def _format(self):
+        return f"geometric {self.ratio}"
+
+
+@dataclass(frozen=True)
+class Poly(ZSpec):
+    """Runs z_k = k**exponent."""
+
+    exponent: int
+    keyword = "poly"
+
+    def __post_init__(self):
+        if self.exponent < 1:
+            raise ValueError("polynomial run exponent must be >= 1")
+
+    def run(self, k: int) -> int:
+        return k**self.exponent
+
+    def _limits(self):
+        return Fraction(1, 2), Fraction(1, 2), "block-formula"
+
+    def _format(self):
+        return f"poly {self.exponent}"
+
+
+@dataclass(frozen=True)
+class RunList(ZSpec):
+    """Explicit run lengths with a tail rule.
+
+    ``head`` is the length of the initial zero run (may be 0); ``runs``
+    are the following run lengths (all >= 1).  Once ``runs`` is
+    exhausted the ``tail`` rule applies: ``repeat-last`` repeats the
+    final entry forever, ``cycle`` cycles through ``runs``.
+    """
+
+    head: int
+    runs: tuple[int, ...]
+    tail: str = "repeat-last"
+    keyword = "list"
+
+    def __post_init__(self):
+        if self.head < 0:
+            raise ValueError("initial zero run must be >= 0")
+        if not self.runs or any(z < 1 for z in self.runs):
+            raise ValueError("run lengths after the first must be >= 1")
+        if self.tail not in ("repeat-last", "cycle"):
+            raise ValueError(f"unknown tail rule {self.tail!r}")
+
+    def run(self, k: int) -> int:
+        if k == 1:
+            return self.head
+        i = k - 2
+        if i < len(self.runs):
+            return self.runs[i]
+        if self.tail == "repeat-last":
+            return self.runs[-1]
+        return self.runs[i % len(self.runs)]
+
+    def _runs(self, N):
+        # periodic once the listed runs are spent: the listed runs, then one
+        # period of the tail with an even number of runs, so that run
+        # parities repeat too
+        if self.tail == "repeat-last":
+            tail = [self.runs[-1]] * 2
+        else:
+            tail = list(self.runs) * (1 + len(self.runs) % 2)
+        return [self.head, *self.runs, *tail], self.head + sum(self.runs), sum(tail)
+
+    @classmethod
+    def _parse(cls, p):
+        p.expect("[")
+        head = p.integer()
+        p.expect(";")
+        runs = [p.integer()]
+        while p.peek() == ",":
+            p.take()
+            runs.append(p.integer())
+        p.expect("]")
+        tail = p.take() if p.peek() in ("repeat-last", "cycle") else "repeat-last"
+        return cls(head, tuple(runs), tail)
+
+    def _format(self):
+        return "list [%d;%s] %s" % (self.head, ",".join(map(str, self.runs)), self.tail)
+
+
+# ---------------------------------------------------------------------------
+# expression variants
+
+
+class SetExpr(_Keyed):
+    """Base class for set expressions.  All variants are frozen dataclasses.
+
+    Every kind names its DSL ``keyword`` and defines ``_member``,
+    ``_indicator``, ``_parse`` and ``_format``; the methods here are the
+    defaults of its other rules.  The public functions below have checked
+    their arguments (n >= 1, N >= 1 for ``_count``, N >= 0 for
+    ``_indicator``) before they dispatch.
+    """
+
+    __slots__ = ()
+    #: DSL keyword -> node class
+    KINDS: dict[str, type] = {}
+    #: the constant sets: False for Empty, True for All
+    _constant: bool | None = None
+    #: literal residue classes (Empty, All, Residue), whose periodic forms
+    #: ``canonicalize`` merges and complements
+    _residue_class = False
+
+    def _count(self, N: int) -> int:
+        return int(np.count_nonzero(self._indicator(N)))
+
+    def _canon(self) -> SetExpr:
+        return self
+
+    def _complemented(self) -> SetExpr:
+        """The canonical complement of this canonical expression."""
+        if self._residue_class:
+            f = self._form()
+            if f.modulus <= MAX_CANON_MODULUS:
+                return _reduce_residue(f.modulus, _complement(f))
+        return Compl(self)
+
+    def _dilated(self, factor: int) -> SetExpr:
+        """The canonical dilation by factor >= 2 of this canonical expression."""
+        return Dilate(factor, self)
+
+    def _shifted(self, offset: int) -> SetExpr:
+        """The canonical shift by offset >= 1 of this canonical expression."""
+        return Shift(offset, self)
+
+    def _form(self) -> _Form:
+        raise NotExactlySolvable(f"{type(self).__name__} is not in the periodic fragment")
+
+    def _limits(self) -> tuple[Fraction, Fraction, str]:
+        """(upper, lower, method) when there is no periodic form."""
+        # identities like union with Empty can hide a solvable core; retry
+        # once on the simplified expression
+        simplified = self._canon()
+        if simplified != self:
+            return _exact(simplified)
+        raise NotExactlySolvable(f"{type(self).__name__} is not exactly solvable here")
+
+
+@dataclass(frozen=True)
+class _Constant(SetExpr):
+    """The empty set (``_constant`` False) or all of N (True)."""
+
+    _residue_class = True
+
+    def _member(self, n):
+        return self._constant
+
+    def _indicator(self, N):
+        return np.full(N, self._constant)
+
+    def _count(self, N):
+        return N if self._constant else 0
+
+    def _dilated(self, factor):
+        return Residue(factor, frozenset({0})) if self._constant else self
+
+    def _shifted(self, offset):
+        return Shift(offset, self) if self._constant else self
+
+    def _form(self):
+        return _Form(1, _ZERO if self._constant else _NONE, False)
+
+    @classmethod
+    def _parse(cls, p):
+        return cls()
+
+    def _format(self):
+        return self.keyword
+
+
+class Empty(_Constant):
+    keyword, _constant = "empty", False
+
+
+class All(_Constant):
+    keyword, _constant = "all", True
+
+
+@dataclass(frozen=True)
+class Explicit(SetExpr):
+    elements: tuple[int, ...]
+    keyword = "explicit"
+
+    def __post_init__(self):
+        elems = self.elements
+        if len(elems) > MAX_EXPLICIT:
+            raise ValueError(f"explicit set larger than {MAX_EXPLICIT} elements")
+        if any(n < 1 for n in elems):
+            raise ValueError("explicit elements must be >= 1")
+        if any(a >= b for a, b in zip(elems, elems[1:])):
+            raise ValueError("explicit elements must be strictly increasing")
+
+    def _member(self, n):
+        i = bisect_left(self.elements, n)
+        return i < len(self.elements) and self.elements[i] == n
+
+    def _indicator(self, N):
+        arr = np.zeros(N, dtype=bool)
+        cut = bisect_right(self.elements, N)
+        if cut:
+            arr[np.fromiter(self.elements[:cut], dtype=np.int64) - 1] = True
+        return arr
+
+    def _count(self, N):
+        return bisect_right(self.elements, N)
+
+    def _canon(self):
+        return self if self.elements else Empty()
+
+    def _dilated(self, factor):
+        return Explicit(tuple(factor * n for n in self.elements))
+
+    def _shifted(self, offset):
+        return Explicit(tuple(n + offset for n in self.elements))
+
+    def _form(self):
+        return _Form(1, _NONE, bool(self.elements))
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(tuple(sorted(set(p.int_list("{", "}")))))
+
+    def _format(self):
+        return "explicit{%s}" % ",".join(map(str, self.elements))
+
+
+@dataclass(frozen=True)
+class Residue(SetExpr):
+    modulus: int
+    residues: frozenset[int]
+    keyword = "residue"
+    _residue_class = True
+
+    def __post_init__(self):
+        if self.modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        if not self.residues:
+            raise ValueError("residue set must be nonempty (use Empty instead)")
+        if min(self.residues) < 0 or max(self.residues) >= self.modulus:
+            raise ValueError("residues must lie in [0, modulus)")
+        if not isinstance(self.residues, frozenset):
+            object.__setattr__(self, "residues", frozenset(self.residues))
+
+    def _member(self, n):
+        return n % self.modulus in self.residues
+
+    def _indicator(self, N):
+        arr = np.zeros(N, dtype=bool)
+        for r in self.residues:
+            arr[(r - 1) % self.modulus :: self.modulus] = True
+        return arr
+
+    def _count(self, N):
+        total = 0
+        for r in self.residues:
+            if r == 0:
+                total += N // self.modulus
+            elif r <= N:
+                total += (N - r) // self.modulus + 1
+        return total
+
+    def _canon(self):
+        return _reduce_residue(self.modulus, self._form().residues)
+
+    def _form(self):
+        return _Form(self.modulus, np.array(sorted(self.residues), dtype=np.int64), False)
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(p.integer(), frozenset(p.int_list("{", "}")))
+
+    def _format(self):
+        return "residue %d {%s}" % (self.modulus, ",".join(map(str, sorted(self.residues))))
+
+
+@dataclass(frozen=True)
+class Blocks(SetExpr):
+    """Runs of ``z`` from position 1 on: runs 1, 3, ... are non-members,
+    runs 2, 4, ... members."""
+
+    z: ZSpec
+    keyword = "blocks"
+
+    def _member(self, n):
+        runs, start, period = self.z._runs(n)
+        if period and n > start:
+            n = start + (n - start - 1) % period + 1
+        # run k (from 0) holds n; the odd ones are members
+        return bisect_left(list(accumulate(runs)), n) % 2 == 1
+
+    def _indicator(self, N):
+        runs, start, period = self.z._runs(N)
+        runs = _clip(runs, N)
+        bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+        return _periodic(bits[:start], bits[start:], N) if period else bits
+
+    def _count(self, N):
+        runs, start, period = self.z._runs(N)
+        if period and N > start:
+            full, rest = divmod(N - start, period)
+            period_ones = sum(runs[1::2]) - sum(_clip(runs, start)[1::2])
+            return full * period_ones + sum(_clip(runs, start + rest)[1::2])
+        return sum(_clip(runs, N)[1::2])  # runs 2, 4, ... are the ones
+
+    def _limits(self):
+        return self.z._limits()
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(p.zspec())
+
+    def _format(self):
+        return f"blocks {self.z._format()}"
+
+
+# Greedy target-density sets.  Start from {1}; each later n joins exactly
+# when the average over 1..n-1 is strictly below the target t = p/q.  By
+# induction (t <= 1, so ceil(t*m) steps by 0 or 1) the count up to N is
+# max(1, ceil(t*(N-1))): 2 never joins, and from 3 on n joins when
+# ceil(t*(n-1)) > ceil(t*(n-2)), which has period q in n.
+
+
+@dataclass(frozen=True)
+class Greedy(SetExpr):
+    target: Fraction
+    keyword = "greedy"
+
+    def __post_init__(self):
+        t = Fraction(self.target)
+        if not (0 <= t <= 1):
+            raise ValueError("greedy target must lie in [0, 1]")
+        object.__setattr__(self, "target", t)
+
+    def _member(self, n):
+        if n <= 2:
+            return n == 1
+        p, q = self.target.numerator, self.target.denominator
+        return _ceil_div(p * (n - 1), q) > _ceil_div(p * (n - 2), q)
+
+    def _indicator(self, N):
+        t = self.target
+        span = min(t.denominator, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
+        if (span + 1) ** 2 >= 2**63:
+            raise CesaroError("greedy period too long for int64 arithmetic")
+        # a long-decimal target has the ceilings of a nearby short fraction
+        p, q = _ceil_equivalent(t, span + 1)
+        m = np.arange(1, span + 2, dtype=np.int64)
+        steps = np.diff(_ceil_div(p * m, q)) > 0  # entry i is membership of n = i + 3
+        return _periodic(np.array([True, False]), steps, N)
+
+    def _count(self, N):
+        return max(1, _ceil_div(self.target.numerator * (N - 1), self.target.denominator))
+
+    def _limits(self):
+        return self.target, self.target, "exact"
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(p.rational())
+
+    def _format(self):
+        return f"greedy {self.target.numerator}/{self.target.denominator}"
+
+
+@dataclass(frozen=True)
+class Predicate(SetExpr):
+    name: str
+    keyword = "predicate"
+
+    def _member(self, n):
+        return bool(predicate_spec(self.name).member(n))
+
+    def _indicator(self, N):
+        spec = predicate_spec(self.name)
+        if spec.indicator is not None:
+            return spec.indicator(N)
+        return np.fromiter((spec.member(n) for n in range(1, N + 1)), dtype=bool, count=N)
+
+    def _count(self, N):
+        spec = predicate_spec(self.name)
+        if spec.count_upto is not None:
+            return int(spec.count_upto(N))
+        return int(self._indicator(N).sum())
+
+    def _form(self):
+        spec = predicate_spec(self.name)
+        if spec.exact_upper == 0 and spec.exact_lower == 0:
+            return _Form(1, _NONE, True)  # known null set
+        raise NotExactlySolvable(f"predicate {self.name!r} is not periodic")
+
+    def _limits(self):
+        spec = predicate_spec(self.name)
+        if spec.exact_upper is not None and spec.exact_lower is not None:
+            return spec.exact_upper, spec.exact_lower, "exact"
+        raise NotExactlySolvable(f"predicate {self.name!r} has no known exact limits")
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(p.take())
+
+    def _format(self):
+        return f"predicate {self.name}"
+
+
+def _unit(lo: bool, hi: bool, x: SetExpr) -> SetExpr:
+    """The canonical set holding the non-members of x iff lo and the
+    members of x iff hi."""
+    if lo == hi:
+        return All() if lo else Empty()
+    return x if hi else Compl(x)._canon()
+
+
+@dataclass(frozen=True)
+class Binary(SetExpr):
+    """A Boolean combination of two sets.  Each subclass is one row: its
+    ``keyword``, its ``ufunc`` on bool arrays, its ``array_op`` on sorted
+    residue arrays and its ``set_op`` on Python sets."""
+
+    left: SetExpr
+    right: SetExpr
+
+    def _truth(self, x: bool, y: bool) -> bool:
+        """Whether a point is in the result when x and y say whether it is
+        in left and in right."""
+        return bool(self.set_op({0} if x else set(), {0} if y else set()))
+
+    def _member(self, n):
+        x = member(self.left, n)
+        if self._truth(x, False) == self._truth(x, True):
+            return self._truth(x, False)  # right cannot change the answer
+        return self._truth(x, member(self.right, n))
+
+    def _indicator(self, N):
+        out = indicator(self.left, N)
+        return self.ufunc(out, indicator(self.right, N), out=out)
+
+    def _canon(self):
+        a, b = self.left._canon(), self.right._canon()
+        f = self._truth
+        # identity and absorption with the constant sets
+        if a._constant is False:
+            return _unit(f(False, False), f(False, True), b)
+        if b._constant is False:
+            return _unit(f(False, False), f(True, False), a)
+        if a._constant and f(True, True):  # union and inter; all \ b stays
+            return _unit(f(True, False), True, b)
+        if b._constant:
+            return _unit(f(False, True), f(True, True), a)
+        if a == b:
+            return a if f(True, True) else Empty()
+        if a._residue_class and b._residue_class:
+            fa, fb = a._form(), b._form()
+            L = math.lcm(fa.modulus, fb.modulus)
+            if L <= MAX_CANON_MODULUS:
+                return _reduce_residue(L, self.array_op(_lift(fa, L), _lift(fb, L)))
+        if type(a) is type(b) is Explicit:
+            merged = tuple(sorted(self.set_op(set(a.elements), set(b.elements))))
+            return Explicit(merged) if merged else Empty()
+        return type(self)(a, b)
+
+    def _form(self):
+        a, b = self.left._form(), self.right._form()
+        L = _common_modulus(math.lcm(a.modulus, b.modulus))
+        return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(*p.operands(2))
+
+    def _format(self):
+        return f"{self.keyword}({self.left._format()},{self.right._format()})"
+
+
+class Union(Binary):
+    keyword, ufunc, array_op, set_op = "union", np.logical_or, staticmethod(_union), or_
+
+
+class Inter(Binary):
+    keyword, ufunc, array_op, set_op = "inter", np.logical_and, staticmethod(_inter), and_
+
+
+class Diff(Binary):
+    # a > b is a & ~b on bools
+    keyword, ufunc, array_op, set_op = "diff", np.greater, staticmethod(_diff), sub
+
+
+class SymDiff(Binary):
+    keyword, ufunc, array_op, set_op = "symdiff", np.logical_xor, staticmethod(_symdiff), xor
+
+
+@dataclass(frozen=True)
+class Compl(SetExpr):
+    inner: SetExpr
+    keyword = "compl"
+
+    def _member(self, n):
+        return not member(self.inner, n)
+
+    def _indicator(self, N):
+        out = indicator(self.inner, N)
+        return np.logical_not(out, out=out)
+
+    def _count(self, N):
+        return N - count_upto(self.inner, N)
+
+    def _canon(self):
+        return self.inner._canon()._complemented()
+
+    def _complemented(self):
+        return self.inner
+
+    def _form(self):
+        f = self.inner._form()
+        return _Form(f.modulus, _complement(f), f.fuzz)
+
+    def _limits(self):
+        upper, lower, method = _exact(self.inner)
+        return 1 - lower, 1 - upper, method
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(*p.operands(1))
+
+    def _format(self):
+        return f"compl({self.inner._format()})"
+
+
+@dataclass(frozen=True)
+class Dilate(SetExpr):
+    """{factor * n : n in inner}."""
+
+    factor: int
+    inner: SetExpr
+    keyword = "dilate"
+
+    def __post_init__(self):
+        if self.factor < 1:
+            raise ValueError("dilation factor must be >= 1")
+
+    def _member(self, n):
+        return n % self.factor == 0 and member(self.inner, n // self.factor)
+
+    def _indicator(self, N):
+        arr = np.zeros(N, dtype=bool)
+        arr[self.factor - 1 :: self.factor] = indicator(self.inner, N // self.factor)
+        return arr
+
+    def _count(self, N):
+        return count_upto(self.inner, N // self.factor)
+
+    def _canon(self):
+        inner = self.inner._canon()
+        return inner if self.factor == 1 else inner._dilated(self.factor)
+
+    def _dilated(self, factor):
+        return Dilate(factor * self.factor, self.inner)
+
+    def _form(self):
+        f = self.inner._form()
+        L = _common_modulus(f.modulus * self.factor)
+        return _Form(L, f.residues * self.factor, f.fuzz)
+
+    def _limits(self):
+        upper, lower, method = _exact(self.inner)
+        return Fraction(upper, self.factor), Fraction(lower, self.factor), method
+
+    @classmethod
+    def _parse(cls, p):
+        k = p.integer()
+        if k < 1:
+            p.error("dilation factor must be >= 1")
+        return cls(k, p.expr())
+
+    def _format(self):
+        return f"dilate {self.factor} {self.inner._format()}"
+
+
+@dataclass(frozen=True)
+class Shift(SetExpr):
+    """{n + offset : n in inner}; results <= 0 cannot occur (offset >= 0)."""
+
+    offset: int
+    inner: SetExpr
+    keyword = "shift"
+
+    def __post_init__(self):
+        if self.offset < 0:
+            raise ValueError("shift offset must be >= 0")
+
+    def _member(self, n):
+        return n > self.offset and member(self.inner, n - self.offset)
+
+    def _indicator(self, N):
+        arr = np.zeros(N, dtype=bool)
+        if N > self.offset:
+            arr[self.offset :] = indicator(self.inner, N - self.offset)
+        return arr
+
+    def _count(self, N):
+        return count_upto(self.inner, N - self.offset)
+
+    def _canon(self):
+        inner = self.inner._canon()
+        return inner if self.offset == 0 else inner._shifted(self.offset)
+
+    def _shifted(self, offset):
+        return Shift(offset + self.offset, self.inner)
+
+    def _form(self):
+        f = self.inner._form()
+        shifted = _rotate(f.residues, f.modulus, self.offset % f.modulus)
+        # shifting drops nothing but delays the pattern: a finite prefix
+        # of the shifted residue classes is missing, a null perturbation
+        return _Form(f.modulus, shifted, f.fuzz or self.offset > 0)
+
+    def _limits(self):
+        return _exact(self.inner)
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(p.integer(), p.expr())
+
+    def _format(self):
+        return f"shift {self.offset} {self.inner._format()}"
+
+
+@dataclass(frozen=True)
+class Midpoint(SetExpr):
+    """``lower`` plus every second element of ``upper \\ lower``.
+
+    Selection starts with the first element of the difference, so the
+    count up to N is c_lower(N) + ceil(c_gap(N) / 2), with the gap
+    ``upper \\ lower``.  The exact limits (d(lower) + d(upper)) / 2 hold
+    only when lower is a subset of upper; builders verify that on a
+    prefix before constructing this node.
+    """
+
+    lower: SetExpr
+    upper: SetExpr
+    keyword = "midpoint"
+
+    def _split(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """lower and upper \\ lower on [1, N], from one walk of each operand."""
+        lo = indicator(self.lower, N)
+        gap = indicator(self.upper, N)
+        np.greater(gap, lo, out=gap)
+        return lo, gap
+
+    def _member(self, n):
+        if member(self.lower, n):
+            return True
+        if not member(self.upper, n):
+            return False
+        return np.count_nonzero(self._split(n)[1]) % 2 == 1  # n is the last gap element so far
+
+    def _indicator(self, N):
+        lo, gap = self._split(N)
+        odd = np.logical_xor.accumulate(gap)  # parity of the gap count so far
+        odd &= gap
+        lo |= odd
+        return lo
+
+    def _count(self, N):
+        lo, gap = self._split(N)
+        return int(np.count_nonzero(lo)) + (int(np.count_nonzero(gap)) + 1) // 2
+
+    def _canon(self):
+        lo, hi = self.lower._canon(), self.upper._canon()
+        return lo if lo == hi else Midpoint(lo, hi)
+
+    def _limits(self):
+        lu, ll, lm = _exact(self.lower)
+        hu, hl, hm = _exact(self.upper)
+        if lu == ll and hu == hl:
+            mid = Fraction(lu + hu, 2)
+            return mid, mid, "exact" if lm == hm == "exact" else "block-formula"
+        raise NotExactlySolvable("midpoint of divergent endpoints")
+
+    @classmethod
+    def _parse(cls, p):
+        return cls(*p.operands(2))
+
+    def _format(self):
+        return f"midpoint({self.lower._format()},{self.upper._format()})"
 
 
 # ---------------------------------------------------------------------------
@@ -527,63 +1136,14 @@ def predicate_spec(name: str) -> PredicateSpec:
 
 
 # ---------------------------------------------------------------------------
-# membership
+# the operations, one dispatch each
 
 
 def member(e: SetExpr, n: int) -> bool:
     """Indicator of the set denoted by ``e`` at n (n >= 1).  Pure and total."""
     if n < 1:
         raise ValueError("universe starts at 1")
-    if isinstance(e, Empty):
-        return False
-    if isinstance(e, All):
-        return True
-    if isinstance(e, Explicit):
-        i = bisect_left(e.elements, n)
-        return i < len(e.elements) and e.elements[i] == n
-    if isinstance(e, Residue):
-        return n % e.modulus in e.residues
-    if isinstance(e, Blocks):
-        return _blocks_count(e.z, n) > _blocks_count(e.z, n - 1)
-    if isinstance(e, Greedy):
-        return _greedy_member(e.target, n)
-    if isinstance(e, Predicate):
-        return bool(predicate_spec(e.name).member(n))
-    if isinstance(e, Union):
-        return member(e.left, n) or member(e.right, n)
-    if isinstance(e, Inter):
-        return member(e.left, n) and member(e.right, n)
-    if isinstance(e, Compl):
-        return not member(e.inner, n)
-    if isinstance(e, Diff):
-        return member(e.left, n) and not member(e.right, n)
-    if isinstance(e, SymDiff):
-        return member(e.left, n) != member(e.right, n)
-    if isinstance(e, Dilate):
-        return n % e.factor == 0 and member(e.inner, n // e.factor)
-    if isinstance(e, Shift):
-        return n > e.offset and member(e.inner, n - e.offset)
-    if isinstance(e, Midpoint):
-        if member(e.lower, n):
-            return True
-        if not member(e.upper, n):
-            return False
-        pos = count_upto(e.upper, n) - count_upto(e.lower, n)
-        return pos % 2 == 1
-    raise TypeError(f"unknown expression variant {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# bulk indicator / counting
-
-
-#: The binary Boolean combinators as ufuncs on bool arrays; a > b is a & ~b.
-_BOOL_UFUNCS = {
-    Union: np.logical_or,
-    Inter: np.logical_and,
-    Diff: np.greater,
-    SymDiff: np.logical_xor,
-}
+    return e._member(n)
 
 
 def indicator(e: SetExpr, N: int) -> np.ndarray:
@@ -597,97 +1157,40 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("prefix length must be >= 0")
-    if isinstance(e, Empty):
-        return np.zeros(N, dtype=bool)
-    if isinstance(e, All):
-        return np.ones(N, dtype=bool)
-    if isinstance(e, Explicit):
-        arr = np.zeros(N, dtype=bool)
-        cut = bisect_right(e.elements, N)
-        if cut:
-            arr[np.fromiter(e.elements[:cut], dtype=np.int64) - 1] = True
-        return arr
-    if isinstance(e, Residue):
-        arr = np.zeros(N, dtype=bool)
-        for r in e.residues:
-            arr[(r - 1) % e.modulus :: e.modulus] = True
-        return arr
-    if isinstance(e, Blocks):
-        return _blocks_indicator(e.z, N)
-    if isinstance(e, Greedy):
-        return _greedy_indicator(e.target, N)
-    if isinstance(e, Predicate):
-        spec = predicate_spec(e.name)
-        if spec.indicator is not None:
-            return spec.indicator(N)
-        return np.fromiter((spec.member(n) for n in range(1, N + 1)), dtype=bool, count=N)
-    ufunc = _BOOL_UFUNCS.get(type(e))
-    if ufunc is not None:
-        out = indicator(e.left, N)
-        return ufunc(out, indicator(e.right, N), out=out)
-    if isinstance(e, Compl):
-        out = indicator(e.inner, N)
-        return np.logical_not(out, out=out)
-    if isinstance(e, Dilate):
-        arr = np.zeros(N, dtype=bool)
-        inner = indicator(e.inner, N // e.factor)
-        arr[e.factor - 1 :: e.factor] = inner
-        return arr
-    if isinstance(e, Shift):
-        arr = np.zeros(N, dtype=bool)
-        if N > e.offset:
-            arr[e.offset :] = indicator(e.inner, N - e.offset)
-        return arr
-    if isinstance(e, Midpoint):
-        lo = indicator(e.lower, N)
-        gap = indicator(e.upper, N)
-        np.greater(gap, lo, out=gap)  # members of upper not in lower
-        odd = np.logical_xor.accumulate(gap)  # parity of the gap count so far
-        odd &= gap
-        lo |= odd
-        return lo
-    raise TypeError(f"unknown expression variant {type(e).__name__}")
+    return e._indicator(N)
 
 
 def count_upto(e: SetExpr, N: int) -> int:
     """Number of members of ``e`` in [1, N], exactly."""
     if N <= 0:
         return 0
-    if isinstance(e, Empty):
-        return 0
-    if isinstance(e, All):
-        return N
-    if isinstance(e, Explicit):
-        return bisect_right(e.elements, N)
-    if isinstance(e, Residue):
-        total = 0
-        for r in e.residues:
-            if r == 0:
-                total += N // e.modulus
-            elif r <= N:
-                total += (N - r) // e.modulus + 1
-        return total
-    if isinstance(e, Blocks):
-        return _blocks_count(e.z, N)
-    if isinstance(e, Greedy):
-        return _greedy_count(e.target, N)
-    if isinstance(e, Predicate):
-        spec = predicate_spec(e.name)
-        if spec.count_upto is not None:
-            return int(spec.count_upto(N))
-        return int(indicator(e, N).sum())
-    if isinstance(e, Compl):
-        return N - count_upto(e.inner, N)
-    if isinstance(e, Dilate):
-        return count_upto(e.inner, N // e.factor)
-    if isinstance(e, Shift):
-        return count_upto(e.inner, N - e.offset)
-    if isinstance(e, Midpoint):
-        clo = count_upto(e.lower, N)
-        chi = count_upto(e.upper, N)
-        return clo + (chi - clo + 1) // 2
-    # general combinators: one bulk scan
-    return int(np.count_nonzero(indicator(e, N)))
+    return e._count(N)
+
+
+def canonicalize(e: SetExpr) -> SetExpr:
+    """Structure-preserving simplification.
+
+    Applies Boolean identities, merges residue expressions onto a common
+    modulus (then reduces the modulus), and performs explicit-set algebra.
+    The output denotes the same set as the input.
+    """
+    return e._canon()
+
+
+def _form(e: SetExpr) -> _Form:
+    """The periodic normal form of e, or NotExactlySolvable."""
+    return e._form()
+
+
+def _exact(e: SetExpr) -> tuple[Fraction, Fraction, str]:
+    """(upper, lower, method) of e's exact limits, or NotExactlySolvable:
+    the density of its periodic form, else its kind's exact-limit rule."""
+    try:
+        f = e._form()
+    except NotExactlySolvable:
+        return e._limits()
+    d = f.density
+    return d, d, "exact"
 
 
 def partial_average(e: SetExpr, N: int) -> Fraction:
@@ -716,7 +1219,7 @@ def prefix_scan(e: SetExpr, frm: int, to: int) -> PrefixStat:
     """Membership count over [frm, to].  Associative under concatenation."""
     if not (1 <= frm <= to):
         raise ValueError("need 1 <= frm <= to")
-    if type(e) in _BOOL_UFUNCS:
+    if isinstance(e, Binary):
         # count_upto would walk the tree twice, to frm - 1 and to to
         count = int(np.count_nonzero(indicator(e, to)[frm - 1 :]))
     else:
@@ -768,137 +1271,3 @@ def gap_functions(e: SetExpr, N: int, horizon: int) -> GapPair:
         upto = nxt
         chunk *= 4
     return GapPair(p, q, p_limited=p is None, q_limited=q is None)
-
-
-# ---------------------------------------------------------------------------
-# canonicalisation
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
-def _lift_residues(res: frozenset[int], m: int, L: int) -> frozenset[int]:
-    return frozenset(r + i * m for r in res for i in range(L // m))
-
-
-def _divisors(m: int) -> list[int]:
-    """The divisors of m in increasing order, by trial division up to isqrt(m)."""
-    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
-    return small + [m // d for d in reversed(small) if d * d != m]
-
-
-def _reduce_residue(m: int, res: frozenset[int]) -> SetExpr:
-    """Smallest-modulus residue expression denoting the same set."""
-    if not res:
-        return Empty()
-    if len(res) == m:
-        return All()
-    for d in _divisors(m):
-        if len(res) % (m // d):
-            continue  # a set of period d has m/d lifted copies of each residue
-        low = frozenset(r % d for r in res)
-        if len(low) * (m // d) == len(res) and _lift_residues(low, d, m) == res:
-            if len(low) == d:
-                return All()
-            return Residue(d, low)
-    return Residue(m, res)
-
-
-def _residue_of(e: SetExpr) -> tuple[int, frozenset[int]] | None:
-    if isinstance(e, All):
-        return 1, frozenset({0})
-    if isinstance(e, Residue):
-        return e.modulus, e.residues
-    return None
-
-
-_SET_OPS = {
-    Union: lambda a, b: a | b,
-    Inter: lambda a, b: a & b,
-    Diff: lambda a, b: a - b,
-    SymDiff: lambda a, b: a ^ b,
-}
-
-
-def canonicalize(e: SetExpr) -> SetExpr:
-    """Structure-preserving simplification.
-
-    Applies Boolean identities, merges residue expressions onto a common
-    modulus (then reduces the modulus), and performs explicit-set algebra.
-    The output denotes the same set as the input.
-    """
-    if isinstance(e, (Union, Inter, Diff, SymDiff)):
-        a = canonicalize(e.left)
-        b = canonicalize(e.right)
-        op = type(e)
-        # identity / absorption with the extreme sets
-        if isinstance(a, Empty):
-            return {Union: b, Inter: Empty(), Diff: Empty(), SymDiff: b}[op]
-        if isinstance(b, Empty):
-            return {Union: a, Inter: Empty(), Diff: a, SymDiff: a}[op]
-        if isinstance(a, All) and op in (Union, Inter):
-            return All() if op is Union else b
-        if isinstance(b, All):
-            return {Union: All(), Inter: a, Diff: Empty(), SymDiff: canonicalize(Compl(a))}[op]
-        if a == b:
-            return a if op in (Union, Inter) else Empty()
-        ra, rb = _residue_of(a), _residue_of(b)
-        if ra and rb:
-            L = _lcm(ra[0], rb[0])
-            if L <= MAX_CANON_MODULUS:
-                sa = _lift_residues(ra[1], ra[0], L)
-                sb = _lift_residues(rb[1], rb[0], L)
-                return _reduce_residue(L, _SET_OPS[op](sa, sb))
-        if isinstance(a, Explicit) and isinstance(b, Explicit):
-            merged = tuple(sorted(_SET_OPS[op](set(a.elements), set(b.elements))))
-            return Explicit(merged) if merged else Empty()
-        return op(a, b)
-    if isinstance(e, Compl):
-        inner = canonicalize(e.inner)
-        if isinstance(inner, Compl):
-            return inner.inner
-        if isinstance(inner, Empty):
-            return All()
-        if isinstance(inner, All):
-            return Empty()
-        if isinstance(inner, Residue) and inner.modulus <= MAX_CANON_MODULUS:
-            return _reduce_residue(
-                inner.modulus, frozenset(range(inner.modulus)) - inner.residues
-            )
-        return Compl(inner)
-    if isinstance(e, Dilate):
-        inner = canonicalize(e.inner)
-        if e.factor == 1:
-            return inner
-        if isinstance(inner, Empty):
-            return Empty()
-        if isinstance(inner, All):
-            return Residue(e.factor, frozenset({0}))
-        if isinstance(inner, Explicit):
-            return Explicit(tuple(e.factor * n for n in inner.elements))
-        if isinstance(inner, Dilate):
-            return Dilate(e.factor * inner.factor, inner.inner)
-        return Dilate(e.factor, inner)
-    if isinstance(e, Shift):
-        inner = canonicalize(e.inner)
-        if e.offset == 0:
-            return inner
-        if isinstance(inner, Empty):
-            return Empty()
-        if isinstance(inner, Explicit):
-            return Explicit(tuple(n + e.offset for n in inner.elements))
-        if isinstance(inner, Shift):
-            return Shift(e.offset + inner.offset, inner.inner)
-        return Shift(e.offset, inner)
-    if isinstance(e, Residue):
-        return _reduce_residue(e.modulus, e.residues)
-    if isinstance(e, Explicit) and not e.elements:
-        return Empty()
-    if isinstance(e, Midpoint):
-        lo = canonicalize(e.lower)
-        hi = canonicalize(e.upper)
-        if lo == hi:
-            return lo
-        return Midpoint(lo, hi)
-    return e

@@ -1,12 +1,14 @@
 """Upper/lower Cesàro limits: exact where structure allows, streamed otherwise.
 
-The exact engine reduces an expression to a periodic normal form (a set of
-residues modulo m, held as a sorted int64 array, possibly perturbed by a
-density-zero set).  Perturbing by a null set never moves the upper or lower
-limit, so the exact density |R|/m survives finite exceptions and unions
-with known null sets.  Block and greedy families get their closed forms
-at top level.  Everything else falls back to a windowed streaming estimate
-with an explicit Unknown verdict when the evidence is inconclusive.
+The exact engine (``exprs._exact``) reduces an expression to a periodic
+normal form (a set of residues modulo m, held as a sorted int64 array,
+possibly perturbed by a density-zero set).  Perturbing by a null set never
+moves the upper or lower limit, so the exact density |R|/m survives finite
+exceptions and unions with known null sets.  Without a form, each node
+kind's own rule applies: block and greedy families have closed forms, and
+complements, dilations, shifts and midpoints follow from their operands.
+Everything else falls back to a windowed streaming estimate with an
+explicit Unknown verdict when the evidence is inconclusive.
 """
 
 from __future__ import annotations
@@ -18,46 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprs import (
-    All,
-    Blocks,
-    CesaroError,
-    Compl,
-    Diff,
-    Dilate,
-    Empty,
-    Explicit,
-    Geometric,
-    Greedy,
-    Inter,
-    Midpoint,
-    Poly,
-    Predicate,
-    Residue,
-    SetExpr,
-    Shift,
-    SymDiff,
-    Union,
-    canonicalize,
-    gap_functions,
-    indicator,
-    predicate_spec,
-)
+from .exprs import NotExactlySolvable, SetExpr, _exact, gap_functions, indicator
 
 DEFAULT_HORIZON = 10**6
 DEFAULT_WINDOW = 0.5
 DEFAULT_TOLERANCE = 1e-3
-
-#: residue refinement guard: reject common moduli beyond this
-MAX_MODULUS = 10**9
-
-#: largest residue array the exact engine builds; a lift or complement
-#: that would need more entries raises NotExactlySolvable before allocating
-MAX_FORM_ENTRIES = 1 << 24
-
-
-class NotExactlySolvable(CesaroError):
-    """The expression is outside the exactly solvable fragment."""
 
 
 class Verdict(str, Enum):
@@ -107,139 +74,6 @@ class LimitReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# exact fragment via periodic normal form
-
-
-@dataclass(frozen=True, eq=False)
-class _Form:
-    """Residues mod modulus, possibly perturbed by some null set (fuzz).
-
-    ``residues`` is a sorted int64 array of distinct residues in
-    [0, modulus); every rule below keeps it so.  The perturbation is never
-    tracked pointwise; it only matters that it is null, which leaves both
-    Cesàro limits at |residues|/modulus.
-    """
-
-    modulus: int
-    residues: np.ndarray
-    fuzz: bool
-
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.residues.size, self.modulus)
-
-
-_NONE = np.empty(0, dtype=np.int64)
-_ZERO = np.zeros(1, dtype=np.int64)
-_NONE.flags.writeable = _ZERO.flags.writeable = False  # shared by many forms
-
-
-def _check_entries(entries: int) -> None:
-    if entries > MAX_FORM_ENTRIES:
-        raise NotExactlySolvable(f"periodic form of {entries} entries exceeds {MAX_FORM_ENTRIES}")
-
-
-def _lift(f: _Form, L: int) -> np.ndarray:
-    """The residues of f modulo L, a multiple of f.modulus, still sorted:
-    row i of the table holds r + i·modulus."""
-    if L == f.modulus or not f.residues.size:
-        return f.residues
-    _check_entries(f.residues.size * (L // f.modulus))
-    return (np.arange(0, L, f.modulus)[:, None] + f.residues).ravel()
-
-
-def _merged(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a and b merged in order, and where each entry differs from the next."""
-    c = np.concatenate((a, b))
-    c.sort(kind="stable")  # two sorted runs: a single merge
-    return c, c[1:] != c[:-1]
-
-
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c, new = _merged(a, b)
-    keep = np.ones(c.size, dtype=bool)
-    keep[1:] = new
-    return c[keep]
-
-
-def _inter(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c, new = _merged(a, b)
-    return c[:-1][~new]
-
-
-def _symdiff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c, new = _merged(a, b)
-    keep = np.ones(c.size, dtype=bool)
-    keep[1:] = new
-    keep[:-1] &= new
-    return c[keep]
-
-
-def _diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _symdiff(a, _inter(a, b))
-
-
-#: Boolean operations on sorted arrays of distinct residues
-_ARRAY_OPS = {
-    Union: _union,
-    Inter: _inter,
-    Diff: _diff,
-    SymDiff: _symdiff,
-}
-
-
-def _form(e: SetExpr) -> _Form:
-    if isinstance(e, Empty):
-        return _Form(1, _NONE, False)
-    if isinstance(e, All):
-        return _Form(1, _ZERO, False)
-    if isinstance(e, Explicit):
-        return _Form(1, _NONE, bool(e.elements))
-    if isinstance(e, Residue):
-        return _Form(e.modulus, np.array(sorted(e.residues), dtype=np.int64), False)
-    if isinstance(e, Predicate):
-        spec = predicate_spec(e.name)
-        if spec.exact_upper == 0 and spec.exact_lower == 0:
-            return _Form(1, _NONE, True)  # known null set
-        raise NotExactlySolvable(f"predicate {e.name!r} is not periodic")
-    op = _ARRAY_OPS.get(type(e))
-    if op is not None:
-        a, b = _form(e.left), _form(e.right)
-        L = a.modulus // math.gcd(a.modulus, b.modulus) * b.modulus
-        if L > MAX_MODULUS:
-            raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
-        return _Form(L, op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
-    if isinstance(e, Compl):
-        f = _form(e.inner)
-        _check_entries(f.modulus)
-        table = np.ones(f.modulus, dtype=bool)
-        table[f.residues] = False
-        return _Form(f.modulus, np.flatnonzero(table), f.fuzz)
-    if isinstance(e, Dilate):
-        f = _form(e.inner)
-        L = f.modulus * e.factor
-        if L > MAX_MODULUS:
-            raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
-        return _Form(L, f.residues * e.factor, f.fuzz)
-    if isinstance(e, Shift):
-        f = _form(e.inner)
-        m, s = f.modulus, e.offset % f.modulus
-        # r + s wraps below s exactly for the residues r >= m - s
-        i = int(np.searchsorted(f.residues, m - s))
-        shifted = np.concatenate((f.residues[i:] + (s - m), f.residues[:i] + s))
-        # shifting drops nothing but delays the pattern: a finite prefix
-        # of the shifted residue classes is missing, a null perturbation
-        return _Form(m, shifted, f.fuzz or e.offset > 0)
-    raise NotExactlySolvable(f"{type(e).__name__} is not in the periodic fragment")
-
-
-def _report_exact(upper: Fraction, lower: Fraction, method: str) -> LimitReport:
-    verdict = Verdict.IN_F if upper == lower else Verdict.NOT_IN_F
-    limit = upper if upper == lower else None
-    return LimitReport(upper, lower, limit, method, None, 0, verdict)
-
-
 def exact_limits(e: SetExpr) -> LimitReport:
     """Exact upper/lower limits, or NotExactlySolvable.
 
@@ -248,51 +82,9 @@ def exact_limits(e: SetExpr) -> LimitReport:
     predicates with known limits, and midpoints/complements/affine images
     of all of these.
     """
-    try:
-        f = _form(e)
-    except NotExactlySolvable:
-        pass
-    else:
-        d = f.density
-        return _report_exact(d, d, "exact")
-    if isinstance(e, Blocks) and isinstance(e.z, Geometric):
-        r = e.z.ratio
-        # run lengths r**(n-1): averages at block ends alternate between
-        # r/(r+1) (after a one-run) and 1/(r+1) (after a zero-run)
-        return _report_exact(Fraction(r, r + 1), Fraction(1, r + 1), "block-formula")
-    if isinstance(e, Blocks) and isinstance(e.z, Poly):
-        half = Fraction(1, 2)
-        return _report_exact(half, half, "block-formula")
-    if isinstance(e, Greedy):
-        return _report_exact(e.target, e.target, "exact")
-    if isinstance(e, Predicate):
-        spec = predicate_spec(e.name)
-        if spec.exact_upper is not None and spec.exact_lower is not None:
-            return _report_exact(spec.exact_upper, spec.exact_lower, "exact")
-        raise NotExactlySolvable(f"predicate {e.name!r} has no known exact limits")
-    if isinstance(e, Compl):
-        r = exact_limits(e.inner)
-        return _report_exact(1 - r.lower, 1 - r.upper, r.method)
-    if isinstance(e, Dilate):
-        r = exact_limits(e.inner)
-        k = e.factor
-        return _report_exact(Fraction(r.upper, k), Fraction(r.lower, k), r.method)
-    if isinstance(e, Shift):
-        return exact_limits(e.inner)
-    if isinstance(e, Midpoint):
-        lo = exact_limits(e.lower)
-        hi = exact_limits(e.upper)
-        if lo.verdict is Verdict.IN_F and hi.verdict is Verdict.IN_F:
-            mid = Fraction(lo.limit + hi.limit, 2)
-            method = "exact" if lo.method == hi.method == "exact" else "block-formula"
-            return _report_exact(mid, mid, method)
-        raise NotExactlySolvable("midpoint of divergent endpoints")
-    # identities like union with Empty can hide a solvable core; retry
-    # once on the simplified expression
-    simplified = canonicalize(e)
-    if simplified != e:
-        return exact_limits(simplified)
-    raise NotExactlySolvable(f"{type(e).__name__} is not exactly solvable here")
+    upper, lower, method = _exact(e)
+    verdict = Verdict.IN_F if upper == lower else Verdict.NOT_IN_F
+    return LimitReport(upper, lower, upper if upper == lower else None, method, None, 0, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Chain analysis: verification, closures, pseudo-metric, uniformity
+"""Chain analysis: verification, pseudo-metric, uniformity
 certificates, dense/skeleton/maximal extensions."""
 
 import math
@@ -35,22 +35,6 @@ def test_verify_chain_rejections():
         )
     with pytest.raises(c.ChainError, match="empty"):
         c.verify_chain([], 1000)
-
-
-def test_closures_of_a_chain_are_the_chain():
-    chain = c.verify_chain(residue_chain([1, 2, 3]), 1000)
-    cl = c.closures(chain)
-    for closed in (cl.t_union, cl.t_inter, cl.t_star):
-        assert closed.elements == chain.elements
-
-
-def test_subfamily_bounds():
-    chain = c.verify_chain(residue_chain([1, 2, 3]), 1000)
-    union, inter = c.subfamily_bounds(chain, [0, 2])
-    assert union == chain.elements[2]
-    assert inter == chain.elements[0]
-    with pytest.raises(c.ChainError):
-        c.subfamily_bounds(chain, [5])
 
 
 def test_pseudo_metric_values():

@@ -1,4 +1,4 @@
-"""Named constructions: residue sets, greedy targets, block sets, the
+"""Named constructions: greedy targets, the
 divergent-intersection pair, midpoint sets, the dyadic partition."""
 
 from fractions import Fraction
@@ -11,23 +11,10 @@ from cesaro.constructions import midpoint_set
 from conftest import brute_set
 
 
-def test_residue_set():
-    assert c.residue_set(6, []) == c.Empty()
-    e = c.residue_set(6, [0, 3])
-    assert c.exact_limits(e).limit == Fraction(1, 3)
-    with pytest.raises(c.CesaroError):
-        c.residue_set(4, [4])
-
-
 def test_greedy_target_coercions():
     assert c.greedy_target(Fraction(1, 3)).target == Fraction(1, 3)
     assert c.greedy_target("2/7").target == Fraction(2, 7)
     assert c.greedy_target(0.5).target == Fraction(1, 2)
-
-
-def test_block_set():
-    e = c.block_set(c.Geometric(2))
-    assert e == c.Blocks(c.Geometric(2))
 
 
 def test_counterexample_pair_members():

@@ -18,8 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.exprs import MAX_CANON_MODULUS, _reduce_residue, predicate_spec
-from cesaro.limits import MAX_FORM_ENTRIES, MAX_MODULUS, NotExactlySolvable, _form
+from cesaro.exprs import (
+    MAX_CANON_MODULUS,
+    MAX_FORM_ENTRIES,
+    MAX_MODULUS,
+    _form,
+    _reduce_residue,
+    predicate_spec,
+)
+from cesaro.limits import NotExactlySolvable
 
 # ---------------------------------------------------------------------------
 # the frozenset engine, as the oracle
@@ -275,4 +282,5 @@ def test_reduce_residue_matches_trying_every_d():
         if rng.random() < 0.4:  # break the period now and then
             res ^= {rng.randrange(m)}
         res = frozenset(res)
-        assert _reduce_residue(m, res) == _reduce_by_every_d(m, res), (m, sorted(res))
+        array = np.array(sorted(res), dtype=np.int64)
+        assert _reduce_residue(m, array) == _reduce_by_every_d(m, res), (m, sorted(res))

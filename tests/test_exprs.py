@@ -384,9 +384,7 @@ def test_midpoint_xor_parity_matches_cumsum_parity(lower, upper, nested):
     assert np.array_equal(c.indicator(c.Midpoint(lower, upper), N), want)
 
 
-# count_upto of a non-nested midpoint disagrees with its members, a known
-# defect of the Midpoint semantics; prefix_scan inherits it
-@pytest.mark.parametrize("e", NODE_KINDS[:-1], ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("e", NODE_KINDS, ids=lambda e: type(e).__name__)
 def test_prefix_scan_counts_match_oracle(e):
     truth = brute_set(e, 700)
     for frm, to in ((1, 1), (1, 700), (37, 411), (400, 400), (699, 700)):
