@@ -8,6 +8,7 @@ countable statements; horizons are explicit everywhere.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,13 +17,15 @@ import numpy as np
 from .constructions import midpoint_set
 from .exprs import All, CesaroError, Empty, Explicit, SetExpr, SymDiff, indicator
 from .limits import (
+    _CHUNK,
     DEFAULT_HORIZON,
     NotExactlySolvable,
     Verdict,
+    _running_averages,
     estimate_limits,
     exact_limits,
 )
-from .nullmod import _as_fraction
+from .nullmod import _as_fraction, _check_horizon
 
 
 class ChainError(CesaroError):
@@ -65,6 +68,7 @@ def verify_chain(elements, horizon: int = 10**4) -> Chain:
     elems = list(elements)
     if not elems:
         raise ChainError("empty chain")
+    _check_horizon(horizon, ChainError)
     masks = [indicator(e, horizon) for e in elems]
     order = sorted(range(len(elems)), key=lambda i: (int(masks[i].sum()), i))
     evidence = []
@@ -132,17 +136,15 @@ class UniformityFailure:
     deviation: float
 
 
-def _prefix_counts(e: SetExpr, horizon: int) -> np.ndarray:
-    """|e on 1..n| for n = 1..horizon, accumulated in place."""
-    cnt = indicator(e, horizon).astype(np.int32 if horizon < 2**31 else np.int64)
-    return np.add.accumulate(cnt, out=cnt)
-
-
-def _deviations(cnt: np.ndarray, narr: np.ndarray, nu: Fraction) -> np.ndarray:
-    """|cnt/n - nu| in float, computed in place."""
-    dev = cnt / narr
-    dev -= nu.numerator / nu.denominator
-    return np.abs(dev, out=dev)
+def _chunk_deviations(part: np.ndarray, a: int, carry: int, nu_f: float):
+    """Counts c_n, positions n and float |c_n/n - nu| for n in (a, a + len(part)],
+    where ``part`` is the mask from index a on and ``carry`` is c_a."""
+    cnt = np.cumsum(part, dtype=np.int64)
+    cnt += carry
+    n = np.arange(a + 1, a + 1 + part.size, dtype=np.int64)
+    dev = cnt / n
+    dev -= nu_f
+    return cnt, n, np.abs(dev, out=dev)
 
 
 def uniformity_check(chain: Chain, epsilon, horizon: int):
@@ -150,40 +152,67 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     its limit for all N in (N_eps, horizon]; failure report if a violation
     reaches the horizon itself.
 
-    Two passes keep one element's counts in memory at a time: the first
-    finds each element's last N at or beyond epsilon, the second measures
-    the deviations above N_eps.
+    One chunked pass of the partial averages per element keeps, for each
+    chunk, max(c_n/n) - nu and nu - min(c_n/n); x -> fl(x - nu) is
+    monotone, so these are the largest float deviations above and below
+    nu in the chunk.  Only chunks whose deviation reaches epsilon - 1e-12
+    are recounted for the exact integer test, from the top down until one
+    holds a violation.  The deviations above N_eps then come from the
+    kept chunk figures, except in the chunk holding N_eps, which is
+    recounted.  One element's mask is in memory at a time.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ChainError("epsilon must be positive")
+    if horizon < 1:
+        raise ChainError("horizon must be >= 1")
+    _check_horizon(horizon, ChainError)
     nus = [_exact_nu(e) for e in chain.elements]
-    narr = np.arange(1, horizon + 1, dtype=np.float64)  # exact below 2**53
-    # float pre-filter: its rounding error is far below the 1e-12 margin,
-    # so every N the exact integer test flags is among the candidates
     cutoff = float(eps) - 1e-12
     last_bad = 0
     worst = (0, 0.0)
+    stats = []  # per element: nu as a float, (start, carry, deviation) per chunk
     for i, (e, nu) in enumerate(zip(chain.elements, nus)):
         q, p = nu.denominator, nu.numerator
         if q * eps.denominator * horizon >= 2**62:
             raise ChainError("parameters too large for exact deviation scan")
-        cnt = _prefix_counts(e, horizon)
-        cand = np.flatnonzero(_deviations(cnt, narr, nu) >= cutoff)
-        n = cand + 1
-        lhs = np.abs(cnt[cand].astype(np.int64) * q - p * n) * eps.denominator
-        bad = cand[lhs >= eps.numerator * q * n]
-        if bad.size and bad[-1] + 1 > last_bad:
-            last_bad = int(bad[-1]) + 1
-            worst = (i, abs(cnt[last_bad - 1] / last_bad - p / q))
+        mask = indicator(e, horizon)
+        nu_f = p / q
+        chunks = [
+            (a, carry, max(float(avg.max()) - nu_f, nu_f - float(avg.min())))
+            for a, carry, avg in _running_averages(mask, 0, horizon)
+        ]
+        stats.append((nu_f, chunks))
+        for a, carry, top in reversed(chunks):
+            if a + _CHUNK <= last_bad:
+                break  # no later violation than the one already found
+            if top < cutoff:
+                continue
+            # float pre-filter: its rounding error is far below the 1e-12
+            # margin, so every N the exact integer test flags is a candidate
+            cnt, n, dev = _chunk_deviations(mask[a : a + _CHUNK], a, carry, nu_f)
+            cand = np.flatnonzero(dev >= cutoff)
+            lhs = np.abs(cnt[cand] * q - p * n[cand]) * eps.denominator
+            bad = cand[lhs >= eps.numerator * q * n[cand]]
+            if bad.size:
+                if a + bad[-1] + 1 > last_bad:
+                    last_bad = a + int(bad[-1]) + 1
+                    worst = (i, abs(cnt[bad[-1]] / last_bad - nu_f))
+                break
     if last_bad >= horizon:
         i, dev = worst
         return UniformityFailure(i, chain.elements[i], last_bad, dev)
     n_eps = max(1, last_bad)
     deviations = []
-    for e, nu in zip(chain.elements, nus):
-        tail = _deviations(_prefix_counts(e, horizon)[n_eps:], narr[n_eps:], nu)
-        deviations.append(float(tail.max()) if tail.size else 0.0)
+    for e, (nu_f, chunks) in zip(chain.elements, stats):
+        tail = [top for a, _, top in chunks if a >= n_eps]
+        a, carry, _ = chunks[n_eps // _CHUNK]
+        if a < n_eps < horizon:
+            # N_eps lies inside this chunk: recount the chunk for its tail
+            part = indicator(e, min(a + _CHUNK, horizon))[a:]
+            dev = _chunk_deviations(part, a, carry, nu_f)[2][n_eps - a :]
+            tail.append(float(dev.max()))
+        deviations.append(max(tail, default=0.0))
     return UniformityCertificate(eps, n_eps, horizon, tuple(deviations))
 
 
@@ -260,18 +289,20 @@ def skeleton(chain: Chain, epsilon) -> Chain:
 
 
 def _restrict(e: SetExpr, universe: int) -> int:
-    mask = 0
-    arr = indicator(e, universe)
-    for i in np.flatnonzero(arr):
-        mask |= 1 << int(i)
-    return mask
+    """Members of e in 1..universe as a bitmask, bit k - 1 for member k."""
+    bits = np.packbits(indicator(e, universe), bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
 
 
-def _mask_expr(mask: int, universe: int) -> SetExpr:
-    if mask == 0:
-        return Empty()
-    elems = tuple(i + 1 for i in range(universe) if mask >> i & 1)
-    return Explicit(elems)
+def _restricted_ladder(chain: Chain, universe: int) -> list[int]:
+    """Distinct restricted element masks by size, framed by 0 and the full mask."""
+    masks = sorted({_restrict(e, universe) for e in chain.elements}, key=int.bit_count)
+    full = (1 << universe) - 1
+    if masks[0] != 0:
+        masks.insert(0, 0)
+    if masks[-1] != full:
+        masks.append(full)
+    return masks
 
 
 def interval_blocks(chain: Chain, universe_horizon: int) -> list[tuple[int, int, int]]:
@@ -282,12 +313,8 @@ def interval_blocks(chain: Chain, universe_horizon: int) -> list[tuple[int, int,
     the D_k partition the universe into the chain's gaps.
     """
     u = universe_horizon
-    masks = sorted({_restrict(e, u) for e in chain.elements}, key=int.bit_count)
-    full = (1 << u) - 1
-    if masks[0] != 0:
-        masks.insert(0, 0)
-    if masks[-1] != full:
-        masks.append(full)
+    masks = _restricted_ladder(chain, u)
+    full = masks[-1]
     out = []
     for k in range(1, u + 1):
         bit = 1 << (k - 1)
@@ -315,37 +342,29 @@ def maximal_extension(chain: Chain, universe_horizon: int) -> Chain:
     Restricts every element to the finite universe, then fills each gap
     by adding the gap's points one at a time in increasing order.  The
     result has one element per cardinality 0..universe, which certifies
-    maximality in the finite power set.
+    maximality in the finite power set.  Each step inserts one point into
+    a sorted member list, so the Python work is O(universe) steps.
     """
     u = universe_horizon
     if not (1 <= u <= 10**4):
         raise ChainError("universe horizon must lie in 1..10^4")
     interval_blocks(chain, u)  # runtime-checks the construction's premises
-    masks = sorted({_restrict(e, u) for e in chain.elements}, key=int.bit_count)
-    full = (1 << u) - 1
-    if masks[0] != 0:
-        masks.insert(0, 0)
-    if masks[-1] != full:
-        masks.append(full)
-    result = [masks[0]]
+    masks = _restricted_ladder(chain, u)
+    members: list[int] = []  # the current ladder element, sorted
+    elements: list[SetExpr] = [Empty()]
     for small, big in zip(masks, masks[1:]):
         if small & ~big:
             raise ChainError("restricted elements are not nested")
-        cur = small
         diff = big & ~small
         while diff:
             low = diff & -diff
-            cur |= low
-            diff &= ~low
-            result.append(cur)
-    if len(result) != u + 1:
+            diff ^= low
+            insort(members, low.bit_length())
+            elements.append(Explicit(tuple(members)))
+    if len(elements) != u + 1:
         raise ChainError("saturation failed: cardinality ladder incomplete")
-    for a, b in zip(result, result[1:]):
-        if a & ~b or b.bit_count() != a.bit_count() + 1:
-            raise ChainError("saturation failed: non-adjacent step")
-    elements = tuple(_mask_expr(m, u) for m in result)
     evidence = tuple(
         OrderEvidence("structural", u, "explicit containment")
         for _ in range(len(elements) - 1)
     )
-    return Chain(elements, evidence, u)
+    return Chain(tuple(elements), evidence, u)

@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import and_, or_, sub, xor
+from operator import and_, lt, or_, sub, xor
 
 import numpy as np
 
@@ -502,9 +502,9 @@ class Explicit(SetExpr):
         elems = self.elements
         if len(elems) > MAX_EXPLICIT:
             raise ValueError(f"explicit set larger than {MAX_EXPLICIT} elements")
-        if any(n < 1 for n in elems):
+        if elems and min(elems) < 1:
             raise ValueError("explicit elements must be >= 1")
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not all(map(lt, elems, elems[1:])):
             raise ValueError("explicit elements must be strictly increasing")
 
     def _member(self, n):

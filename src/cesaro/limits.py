@@ -91,8 +91,38 @@ def exact_limits(e: SetExpr) -> LimitReport:
 # streamed estimation
 
 
-#: Elements per chunk of the partial-average pass; its buffers are reused.
+#: Elements per chunk of the chunked passes over a mask; their buffers
+#: and temporaries are this long.
 _CHUNK = 1 << 16
+
+
+def _running_averages(mask: np.ndarray, first: int, last: int):
+    """The partial averages c_n/n for n in (first, last], chunk by chunk.
+
+    c_n counts the members of ``mask`` among its first n entries.  Yields
+    (a, carry, avg) for each chunk of up to ``_CHUNK`` elements starting
+    at index a: carry is c_a and avg[i] is c_{a+i+1}/(a+i+1).  ``avg`` is a
+    reused buffer, valid until the next step.  Each chunk's running count
+    goes into a reused int32 buffer (int64 from 2^31 elements on), the
+    carry is added into the float64 buffer, and that is divided by the
+    chunk's n, so every c_n/n is the same float64 as an N-long count array
+    divided by an N-long arange.
+    """
+    size = min(_CHUNK, last - first)
+    dtype = np.int32 if last < 2**31 else np.int64
+    run = np.empty(size, dtype=dtype)
+    avg = np.empty(size, dtype=np.float64)
+    n = np.arange(first + 1, first + 1 + size, dtype=np.float64)
+    carry = int(np.count_nonzero(mask[:first]))
+    for a in range(first, last, size):
+        k = min(size, last - a)
+        np.add.accumulate(mask[a : a + k], dtype=dtype, out=run[:k])
+        # carry + run[i] <= last, so the integer sum cannot overflow dtype
+        np.add(run[:k], carry, out=avg[:k])
+        np.divide(avg[:k], n[:k], out=avg[:k])
+        yield a, carry, avg[:k]
+        carry += int(run[k - 1])
+        n += size
 
 
 def _window_extremes(
@@ -100,32 +130,16 @@ def _window_extremes(
 ) -> list[tuple[float, float]]:
     """(max, min) of the partial averages c_n/n over n in (lo, hi], per window.
 
-    c_n counts the members of ``mask`` among its first n entries.  One pass
-    over the union of the windows, in chunks of ``_CHUNK`` elements: each
-    chunk's running count goes into a reused int32 buffer (int64 from 2^31
-    elements on), the count before the chunk is added into a reused float64
-    buffer, and that is divided by the chunk's n.  Every c_n/n is the same
-    float64 as an N-long count array divided by an N-long arange.  Windows
-    must be nonempty.
+    One pass of ``_running_averages`` over the union of the windows.
+    Windows must be nonempty.
     """
     first = min(lo for lo, _ in segments)
     last = max(hi for _, hi in segments)
-    dtype = np.int32 if last < 2**31 else np.int64
-    run = np.empty(_CHUNK, dtype=dtype)
-    avg = np.empty(_CHUNK, dtype=np.float64)
-    n = np.arange(first + 1, first + 1 + _CHUNK, dtype=np.float64)
-    carry = int(np.count_nonzero(mask[:first]))
     extremes = [(-math.inf, math.inf)] * len(segments)
-    for a in range(first, last, _CHUNK):
-        k = min(_CHUNK, last - a)
-        np.add.accumulate(mask[a : a + k], dtype=dtype, out=run[:k])
-        # carry + run[i] <= last, so the integer sum cannot overflow dtype
-        np.add(run[:k], carry, out=avg[:k])
-        np.divide(avg[:k], n[:k], out=avg[:k])
-        carry += int(run[k - 1])
-        n += _CHUNK
+    for a, _, avg in _running_averages(mask, first, last):
+        b = a + avg.size
         for j, (lo, hi) in enumerate(segments):
-            s, t = max(lo, a), min(hi, a + k)
+            s, t = max(lo, a), min(hi, b)
             if s < t:
                 part = avg[s - a : t - a]
                 mx, mn = extremes[j]

@@ -25,10 +25,16 @@ from .exprs import (
     Explicit,
     SetExpr,
     Union,
-    _periodic,
     indicator,
 )
-from .limits import DEFAULT_HORIZON, NotExactlySolvable, Verdict, classify, exact_limits
+from .limits import (
+    _CHUNK,
+    DEFAULT_HORIZON,
+    NotExactlySolvable,
+    Verdict,
+    classify,
+    exact_limits,
+)
 
 
 class NullModError(CesaroError):
@@ -41,47 +47,60 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _excess(mask: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Count excess e_n = |mask on 1..n| - floor(p*n/q) for n = 1..N.
+#: Masks hold fewer than this many elements, so every count fits in int32.
+MAX_MASK = 2**31
 
-    For 0 <= p <= q, floor(p*n/q) steps up by 0 or 1, at n = ceil(k*q/p),
-    with period q in n.  One period of steps is built with exact integers
-    and tiled, so the pass is an int8 subtraction and one cumsum.
+
+def _check_horizon(horizon: int, error: type[CesaroError]) -> None:
+    """Reject a mask of ``MAX_MASK`` elements or more before it is allocated."""
+    if horizon >= MAX_MASK:
+        raise error(f"horizon {horizon} not below the mask limit {MAX_MASK}")
+
+
+def _removed_points(
+    mask: np.ndarray, p: int, q: int, below: np.ndarray | None = None
+) -> np.ndarray:
+    """0-based indices the trimming pass removes from ``mask``, or from
+    ``mask & ~below`` when ``below`` is given.
+
+    Walk n upward; a member joins the kept set unless that would push the
+    kept count above floor(p*n/q).  The excess e_n = c_n - floor(p*n/q)
+    rises only at members, where it is j - floor(p*n/q) for the j-th
+    member n, and by at most 1 from one member to the next.  So a member
+    is removed exactly when its excess is a new record above 0.  The
+    members are read in chunks of ``_CHUNK`` positions, so every
+    temporary is chunk-sized; the rank and the record carry from one
+    chunk to the next.
     """
     n = mask.size
     if not 0 <= p <= q:
         raise NullModError("bound must lie in [0, 1]")
     if p * n >= 2**62:
         raise NullModError("bound numerator times horizon too large")
-    span = min(q, n)
-    period = np.zeros(span, dtype=bool)
-    if p:
-        k = np.arange(1, p * span // q + 1, dtype=np.int64)
-        period[-(-k * q // p) - 1] = True
-    steps = _periodic(period[:0], period, n).view(np.int8)
-    excess = np.subtract(
-        np.asarray(mask, dtype=bool).view(np.int8),
-        steps,
-        dtype=np.int32 if n < 2**31 else np.int64,
-    )
-    return np.add.accumulate(excess, out=excess)
-
-
-def _removed_points(mask: np.ndarray, p: int, q: int) -> np.ndarray:
-    """0-based indices the trimming pass removes from ``mask``.
-
-    Walk n upward; a member joins the kept set unless that would push the
-    kept count above floor(p*n/q).  The excess rises by at most 1 per
-    step, so a member is removed exactly when the excess first reaches
-    1, 2, ..., max excess: found by a search in its running maximum, which
-    is needed only up to the first place the maximum is reached.
-    """
-    excess = _excess(mask, p, q)
-    run = excess[: int(np.argmax(excess)) + 1] if excess.size else excess
-    if not run.size or run[-1] <= 0:
-        return np.empty(0, dtype=np.intp)
-    np.maximum.accumulate(run, out=run)
-    return np.searchsorted(run, np.arange(1, int(run[-1]) + 1, dtype=run.dtype))
+    tmp = np.empty(min(n, _CHUNK), dtype=bool)
+    rank = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
+    found = []
+    seen = best = 0  # members so far; highest excess so far, at least 0
+    for a in range(0, n, _CHUNK):
+        part = mask[a : a + _CHUNK]
+        if below is not None:
+            part = np.greater(part, below[a : a + _CHUNK], out=tmp[: part.size])
+        idx = np.flatnonzero(part)
+        if not idx.size:
+            continue
+        # the excess minus ``seen``, in place over floor(p*n/q)
+        ex = idx + (a + 1)
+        ex *= p
+        ex //= q
+        np.subtract(rank[: idx.size], ex, out=ex)
+        top = int(ex.max()) + seen
+        if top > best:
+            np.maximum.accumulate(ex, out=ex)
+            levels = np.arange(best + 1 - seen, top + 1 - seen, dtype=np.int64)
+            found.append(idx[np.searchsorted(ex, levels)] + a)
+            best = top
+        seen += idx.size
+    return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
 def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +157,7 @@ class NullModResult:
         if not np.array_equal(self.kept_mask | rem, mask):
             raise NullModError("kept and removed do not partition the source")
         p, q = self.bound.numerator, self.bound.denominator
-        if _excess(self.kept_mask, p, q).max(initial=0) > 0:
+        if _removed_points(self.kept_mask, p, q).size:
             raise NullModError("kept part exceeds the bound somewhere")
 
     def export_audit(self, stream) -> None:
@@ -165,6 +184,7 @@ def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModRes
     estimated bound is accepted otherwise and flags the result
     approximate.
     """
+    _check_horizon(horizon, NullModError)
     b = _as_fraction(bound)
     if not (0 <= b <= 1):
         raise NullModError("bound must lie in [0, 1]")
@@ -178,9 +198,10 @@ def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModRes
             raise NullModError(
                 f"bound {b} does not match the exact upper limit {rep.upper}"
             )
-    mask = indicator(a, horizon)
-    kept, removed_idx = _null_modify_mask(mask, b.numerator, b.denominator)
-    removed = tuple(int(i) + 1 for i in removed_idx)
+    kept = indicator(a, horizon)  # fresh, so trimmed in place
+    removed_idx = _removed_points(kept, b.numerator, b.denominator)
+    kept[removed_idx] = False
+    removed = tuple((removed_idx + 1).tolist())
     return NullModResult(a, b, horizon, kept, removed, approximate)
 
 
@@ -224,10 +245,9 @@ def _chain_nus(elements, horizon: int) -> tuple[list[Fraction], bool]:
     return nus, approximate
 
 
-def _psi_masks(
-    masks: list[np.ndarray], nus: list[Fraction]
-) -> tuple[list[np.ndarray], list[list[int]]]:
-    """Sequential order-preserving null modification of a finite chain.
+def _psi_masks(masks: list[np.ndarray], nus: list[Fraction]) -> list[list[int]]:
+    """Sequential order-preserving null modification of a finite chain,
+    in place on ``masks``; returns the points removed from each element.
 
     Elements are processed in the given order; each one's increment over
     the largest already-processed subset is trimmed to the density gap,
@@ -239,13 +259,13 @@ def _psi_masks(
         raise NullModError("tied densities across chain elements")
     order = sorted(range(n), key=lambda i: nus[i])
     for a, b in zip(order, order[1:]):
-        witness = np.flatnonzero(masks[a] & ~masks[b])
-        if witness.size:
+        # trimmed to density 0, the points of a & ~b are all removed
+        extra = _removed_points(masks[a], 0, 1, below=masks[b])
+        if extra.size:
             raise NullModError(
-                f"ordering violation on prefix: {int(witness[0]) + 1} in the "
+                f"ordering violation on prefix: {int(extra[0]) + 1} in the "
                 f"smaller-density element only"
             )
-    masks = [m.copy() for m in masks]
     removed: list[list[int]] = [[] for _ in range(n)]
     processed: list[int] = []
     for k in range(n):
@@ -254,20 +274,19 @@ def _psi_masks(
             b = max(below, key=lambda j: nus[j])
             base, base_nu = masks[b], nus[b]
         else:
-            base, base_nu = np.zeros(masks[k].size, dtype=bool), Fraction(0)
-        inc = masks[k] & ~base
+            base, base_nu = None, Fraction(0)
         gap = nus[k] - base_nu
-        rem_idx = _removed_points(inc, gap.numerator, gap.denominator)
+        rem_idx = _removed_points(masks[k], gap.numerator, gap.denominator, base)
         if rem_idx.size:
             for j in range(n):
                 if base_nu < nus[j] <= nus[k]:
                     hit = rem_idx[masks[j][rem_idx]]
                     masks[j][hit] = False
-                    removed[j].extend(int(i) + 1 for i in hit)
+                    removed[j].extend((hit + 1).tolist())
         processed.append(k)
     for r in removed:
         r.sort()
-    return masks, removed
+    return removed
 
 
 def chain_psi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
@@ -277,12 +296,13 @@ def chain_psi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     prefix, every partial average of an output stays at or below its
     density, and comparable inputs stay comparable.
     """
+    _check_horizon(horizon, NullModError)
     elements = list(elements)
     nus, approximate = _chain_nus(elements, horizon)
     masks = [indicator(e, horizon) for e in elements]
-    out_masks, removed = _psi_masks(masks, nus)
+    removed = _psi_masks(masks, nus)
     mods = []
-    for e, m, r, nu in zip(elements, out_masks, removed, nus):
+    for e, m, r, nu in zip(elements, masks, removed, nus):
         expr = Diff(e, Explicit(tuple(r))) if r else e
         mods.append(ChainModification(e, expr, m, tuple(r), (), nu))
     return ChainMapResult(tuple(mods), horizon, approximate)
@@ -295,14 +315,15 @@ def disjoint_modify(parts, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     Null parts collapse to the empty set; the rest are cleaned through
     the chain map on the cumulative unions.
     """
+    _check_horizon(horizon, NullModError)
     parts = list(parts)
     masks = [indicator(p, horizon) for p in parts]
+    tmp = np.empty(horizon, dtype=bool)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            overlap = np.flatnonzero(masks[i] & masks[j])
-            if overlap.size:
+            if np.logical_and(masks[i], masks[j], out=tmp).any():
                 raise NullModError(
-                    f"parts {i} and {j} intersect at {int(overlap[0]) + 1}"
+                    f"parts {i} and {j} intersect at {int(tmp.argmax()) + 1}"
                 )
     nus, approximate = _chain_nus(parts, horizon)
 
@@ -316,21 +337,22 @@ def disjoint_modify(parts, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
         total += nus[i]
         cum_masks.append(acc)
         cum_nus.append(total)
-    psi_masks = _psi_masks(cum_masks, cum_nus)[0] if live else []
+    if live:
+        _psi_masks(cum_masks, cum_nus)
 
     mods: list[ChainModification] = []
     live_pos = {i: pos for pos, i in enumerate(live)}
     for i, (part, mask, nu) in enumerate(zip(parts, masks, nus)):
         if i not in live_pos:
-            rem = tuple(int(x) + 1 for x in np.flatnonzero(mask))
+            rem = tuple((np.flatnonzero(mask) + 1).tolist())
             mods.append(
                 ChainModification(
                     part, Empty(), np.zeros(horizon, dtype=bool), rem, (), nu
                 )
             )
             continue
-        kept = mask & psi_masks[live_pos[i]]
-        rem = tuple(int(x) + 1 for x in np.flatnonzero(mask & ~kept))
+        kept = mask & cum_masks[live_pos[i]]
+        rem = tuple((np.flatnonzero(np.greater(mask, kept, out=tmp)) + 1).tolist())
         expr = Diff(part, Explicit(rem)) if rem else part
         mods.append(ChainModification(part, expr, kept, rem, (), nu))
     return ChainMapResult(tuple(mods), horizon, approximate)
@@ -342,24 +364,27 @@ def chain_phi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
 
     Outputs differ from inputs by prefix-null sets, preserve strict
     inclusion, and keep every partial average at or below the density.
+    The points the first map removes from a complement are exactly the
+    points added back to the element, so both maps run in place on one
+    set of masks.
     """
+    _check_horizon(horizon, NullModError)
     elements = list(elements)
     nus, approximate = _chain_nus(elements, horizon)
     masks = [indicator(e, horizon) for e in elements]
-    comp_masks = [~m for m in masks]
-    comp_nus = [1 - nu for nu in nus]
-    stage1, _ = _psi_masks(comp_masks, comp_nus)
-    flipped = [~m for m in stage1]
-    stage2, removed2 = _psi_masks(flipped, nus)
+    for m in masks:
+        np.invert(m, out=m)  # the complement chain
+    added = _psi_masks(masks, [1 - nu for nu in nus])
+    for m in masks:
+        np.invert(m, out=m)
+    removed = _psi_masks(masks, nus)
     mods = []
-    for e, orig, mid, final, r2, nu in zip(
-        elements, masks, flipped, stage2, removed2, nus
-    ):
-        added = tuple(int(i) + 1 for i in np.flatnonzero(mid & ~orig))
+    for e, final, add, rem, nu in zip(elements, masks, added, removed, nus):
+        add, rem = tuple(add), tuple(rem)
         expr: SetExpr = e
-        if added:
-            expr = Union(expr, Explicit(added))
-        if r2:
-            expr = Diff(expr, Explicit(tuple(r2)))
-        mods.append(ChainModification(e, expr, final, tuple(r2), added, nu))
+        if add:
+            expr = Union(expr, Explicit(add))
+        if rem:
+            expr = Diff(expr, Explicit(rem))
+        mods.append(ChainModification(e, expr, final, rem, add, nu))
     return ChainMapResult(tuple(mods), horizon, approximate)

@@ -2,6 +2,7 @@
 certificates, dense/skeleton/maximal extensions."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.chains import interval_blocks
+from cesaro.limits import _CHUNK
 
 
 def residue_chain(js):
@@ -198,3 +200,116 @@ def test_maximal_extension_universe_cap():
     chain = c.verify_chain([c.All()], 10)
     with pytest.raises(c.ChainError):
         c.maximal_extension(chain, 10**4 + 1)
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries of the uniformity certificate
+
+
+def first(k):
+    """{1, ..., k}: density 0, and |c_n/n| >= 1/2 exactly for n <= 2k."""
+    return c.Compl(c.Shift(k, c.All()))
+
+
+@pytest.mark.parametrize(
+    "ks, horizon, n_eps",
+    [
+        ((_CHUNK // 2,), 3 * _CHUNK + 17, _CHUNK),  # N_eps on the first boundary
+        ((_CHUNK,), 3 * _CHUNK + 17, 2 * _CHUNK),  # ... and on the second
+        ((1000, 50_000), 3 * _CHUNK + 17, 100_000),  # inside the second chunk
+        ((_CHUNK // 2 + 1,), 2 * _CHUNK, _CHUNK + 2),  # just past the boundary
+    ],
+)
+def test_uniformity_check_n_eps_at_chunk_boundaries(ks, horizon, n_eps):
+    chain = c.verify_chain([first(k) for k in ks], 2 * max(ks) + 1)
+    got = c.uniformity_check(chain, Fraction(1, 2), horizon)
+    assert got == one_pass_uniformity(chain, Fraction(1, 2), horizon)
+    assert got.n_epsilon == n_eps
+
+
+def test_uniformity_failure_at_horizon_past_chunks():
+    chain = c.verify_chain([first(10), first(_CHUNK + 100)], 10**4)
+    got = c.uniformity_check(chain, Fraction(1, 2), 2 * _CHUNK + 5)
+    assert isinstance(got, c.UniformityFailure)
+    assert got == one_pass_uniformity(chain, Fraction(1, 2), 2 * _CHUNK + 5)
+    assert got.n == 2 * _CHUNK + 5 and got.element_index == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bits=st.integers(0, 2**9 - 1),
+    js=st.sets(st.integers(1, 9), min_size=1, max_size=4),
+    prefix=st.integers(2, 2 * _CHUNK),
+    eps=st.sampled_from([Fraction(1, 2), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]),
+    horizon=st.integers(_CHUNK - 2, 3 * _CHUNK + 17),
+)
+@example(bits=5, js={1, 2, 3}, prefix=3000, eps=Fraction(1, 100), horizon=3 * _CHUNK + 17)
+@example(bits=0, js={1}, prefix=_CHUNK, eps=Fraction(1, 10), horizon=2 * _CHUNK)
+def test_uniformity_check_across_chunks_matches_one_pass_scan(bits, js, prefix, eps, horizon):
+    # the largest element also holds 1..prefix, which delays its convergence
+    elements = [c.Residue(2**j, frozenset({bits % 2**j})) for j in sorted(js)]
+    elements[0] = c.Union(elements[0], first(prefix))
+    chain = c.verify_chain(elements, 1024)
+    assert c.uniformity_check(chain, eps, horizon) == one_pass_uniformity(chain, eps, horizon)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_uniformity_check_rejects_empty_horizon(horizon):
+    chain = c.verify_chain(residue_chain([1, 2]), 100)
+    with pytest.raises(c.ChainError, match="horizon"):
+        c.uniformity_check(chain, Fraction(1, 10), horizon)
+
+
+# ---------------------------------------------------------------------------
+# maximal extension against the bitmask construction
+
+
+def bitmask_maximal_extension(chain, u):
+    """Reference: the saturated chain built as Python-int bitmasks, one
+    per cardinality, each written out bit by bit."""
+
+    def restrict(e):
+        mask = 0
+        for i in np.flatnonzero(c.indicator(e, u)):
+            mask |= 1 << int(i)
+        return mask
+
+    def mask_expr(mask):
+        if mask == 0:
+            return c.Empty()
+        return c.Explicit(tuple(i + 1 for i in range(u) if mask >> i & 1))
+
+    full = (1 << u) - 1
+    masks = sorted({restrict(e) for e in chain.elements} | {0, full}, key=int.bit_count)
+    result = [0]
+    for small, big in zip(masks, masks[1:]):
+        cur, diff = small, big & ~small
+        while diff:
+            low = diff & -diff
+            cur |= low
+            diff &= ~low
+            result.append(cur)
+    elements = tuple(mask_expr(m) for m in result)
+    evidence = tuple(
+        c.OrderEvidence("structural", u, "explicit containment") for _ in range(u)
+    )
+    return c.Chain(elements, evidence, u)
+
+
+@pytest.mark.parametrize("u", [1, 63, 64, 65, 500])
+@pytest.mark.parametrize("seed", range(3))
+def test_maximal_extension_matches_bitmask_construction(u, seed):
+    rng = random.Random(seed)
+    bits = rng.getrandbits(9)
+    js = rng.sample(range(1, 10), rng.randint(1, 6))
+    chain = c.verify_chain([c.Residue(2**j, frozenset({bits % 2**j})) for j in js], 1024)
+    assert c.maximal_extension(chain, u) == bitmask_maximal_extension(chain, u)
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [((0,), ">= 1"), ((2, 1), "strictly increasing"), ((3, 0), ">= 1")],
+)
+def test_explicit_rejections(elements, message):
+    with pytest.raises(ValueError, match=f"^explicit elements must be {message}$"):
+        c.Explicit(elements)

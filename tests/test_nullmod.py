@@ -7,6 +7,7 @@ partial average at or below the density)."""
 
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.cli import main
-from cesaro.nullmod import _null_modify_mask
+from cesaro.limits import _CHUNK
+from cesaro.nullmod import MAX_MASK, _null_modify_mask
 from conftest import random_fragment
 
 
@@ -302,3 +304,134 @@ def test_chain_phi_contracts():
     for a, b in zip(mods, mods[1:]):
         assert not np.any(a.modified_mask & ~b.modified_mask)
         assert np.any(b.modified_mask & ~a.modified_mask)  # strict inclusion
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries of the member-position excess kernel
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(1, 10**4),
+    p=st.integers(0, 10**4),
+    kind=st.sampled_from(["random", "periodic", "full"]),
+    length=st.integers(_CHUNK - 2, 3 * _CHUNK + 17),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=3, p=1, kind="random", length=3 * _CHUNK + 17, seed=4)
+@example(q=2, p=1, kind="periodic", length=2 * _CHUNK, seed=5)
+@example(q=9973, p=9972, kind="full", length=3 * _CHUNK + 17, seed=6)
+def test_excess_kernel_across_chunks_matches_sequential_reference(q, p, kind, length, seed):
+    p = min(p, q)
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mask = rng.random(length) < rng.random()
+    elif kind == "periodic":
+        mask = np.resize(rng.random(int(rng.integers(1, 65))) < 0.5, length)
+    else:
+        mask = np.ones(length, dtype=bool)
+    kept, removed_idx = _null_modify_mask(mask, p, q)
+    ref_kept, ref_removed = sequential_trim(mask, p, q)
+    assert np.array_equal(kept, ref_kept)
+    assert removed_idx.tolist() == ref_removed
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 3), (1, 2), (5, 7), (1, 1)])
+def test_excess_kernel_members_at_chunk_boundaries(p, q):
+    # the members where floor(p*n/q) steps keep the excess at exactly 0, so
+    # every extra member is a new record and is removed
+    length = 3 * _CHUNK + 17
+    n = np.arange(1, length + 1)
+    mask = (p * n) // q > (p * (n - 1)) // q
+    at = np.array([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1])
+    extra = at[~mask[at - 1]]
+    mask[extra - 1] = True
+    kept, removed_idx = _null_modify_mask(mask, p, q)
+    ref_kept, ref_removed = sequential_trim(mask, p, q)
+    assert np.array_equal(kept, ref_kept)
+    assert removed_idx.tolist() == ref_removed
+    assert set(extra.tolist()) <= {i + 1 for i in ref_removed}
+
+
+def test_verify_rejects_tampered_masks_across_chunks():
+    horizon = 3 * _CHUNK + 17
+    extras = (1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 17)
+    src = c.Union(c.Residue(2, frozenset({0})), c.Explicit(extras))
+    res = c.null_modify(src, Fraction(1, 2), horizon)
+    assert res.removed == extras  # the evens sit exactly at the bound
+    res.verify()
+    for r in extras[1:]:
+        back = res.kept_mask.copy()
+        back[r - 1] = True
+        with pytest.raises(c.NullModError, match="overlap"):
+            replace(res, kept_mask=back).verify()
+        rest = tuple(x for x in res.removed if x != r)
+        with pytest.raises(c.NullModError, match="exceeds"):
+            replace(res, kept_mask=back, removed=rest).verify()
+        with pytest.raises(c.NullModError, match="partition"):
+            replace(res, removed=rest).verify()
+
+
+# ---------------------------------------------------------------------------
+# horizons and memory
+
+
+HUGE = 10**12
+DYADIC = [c.Residue(2**j, frozenset({5 % 2**j})) for j in range(1, 8)]
+
+
+@pytest.mark.parametrize("horizon", [HUGE, MAX_MASK])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda h: c.null_modify(c.Residue(2, frozenset({1})), Fraction(1, 2), h), c.NullModError),
+        (lambda h: c.chain_psi(DYADIC, h), c.NullModError),
+        (lambda h: c.chain_phi(DYADIC, h), c.NullModError),
+        (lambda h: c.disjoint_modify(c.dyadic_partition(3), h), c.NullModError),
+        (lambda h: c.verify_chain(DYADIC, h), c.ChainError),
+        (
+            lambda h: c.uniformity_check(c.verify_chain(DYADIC, 1024), Fraction(1, 100), h),
+            c.ChainError,
+        ),
+    ],
+    ids=["null_modify", "chain_psi", "chain_phi", "disjoint_modify", "verify_chain", "uniformity_check"],
+)
+def test_chain_layer_rejects_unaffordable_horizon_before_allocating(call, error, horizon):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match="mask limit"):
+            call(horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+#: Chunked temporaries of the excess kernel: three int64 arrays and one
+#: bool array of one chunk are 25 bytes per chunk element; 32 leave slack.
+CHUNK_BUDGET = 32 * _CHUNK
+
+
+def _peak_bytes(fn, *args):
+    fn(*args)  # warm: leave one-time allocations out of the peak
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "expr, bound", [("residue 2 {1}", "1/2"), ("union(residue 3 {0}, explicit {1,2,4})", "1/3")]
+)
+def test_null_modify_memory_is_its_mask_plus_chunks(expr, bound):
+    res, peak = _peak_bytes(c.null_modify, c.parse_expr(expr), Fraction(bound), 10**6)
+    assert peak <= res.kept_mask.nbytes + CHUNK_BUDGET
+
+
+def test_chain_phi_memory_is_its_masks_plus_chunks():
+    out, peak = _peak_bytes(c.chain_phi, DYADIC, 10**6)
+    returned = sum(m.modified_mask.nbytes for m in out.modifications)
+    assert returned == 7 * 10**6
+    assert peak <= returned + CHUNK_BUDGET
