@@ -19,10 +19,9 @@ from .exprs import All, CesaroError, Empty, Explicit, SetExpr, SymDiff, indicato
 from .limits import (
     _CHUNK,
     DEFAULT_HORIZON,
-    NotExactlySolvable,
     Verdict,
     _running_averages,
-    estimate_limits,
+    classify,
     exact_limits,
 )
 from .nullmod import _as_fraction, _check_horizon
@@ -97,11 +96,7 @@ def verify_chain(elements, horizon: int = 10**4) -> Chain:
 
 def pseudo_metric(a: SetExpr, b: SetExpr, horizon: int = DEFAULT_HORIZON):
     """Upper Cesàro limit of the symmetric difference; exact when possible."""
-    d = SymDiff(a, b)
-    try:
-        return exact_limits(d).upper
-    except NotExactlySolvable:
-        return estimate_limits(d, horizon).upper
+    return classify(SymDiff(a, b), horizon).report.upper
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +131,12 @@ class UniformityFailure:
     deviation: float
 
 
-def _chunk_deviations(part: np.ndarray, a: int, carry: int, nu_f: float):
-    """Counts c_n, positions n and float |c_n/n - nu| for n in (a, a + len(part)],
-    where ``part`` is the mask from index a on and ``carry`` is c_a."""
-    cnt = np.cumsum(part, dtype=np.int64)
-    cnt += carry
-    n = np.arange(a + 1, a + 1 + part.size, dtype=np.int64)
-    dev = cnt / n
-    dev -= nu_f
-    return cnt, n, np.abs(dev, out=dev)
+def _chunk_deviations(mask: np.ndarray, a: int, horizon: int, nu_f: float):
+    """c_a, the running counts c_n - c_a and the float |c_n/n - nu| for n in
+    the chunk (a, min(a + _CHUNK, horizon)], from the running-average pass."""
+    _, carry, avg, run = next(_running_averages(mask, a, min(a + _CHUNK, horizon)))
+    avg -= nu_f
+    return carry, run, np.abs(avg, out=avg)
 
 
 def uniformity_check(chain: Chain, epsilon, horizon: int):
@@ -179,24 +171,26 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         mask = indicator(e, horizon)
         nu_f = p / q
         chunks = [
-            (a, carry, max(float(avg.max()) - nu_f, nu_f - float(avg.min())))
-            for a, carry, avg in _running_averages(mask, 0, horizon)
+            (a, max(float(avg.max()) - nu_f, nu_f - float(avg.min())))
+            for a, _, avg, _ in _running_averages(mask, 0, horizon)
         ]
         stats.append((nu_f, chunks))
-        for a, carry, top in reversed(chunks):
+        for a, top in reversed(chunks):
             if a + _CHUNK <= last_bad:
                 break  # no later violation than the one already found
             if top < cutoff:
                 continue
             # float pre-filter: its rounding error is far below the 1e-12
             # margin, so every N the exact integer test flags is a candidate
-            cnt, n, dev = _chunk_deviations(mask[a : a + _CHUNK], a, carry, nu_f)
+            carry, run, dev = _chunk_deviations(mask, a, horizon, nu_f)
             cand = np.flatnonzero(dev >= cutoff)
-            lhs = np.abs(cnt[cand] * q - p * n[cand]) * eps.denominator
-            bad = cand[lhs >= eps.numerator * q * n[cand]]
+            # int64 before the products: int32 counts plus an int stay int32
+            cnt = run[cand].astype(np.int64) + carry
+            n = cand + (a + 1)
+            bad = np.flatnonzero(np.abs(cnt * q - p * n) * eps.denominator >= eps.numerator * q * n)
             if bad.size:
-                if a + bad[-1] + 1 > last_bad:
-                    last_bad = a + int(bad[-1]) + 1
+                if n[bad[-1]] > last_bad:
+                    last_bad = int(n[bad[-1]])
                     worst = (i, abs(cnt[bad[-1]] / last_bad - nu_f))
                 break
     if last_bad >= horizon:
@@ -205,13 +199,12 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     n_eps = max(1, last_bad)
     deviations = []
     for e, (nu_f, chunks) in zip(chain.elements, stats):
-        tail = [top for a, _, top in chunks if a >= n_eps]
-        a, carry, _ = chunks[n_eps // _CHUNK]
+        tail = [top for a, top in chunks if a >= n_eps]
+        a = chunks[n_eps // _CHUNK][0]
         if a < n_eps < horizon:
             # N_eps lies inside this chunk: recount the chunk for its tail
-            part = indicator(e, min(a + _CHUNK, horizon))[a:]
-            dev = _chunk_deviations(part, a, carry, nu_f)[2][n_eps - a :]
-            tail.append(float(dev.max()))
+            mask = indicator(e, min(a + _CHUNK, horizon))
+            tail.append(float(_chunk_deviations(mask, a, horizon, nu_f)[2][n_eps - a :].max()))
         deviations.append(max(tail, default=0.0))
     return UniformityCertificate(eps, n_eps, horizon, tuple(deviations))
 
@@ -348,7 +341,6 @@ def maximal_extension(chain: Chain, universe_horizon: int) -> Chain:
     u = universe_horizon
     if not (1 <= u <= 10**4):
         raise ChainError("universe horizon must lie in 1..10^4")
-    interval_blocks(chain, u)  # runtime-checks the construction's premises
     masks = _restricted_ladder(chain, u)
     members: list[int] = []  # the current ladder element, sorted
     elements: list[SetExpr] = [Empty()]

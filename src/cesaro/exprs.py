@@ -57,6 +57,10 @@ MAX_MODULUS = 10**9
 #: that would need more entries raises NotExactlySolvable before allocating
 MAX_FORM_ENTRIES = 1 << 24
 
+#: Masks and the primes sieve hold fewer than this many elements, so every
+#: count fits in int32.
+MAX_MASK = 2**31
+
 
 class CesaroError(Exception):
     """Base class for errors raised by this package."""
@@ -688,16 +692,10 @@ class Predicate(SetExpr):
         return bool(predicate_spec(self.name).member(n))
 
     def _indicator(self, N):
-        spec = predicate_spec(self.name)
-        if spec.indicator is not None:
-            return spec.indicator(N)
-        return np.fromiter((spec.member(n) for n in range(1, N + 1)), dtype=bool, count=N)
+        return predicate_spec(self.name).indicator(N)
 
     def _count(self, N):
-        spec = predicate_spec(self.name)
-        if spec.count_upto is not None:
-            return int(spec.count_upto(N))
-        return int(self._indicator(N).sum())
+        return int(predicate_spec(self.name).count_upto(N))
 
     def _form(self):
         spec = predicate_spec(self.name)
@@ -707,9 +705,7 @@ class Predicate(SetExpr):
 
     def _limits(self):
         spec = predicate_spec(self.name)
-        if spec.exact_upper is not None and spec.exact_lower is not None:
-            return spec.exact_upper, spec.exact_lower, "exact"
-        raise NotExactlySolvable(f"predicate {self.name!r} has no known exact limits")
+        return spec.exact_upper, spec.exact_lower, "exact"
 
     @classmethod
     def _parse(cls, p):
@@ -947,9 +943,10 @@ class Midpoint(SetExpr):
 
     Selection starts with the first element of the difference, so the
     count up to N is c_lower(N) + ceil(c_gap(N) / 2), with the gap
-    ``upper \\ lower``.  The exact limits (d(lower) + d(upper)) / 2 hold
-    only when lower is a subset of upper; builders verify that on a
-    prefix before constructing this node.
+    ``upper \\ lower``; lower plus the gap is lower ∪ upper.  So the exact
+    limits are (d(lower) + d(lower ∪ upper)) / 2 for periodic operands;
+    for others, (d(lower) + d(upper)) / 2 holds only when lower is a
+    subset of upper, which builders verify on a prefix.
     """
 
     lower: SetExpr
@@ -986,6 +983,13 @@ class Midpoint(SetExpr):
         return lo if lo == hi else Midpoint(lo, hi)
 
     def _limits(self):
+        try:
+            lo, hi = self.lower._form(), self.upper._form()
+            L = _common_modulus(math.lcm(lo.modulus, hi.modulus))
+            mid = (lo.density + Fraction(_union(_lift(lo, L), _lift(hi, L)).size, L)) / 2
+            return mid, mid, "exact"
+        except NotExactlySolvable:
+            pass  # not both periodic: the rule below takes lower ⊆ upper
         lu, ll, lm = _exact(self.lower)
         hu, hl, hm = _exact(self.upper)
         if lu == ll and hu == hl:
@@ -1010,6 +1014,8 @@ _sieve: np.ndarray = np.zeros(2, dtype=bool)  # index n, valid below len
 
 def _prime_sieve(upto: int) -> np.ndarray:
     global _sieve
+    if upto >= MAX_MASK:
+        raise CesaroError(f"primes sieve up to {upto} not below the mask limit {MAX_MASK}")
     with _sieve_lock:
         if len(_sieve) <= upto:
             size = max(upto + 1, 2 * len(_sieve), 1 << 16)
@@ -1029,29 +1035,6 @@ def _icbrt(n: int) -> int:
     while (r + 1) ** 3 <= n:
         r += 1
     return r
-
-
-def _squares_indicator(N: int) -> np.ndarray:
-    arr = np.zeros(N, dtype=bool)
-    roots = np.arange(1, math.isqrt(N) + 1, dtype=np.int64)
-    arr[roots * roots - 1] = True
-    return arr
-
-
-def _cubes_indicator(N: int) -> np.ndarray:
-    arr = np.zeros(N, dtype=bool)
-    roots = np.arange(1, _icbrt(N) + 1, dtype=np.int64)
-    arr[roots**3 - 1] = True
-    return arr
-
-
-def _pow2_indicator(N: int) -> np.ndarray:
-    arr = np.zeros(N, dtype=bool)
-    k = 1
-    while (1 << k) <= N:
-        arr[(1 << k) - 1] = True
-        k += 1
-    return arr
 
 
 def _primes_indicator(N: int) -> np.ndarray:
@@ -1081,34 +1064,34 @@ def _paired_indicator(N: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PredicateSpec:
     member: object  # n -> bool
-    count_upto: object | None  # N -> int, exact closed form if available
-    indicator: object | None  # N -> np.ndarray
-    exact_upper: Fraction | None  # known upper Cesàro limit, if any
-    exact_lower: Fraction | None
+    count_upto: object  # N -> int, exactly
+    indicator: object  # N -> np.ndarray
+    exact_upper: Fraction  # the upper Cesàro limit
+    exact_lower: Fraction
+
+
+def _sparse(term, count) -> PredicateSpec:
+    """The null set {term(k) : k >= 1}, where count(N) is the number of
+    terms up to N; ``term`` maps an int64 array of k elementwise."""
+
+    def sparse_indicator(N: int) -> np.ndarray:
+        arr = np.zeros(N, dtype=bool)
+        arr[term(np.arange(1, count(N) + 1, dtype=np.int64)) - 1] = True
+        return arr
+
+    return PredicateSpec(
+        member=lambda n: count(n) > count(n - 1),
+        count_upto=count,
+        indicator=sparse_indicator,
+        exact_upper=Fraction(0),
+        exact_lower=Fraction(0),
+    )
 
 
 PREDICATES: dict[str, PredicateSpec] = {
-    "squares": PredicateSpec(
-        member=lambda n: math.isqrt(n) ** 2 == n,
-        count_upto=math.isqrt,
-        indicator=_squares_indicator,
-        exact_upper=Fraction(0),
-        exact_lower=Fraction(0),
-    ),
-    "cubes": PredicateSpec(
-        member=lambda n: _icbrt(n) ** 3 == n,
-        count_upto=_icbrt,
-        indicator=_cubes_indicator,
-        exact_upper=Fraction(0),
-        exact_lower=Fraction(0),
-    ),
-    "pow2": PredicateSpec(
-        member=lambda n: n >= 2 and n & (n - 1) == 0,
-        count_upto=lambda N: N.bit_length() - 1 if N >= 2 else 0,
-        indicator=_pow2_indicator,
-        exact_upper=Fraction(0),
-        exact_lower=Fraction(0),
-    ),
+    "squares": _sparse(lambda k: k * k, math.isqrt),
+    "cubes": _sparse(lambda k: k**3, _icbrt),
+    "pow2": _sparse(lambda k: 2**k, lambda N: N.bit_length() - 1 if N >= 2 else 0),
     "primes": PredicateSpec(
         member=lambda n: bool(_prime_sieve(n)[n]),
         count_upto=lambda N: int(np.count_nonzero(_prime_sieve(N)[: N + 1])),
@@ -1118,10 +1101,10 @@ PREDICATES: dict[str, PredicateSpec] = {
     ),
     "paired": PredicateSpec(
         member=_paired_member,
-        count_upto=None,
+        # exactly one of {2k-1, 2k} belongs for every k: N // 2 members in
+        # full pairs up to N, and the limit is exactly 1/2
+        count_upto=lambda N: N // 2 + (N % 2 == 1 and _paired_member(N)),
         indicator=_paired_indicator,
-        # exactly one of {2k-1, 2k} belongs for every k, so the average
-        # stays within 1/N of 1/2 and the limit is exactly 1/2
         exact_upper=Fraction(1, 2),
         exact_lower=Fraction(1, 2),
     ),

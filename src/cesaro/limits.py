@@ -100,13 +100,14 @@ def _running_averages(mask: np.ndarray, first: int, last: int):
     """The partial averages c_n/n for n in (first, last], chunk by chunk.
 
     c_n counts the members of ``mask`` among its first n entries.  Yields
-    (a, carry, avg) for each chunk of up to ``_CHUNK`` elements starting
-    at index a: carry is c_a and avg[i] is c_{a+i+1}/(a+i+1).  ``avg`` is a
-    reused buffer, valid until the next step.  Each chunk's running count
-    goes into a reused int32 buffer (int64 from 2^31 elements on), the
-    carry is added into the float64 buffer, and that is divided by the
-    chunk's n, so every c_n/n is the same float64 as an N-long count array
-    divided by an N-long arange.
+    (a, carry, avg, run) for each chunk of up to ``_CHUNK`` elements
+    starting at index a: carry is c_a, run[i] is c_{a+i+1} - c_a and avg[i]
+    is c_{a+i+1}/(a+i+1).  ``avg`` and ``run`` are reused buffers, valid
+    until the next step.  Each chunk's running count goes into the int32
+    buffer ``run`` (int64 from 2^31 elements on), the carry is added into
+    the float64 buffer, and that is divided by the chunk's n, so every
+    c_n/n is the same float64 as an N-long count array divided by an
+    N-long arange.
     """
     size = min(_CHUNK, last - first)
     dtype = np.int32 if last < 2**31 else np.int64
@@ -120,7 +121,7 @@ def _running_averages(mask: np.ndarray, first: int, last: int):
         # carry + run[i] <= last, so the integer sum cannot overflow dtype
         np.add(run[:k], carry, out=avg[:k])
         np.divide(avg[:k], n[:k], out=avg[:k])
-        yield a, carry, avg[:k]
+        yield a, carry, avg[:k], run[:k]
         carry += int(run[k - 1])
         n += size
 
@@ -136,7 +137,7 @@ def _window_extremes(
     first = min(lo for lo, _ in segments)
     last = max(hi for _, hi in segments)
     extremes = [(-math.inf, math.inf)] * len(segments)
-    for a, _, avg in _running_averages(mask, first, last):
+    for a, _, avg, _ in _running_averages(mask, first, last):
         b = a + avg.size
         for j, (lo, hi) in enumerate(segments):
             s, t = max(lo, a), min(hi, b)

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exprs import (
+    MAX_MASK,
     CesaroError,
     Diff,
     Empty,
@@ -31,7 +32,6 @@ from .limits import (
     _CHUNK,
     DEFAULT_HORIZON,
     NotExactlySolvable,
-    Verdict,
     classify,
     exact_limits,
 )
@@ -45,10 +45,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
-
-
-#: Masks hold fewer than this many elements, so every count fits in int32.
-MAX_MASK = 2**31
 
 
 def _check_horizon(horizon: int, error: type[CesaroError]) -> None:
@@ -103,6 +99,15 @@ def _removed_points(
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
+def _modified(e: SetExpr, added, removed) -> SetExpr:
+    """e with the points ``added`` joined and the points ``removed`` taken out."""
+    if added:
+        e = Union(e, Explicit(tuple(added)))
+    if removed:
+        e = Diff(e, Explicit(tuple(removed)))
+    return e
+
+
 def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Kept mask and removed indices of the trimming pass on a prefix."""
     removed = _removed_points(mask, p, q)
@@ -128,9 +133,7 @@ class NullModResult:
     def kept_expr(self) -> SetExpr:
         """Kept part as an expression: the source minus the removed
         elements, tail unmodified."""
-        if not self.removed:
-            return self.source
-        return Diff(self.source, Explicit(self.removed))
+        return _modified(self.source, (), self.removed)
 
     @property
     def removed_expr(self) -> SetExpr:
@@ -230,18 +233,11 @@ def _chain_nus(elements, horizon: int) -> tuple[list[Fraction], bool]:
     nus = []
     approximate = False
     for e in elements:
-        try:
-            rep = exact_limits(e)
-        except NotExactlySolvable:
-            cls = classify(e, horizon)
-            if cls.kind not in ("InF", "Null"):
-                raise NullModError("chain element has no convergent average")
-            nus.append(_as_fraction(cls.report.limit))
-            approximate = True
-            continue
-        if rep.verdict is not Verdict.IN_F:
+        cls = classify(e, horizon)
+        if cls.kind not in ("InF", "Null"):
             raise NullModError("chain element has no convergent average")
-        nus.append(rep.limit)
+        nus.append(_as_fraction(cls.report.limit))
+        approximate |= cls.approximate
     return nus, approximate
 
 
@@ -303,8 +299,7 @@ def chain_psi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     removed = _psi_masks(masks, nus)
     mods = []
     for e, m, r, nu in zip(elements, masks, removed, nus):
-        expr = Diff(e, Explicit(tuple(r))) if r else e
-        mods.append(ChainModification(e, expr, m, tuple(r), (), nu))
+        mods.append(ChainModification(e, _modified(e, (), r), m, tuple(r), (), nu))
     return ChainMapResult(tuple(mods), horizon, approximate)
 
 
@@ -353,8 +348,7 @@ def disjoint_modify(parts, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
             continue
         kept = mask & cum_masks[live_pos[i]]
         rem = tuple((np.flatnonzero(np.greater(mask, kept, out=tmp)) + 1).tolist())
-        expr = Diff(part, Explicit(rem)) if rem else part
-        mods.append(ChainModification(part, expr, kept, rem, (), nu))
+        mods.append(ChainModification(part, _modified(part, (), rem), kept, rem, (), nu))
     return ChainMapResult(tuple(mods), horizon, approximate)
 
 
@@ -381,10 +375,5 @@ def chain_phi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     mods = []
     for e, final, add, rem, nu in zip(elements, masks, added, removed, nus):
         add, rem = tuple(add), tuple(rem)
-        expr: SetExpr = e
-        if add:
-            expr = Union(expr, Explicit(add))
-        if rem:
-            expr = Diff(expr, Explicit(rem))
-        mods.append(ChainModification(e, expr, final, rem, add, nu))
+        mods.append(ChainModification(e, _modified(e, add, rem), final, rem, add, nu))
     return ChainMapResult(tuple(mods), horizon, approximate)

@@ -112,9 +112,9 @@ def _algebra_from_ops(labels, join, meet, compl, zero, one) -> FiniteAlgebra:
 
 
 def build_algebra(n: int) -> FiniteAlgebra:
-    """Power-set algebra on {1..n}; handles are subset bitmasks."""
-    if not (0 <= n <= 16):
-        raise QuotientError("universe size must lie in 0..16")
+    """Power-set algebra on {1..n}, n <= 10 (4^n-entry tables); handles are subset bitmasks."""
+    if not (0 <= n <= 10):
+        raise QuotientError("universe size must lie in 0..10")
     size = 1 << n
     full = size - 1
     alg = _algebra_from_ops(

@@ -313,3 +313,17 @@ def test_maximal_extension_matches_bitmask_construction(u, seed):
 def test_explicit_rejections(elements, message):
     with pytest.raises(ValueError, match=f"^explicit elements must be {message}$"):
         c.Explicit(elements)
+
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        (c.Explicit((6,)), c.Residue(2, frozenset({1}))),  # nested on 1..4, not on 1..6
+        (c.Explicit((1, 5)), c.Explicit((1, 2))),  # nested on 1..4, equal sizes on 1..5
+    ],
+)
+def test_maximal_extension_rejects_a_ladder_that_does_not_nest(elements):
+    chain = c.verify_chain(elements, 4)
+    with pytest.raises(c.ChainError, match="not nested"):
+        c.maximal_extension(chain, 6)

@@ -2,6 +2,7 @@
 canonicalisation.  Everything is checked against the brute-force oracle
 in conftest, which evaluates set membership from first principles."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.exprs import PREDICATES
+from cesaro.exprs import PREDICATES, _icbrt
 from conftest import brute_set, random_fragment
 
 SPECIALS = [
@@ -390,3 +391,86 @@ def test_prefix_scan_counts_match_oracle(e):
     for frm, to in ((1, 1), (1, 700), (37, 411), (400, 400), (699, 700)):
         want = sum(frm <= n <= to for n in truth)
         assert c.prefix_scan(e, frm, to) == c.PrefixStat(to - frm + 1, want), (frm, to)
+
+
+# ---------------------------------------------------------------------------
+# registered predicates: the one sparse kernel against the three it replaced
+
+
+def _old_squares_indicator(N):
+    arr = np.zeros(N, dtype=bool)
+    roots = np.arange(1, math.isqrt(N) + 1, dtype=np.int64)
+    arr[roots * roots - 1] = True
+    return arr
+
+
+def _old_cubes_indicator(N):
+    arr = np.zeros(N, dtype=bool)
+    roots = np.arange(1, _icbrt(N) + 1, dtype=np.int64)
+    arr[roots**3 - 1] = True
+    return arr
+
+
+def _old_pow2_indicator(N):
+    arr = np.zeros(N, dtype=bool)
+    k = 1
+    while (1 << k) <= N:
+        arr[(1 << k) - 1] = True
+        k += 1
+    return arr
+
+
+#: name -> (member, count_upto, indicator, term) of the hand-written kernels
+OLD_SPARSE = {
+    "squares": (
+        lambda n: math.isqrt(n) ** 2 == n,
+        math.isqrt,
+        _old_squares_indicator,
+        lambda k: k * k,
+    ),
+    "cubes": (lambda n: _icbrt(n) ** 3 == n, _icbrt, _old_cubes_indicator, lambda k: k**3),
+    "pow2": (
+        lambda n: n >= 2 and n & (n - 1) == 0,
+        lambda N: N.bit_length() - 1 if N >= 2 else 0,
+        _old_pow2_indicator,
+        lambda k: 2**k,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_SPARSE))
+def test_sparse_predicates_match_the_hand_written_kernels(name):
+    old_member, old_count, old_indicator, term = OLD_SPARSE[name]
+    p = c.Predicate(name)
+    N = 10**5
+    want = old_indicator(N)
+    assert np.array_equal(c.indicator(p, N), want)
+    assert [c.member(p, n) for n in range(1, N + 1)] == want.tolist()
+    assert [c.count_upto(p, n) for n in range(1, N + 1)] == np.cumsum(want).tolist()
+    # around the terms themselves, far beyond any indicator
+    ks = [*range(1, 40), 61, 10**3, 10**4, 10**5]
+    points = {term(k) + d for k in ks for d in (-1, 0, 1) if 1 <= term(k) + d < 2**62}
+    for n in sorted(points):
+        assert c.member(p, n) == old_member(n), n
+        assert c.count_upto(p, n) == old_count(n), n
+        if n <= N:
+            assert np.array_equal(c.indicator(p, n), old_indicator(n)), n
+
+
+def test_paired_count_is_the_sum_of_its_indicator():
+    p = c.Predicate("paired")
+    want = np.cumsum(c.indicator(p, 5000))
+    assert [c.count_upto(p, N) for N in range(1, 5001)] == want.tolist()
+    assert c.count_upto(p, 10**6) == int(np.count_nonzero(c.indicator(p, 10**6)))
+
+
+@pytest.mark.parametrize("op", [c.member, c.count_upto, c.indicator])
+def test_primes_beyond_the_sieve_limit_are_rejected_before_allocating(op):
+    tracemalloc.start()
+    try:
+        with pytest.raises(c.CesaroError, match="mask limit"):
+            op(c.Predicate("primes"), 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

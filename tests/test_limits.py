@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes
-from conftest import random_fragment, window_density
+from conftest import PERIOD, WINDOW_START, random_fragment, window_density
 
 
 def test_exact_matches_window_oracle_on_random_fragments():
@@ -253,3 +253,50 @@ def test_estimate_limits_report_matches_full_count_array(e):
         assert c.estimate_limits(e, horizon, window, tolerance) == (
             _estimate_limits_oracle(e, horizon, window, tolerance)
         ), (horizon, window)
+
+
+# midpoints of operands that are not nested: (d(lower) + d(lower ∪ upper)) / 2
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("midpoint(symdiff(explicit{2,14,17,57,61,62},all),residue 3 {0,2})", Fraction(1)),
+        ("midpoint(shift 10 residue 12 {0,4,11},dilate 3 residue 4 {3})", Fraction(1, 4)),
+        (
+            "midpoint(symdiff(inter(residue 5 {0},all),diff(all,all)),shift 14 residue 25 {1})",
+            Fraction(1, 5),
+        ),
+        ("midpoint(compl(compl(all)),shift 12 residue 74 {23,43,51})", Fraction(1)),
+        (
+            "midpoint(inter(all,residue 29 {5,8,11}),dilate 3 inter(all,residue 87 {29,81,84}))",
+            Fraction(28, 261),
+        ),
+        (
+            "midpoint(inter(residue 41 {8,39},residue 697 {551,664}),inter(union(explicit{34,51,81},"
+            "all),union(residue 41 {6,32},residue 41 {20,27,38})))",
+            Fraction(87, 1394),
+        ),
+        (
+            "midpoint(diff(residue 3 {0},residue 3 {1}),shift 8 residue 2196 {150,2084,2195})",
+            Fraction(163, 488),
+        ),
+        (
+            "midpoint(residue 6 {1,4},dilate 2 symdiff(residue 2703 {1403,2400},residue 17 {1,4}))",
+            Fraction(3817, 10812),
+        ),
+    ],
+)
+def test_midpoint_of_operands_that_are_not_nested(text, value):
+    rep = c.exact_limits(c.parse_expr(text))
+    assert (rep.upper, rep.lower, rep.method) == (value, value, "exact")
+
+
+def test_midpoint_exact_limits_match_a_count_over_two_periods():
+    # every second gap point is selected, so two periods far out hold
+    # exactly one period's worth of the gap
+    rng = random.Random(2718)
+    lo, hi = WINDOW_START, WINDOW_START + 2 * PERIOD
+    for _ in range(100):
+        m = c.Midpoint(random_fragment(rng, 2), random_fragment(rng, 2))
+        want = Fraction(c.count_upto(m, hi) - c.count_upto(m, lo), 2 * PERIOD)
+        rep = c.exact_limits(m)
+        assert rep.upper == rep.lower == want, m

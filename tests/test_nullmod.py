@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import cesaro as c
 from cesaro.cli import main
 from cesaro.limits import _CHUNK
-from cesaro.nullmod import MAX_MASK, _null_modify_mask
+from cesaro.nullmod import MAX_MASK, _chain_nus, _null_modify_mask
 from conftest import random_fragment
 
 
@@ -435,3 +435,12 @@ def test_chain_phi_memory_is_its_masks_plus_chunks():
     returned = sum(m.modified_mask.nbytes for m in out.modifications)
     assert returned == 7 * 10**6
     assert peak <= returned + CHUNK_BUDGET
+
+
+def test_chain_nus_take_the_streamed_estimate_where_the_exact_engine_fails():
+    e = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    with pytest.raises(c.NotExactlySolvable):
+        c.exact_limits(e)
+    assert _chain_nus([e], 10**5) == ([Fraction(8333750000000001, 25000000000000000)], True)
+    exact = [c.Residue(2, frozenset({0})), c.Dilate(2, c.Predicate("squares"))]
+    assert _chain_nus(exact, 10**5) == ([Fraction(1, 2), Fraction(0)], False)

@@ -3,6 +3,7 @@ null-difference equivalence on set expressions."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -191,3 +192,16 @@ def test_exhaustive_axiom_cap_is_honoured():
     assert MAX_EXHAUSTIVE_CARRIER == 64
     alg = c.build_algebra(7)  # carrier 128
     alg.check_axioms(sample_triples=2000)
+
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_build_algebra_refuses_a_large_universe_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(c.QuotientError, match="0..10"):
+            c.build_algebra(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
