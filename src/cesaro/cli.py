@@ -72,11 +72,12 @@ def _fmt_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator} = {float(x):.12g}"
 
 
-def _parse_bound(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+def _fraction(text: str) -> Fraction:
+    """argparse type of ``--bound`` and ``--epsilon``: p/q or a decimal."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction p/q or a decimal: {text!r}") from None
 
 
 def _read_chain_file(path: str):
@@ -141,7 +142,7 @@ def cmd_trace(args) -> int:
 
 def cmd_nullmod(args) -> int:
     e = parse_expr(args.expr)
-    bound = _parse_bound(args.bound) if args.bound else exact_limits(e).upper
+    bound = args.bound if args.bound is not None else exact_limits(e).upper
     result = null_modify(e, bound, args.horizon)
     if args.audit:
         with open(args.audit, "w", encoding="utf-8") as fh:
@@ -399,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nullmod", help="null modification of a set")
     p.add_argument("expr")
-    p.add_argument("--bound", default=None, help="p/q or decimal; default exact upper limit")
+    p.add_argument("--bound", type=_fraction, help="p/q or decimal; default exact upper limit")
     p.add_argument("--horizon", type=int, default=horizon)
     p.add_argument("--audit", default=None, help="write per-step CSV audit here")
     p.set_defaults(func=cmd_nullmod)
@@ -407,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="chain verification and extensions")
     p.add_argument("action", choices=["verify", "certify", "dense", "skeleton", "maximal"])
     p.add_argument("chainfile", help="one DSL expression per line")
-    p.add_argument("--epsilon", default="1/1000")
+    p.add_argument("--epsilon", type=_fraction, default="1/1000")
     p.add_argument("--horizon", type=int, default=horizon)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--universe", type=int, default=64)

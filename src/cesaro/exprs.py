@@ -10,10 +10,11 @@ returned as ``fractions.Fraction``.
 A node kind is one class; to add one, define its methods.  Each frozen
 dataclass below holds every rule of its kind: membership (``_member``),
 the 0/1 prefix (``_indicator``), the count (``_count``), the rewrite of
-``canonicalize`` (``_canon``), the periodic form of the exact engine
-(``_form``) and its exact-limit rule when there is none (``_limits``),
-and its DSL ``keyword``, ``_parse`` and ``_format``.  ``SetExpr`` holds
-the defaults.  The public functions check their arguments and dispatch.
+``canonicalize`` (``_canon``), its one exact rule (``_rule``: the node's
+periodic ``_Form``, else its (upper, lower, method), computed once from
+its operands' results), and its DSL ``keyword``, ``_parse`` and
+``_format``.  ``SetExpr`` holds the defaults.  The public functions
+check their arguments and dispatch.
 
 Residue sets are sorted int64 arrays of distinct residues; the exact
 engine and ``canonicalize`` lift and combine them with the same numpy
@@ -102,15 +103,17 @@ _ZERO = np.zeros(1, dtype=np.int64)
 _NONE.flags.writeable = _ZERO.flags.writeable = False  # shared by many forms
 
 
-def _check_entries(entries: int) -> None:
-    if entries > MAX_FORM_ENTRIES:
-        raise NotExactlySolvable(f"periodic form of {entries} entries exceeds {MAX_FORM_ENTRIES}")
+def _limits_of(rule) -> tuple[Fraction, Fraction, str]:
+    """(upper, lower, method) of a ``_rule`` result; a form's density is both."""
+    if isinstance(rule, _Form):
+        d = rule.density
+        return d, d, "exact"
+    return rule
 
 
-def _common_modulus(L: int) -> int:
-    if L > MAX_MODULUS:
-        raise NotExactlySolvable(f"common modulus {L} exceeds {MAX_MODULUS}")
-    return L
+def _fits(f: _Form, L: int) -> bool:
+    """Whether f lifts to L, a multiple of its modulus, within the caps above."""
+    return L <= MAX_MODULUS and f.residues.size * (L // f.modulus) <= MAX_FORM_ENTRIES
 
 
 def _lift(f: _Form, L: int) -> np.ndarray:
@@ -118,13 +121,11 @@ def _lift(f: _Form, L: int) -> np.ndarray:
     row i of the table holds r + i·modulus."""
     if L == f.modulus or not f.residues.size:
         return f.residues
-    _check_entries(f.residues.size * (L // f.modulus))
     return (np.arange(0, L, f.modulus)[:, None] + f.residues).ravel()
 
 
 def _complement(f: _Form) -> np.ndarray:
     """The residues modulo f.modulus that f lacks, sorted."""
-    _check_entries(f.modulus)
     table = np.ones(f.modulus, dtype=bool)
     table[f.residues] = False
     return np.flatnonzero(table)
@@ -226,25 +227,26 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _ceil_equivalent(t: Fraction, D: int) -> tuple[int, int]:
-    """The smallest fraction p/q >= t with q <= D.
+def _farey_neighbours(t: Fraction, D: int) -> tuple[Fraction, Fraction]:
+    """The largest fraction <= t and the smallest >= t with denominators
+    <= D, t itself when its denominator is at most D: the neighbours of t
+    in the Farey sequence of order D, which the continued-fraction loop of
+    ``Fraction.limit_denominator`` brackets t between.
 
-    It has ceil(m*p/q) == ceil(m*t) for every 1 <= m <= D: if
-    ceil(m*t) = k then (k-1)/m < t <= p/q <= k/m.  The continued-fraction
-    loop of ``Fraction.limit_denominator`` brackets t between its two
-    neighbours in the Farey sequence of order D; p/q is the upper one.
+    For 1 <= m <= D the lower one has the floors of t and the upper one its
+    ceilings: k/m <= lower <= t < (k+1)/m for k = floor(m*t), and
+    (k-1)/m < t <= upper <= k/m for k = ceil(m*t).
     """
     n, d = t.numerator, t.denominator
     if d <= D:
-        return n, d
+        return t, t
     p0, q0, p1, q1 = 0, 1, 1, 0
     while q0 + (n // d) * q1 <= D:
         a = n // d
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
         n, d = d, n - a * d
     k = (D - q0) // q1
-    upper = max(Fraction(p0 + k * p1, q0 + k * q1), Fraction(p1, q1))
-    return upper.numerator, upper.denominator
+    return tuple(sorted((Fraction(p0 + k * p1, q0 + k * q1), Fraction(p1, q1))))
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +409,10 @@ class SetExpr(_Keyed):
     """Base class for set expressions.  All variants are frozen dataclasses.
 
     Every kind names its DSL ``keyword`` and defines ``_member``,
-    ``_indicator``, ``_parse`` and ``_format``; the methods here are the
-    defaults of its other rules.  The public functions below have checked
-    their arguments (n >= 1, N >= 1 for ``_count``, N >= 0 for
-    ``_indicator``) before they dispatch.
+    ``_indicator``, ``_rule``, ``_parse`` and ``_format``; the methods here
+    are the defaults of its other rules.  The public functions below have
+    checked their arguments (n >= 1, N >= 1 for ``_count``,
+    0 <= N < ``MAX_MASK`` for ``_indicator``) before they dispatch.
     """
 
     __slots__ = ()
@@ -423,7 +425,7 @@ class SetExpr(_Keyed):
     _residue_class = False
 
     def _count(self, N: int) -> int:
-        return int(np.count_nonzero(self._indicator(N)))
+        return int(np.count_nonzero(indicator(self, N)))
 
     def _canon(self) -> SetExpr:
         return self
@@ -431,7 +433,7 @@ class SetExpr(_Keyed):
     def _complemented(self) -> SetExpr:
         """The canonical complement of this canonical expression."""
         if self._residue_class:
-            f = self._form()
+            f = self._rule()
             if f.modulus <= MAX_CANON_MODULUS:
                 return _reduce_residue(f.modulus, _complement(f))
         return Compl(self)
@@ -443,18 +445,6 @@ class SetExpr(_Keyed):
     def _shifted(self, offset: int) -> SetExpr:
         """The canonical shift by offset >= 1 of this canonical expression."""
         return Shift(offset, self)
-
-    def _form(self) -> _Form:
-        raise NotExactlySolvable(f"{type(self).__name__} is not in the periodic fragment")
-
-    def _limits(self) -> tuple[Fraction, Fraction, str]:
-        """(upper, lower, method) when there is no periodic form."""
-        # identities like union with Empty can hide a solvable core; retry
-        # once on the simplified expression
-        simplified = self._canon()
-        if simplified != self:
-            return _exact(simplified)
-        raise NotExactlySolvable(f"{type(self).__name__} is not exactly solvable here")
 
 
 @dataclass(frozen=True)
@@ -478,7 +468,7 @@ class _Constant(SetExpr):
     def _shifted(self, offset):
         return Shift(offset, self) if self._constant else self
 
-    def _form(self):
+    def _rule(self):
         return _Form(1, _ZERO if self._constant else _NONE, False)
 
     @classmethod
@@ -534,7 +524,7 @@ class Explicit(SetExpr):
     def _shifted(self, offset):
         return Explicit(tuple(n + offset for n in self.elements))
 
-    def _form(self):
+    def _rule(self):
         return _Form(1, _NONE, bool(self.elements))
 
     @classmethod
@@ -581,9 +571,9 @@ class Residue(SetExpr):
         return total
 
     def _canon(self):
-        return _reduce_residue(self.modulus, self._form().residues)
+        return _reduce_residue(self.modulus, self._rule().residues)
 
-    def _form(self):
+    def _rule(self):
         return _Form(self.modulus, np.array(sorted(self.residues), dtype=np.int64), False)
 
     @classmethod
@@ -623,7 +613,7 @@ class Blocks(SetExpr):
             return full * period_ones + sum(_clip(runs, start + rest)[1::2])
         return sum(_clip(runs, N)[1::2])  # runs 2, 4, ... are the ones
 
-    def _limits(self):
+    def _rule(self):
         return self.z._limits()
 
     @classmethod
@@ -661,10 +651,9 @@ class Greedy(SetExpr):
     def _indicator(self, N):
         t = self.target
         span = min(t.denominator, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
-        if (span + 1) ** 2 >= 2**63:
-            raise CesaroError("greedy period too long for int64 arithmetic")
-        # a long-decimal target has the ceilings of a nearby short fraction
-        p, q = _ceil_equivalent(t, span + 1)
+        # a long-decimal target has the ceilings of a nearby short fraction;
+        # span < MAX_MASK, so p * m < 2**62
+        p, q = _farey_neighbours(t, span + 1)[1].as_integer_ratio()
         m = np.arange(1, span + 2, dtype=np.int64)
         steps = np.diff(_ceil_div(p * m, q)) > 0  # entry i is membership of n = i + 3
         return _periodic(np.array([True, False]), steps, N)
@@ -672,7 +661,7 @@ class Greedy(SetExpr):
     def _count(self, N):
         return max(1, _ceil_div(self.target.numerator * (N - 1), self.target.denominator))
 
-    def _limits(self):
+    def _rule(self):
         return self.target, self.target, "exact"
 
     @classmethod
@@ -697,14 +686,10 @@ class Predicate(SetExpr):
     def _count(self, N):
         return int(predicate_spec(self.name).count_upto(N))
 
-    def _form(self):
+    def _rule(self):
         spec = predicate_spec(self.name)
         if spec.exact_upper == 0 and spec.exact_lower == 0:
             return _Form(1, _NONE, True)  # known null set
-        raise NotExactlySolvable(f"predicate {self.name!r} is not periodic")
-
-    def _limits(self):
-        spec = predicate_spec(self.name)
         return spec.exact_upper, spec.exact_lower, "exact"
 
     @classmethod
@@ -762,7 +747,7 @@ class Binary(SetExpr):
         if a == b:
             return a if f(True, True) else Empty()
         if a._residue_class and b._residue_class:
-            fa, fb = a._form(), b._form()
+            fa, fb = a._rule(), b._rule()
             L = math.lcm(fa.modulus, fb.modulus)
             if L <= MAX_CANON_MODULUS:
                 return _reduce_residue(L, self.array_op(_lift(fa, L), _lift(fb, L)))
@@ -771,10 +756,27 @@ class Binary(SetExpr):
             return Explicit(merged) if merged else Empty()
         return type(self)(a, b)
 
-    def _form(self):
-        a, b = self.left._form(), self.right._form()
-        L = _common_modulus(math.lcm(a.modulus, b.modulus))
-        return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
+    def _rule(self):
+        try:
+            a = self.left._rule()
+            b = self.right._rule() if isinstance(a, _Form) else None  # only forms combine
+        except NotExactlySolvable:
+            a = b = None
+        return self._joint(a, b)
+
+    def _joint(self, a, b):
+        """The rule from the operands' rules (None: no joint form to take):
+        their joint lift, else the rule of the simplified expression."""
+        if isinstance(a, _Form) and isinstance(b, _Form):
+            L = math.lcm(a.modulus, b.modulus)
+            if _fits(a, L) and _fits(b, L):
+                return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
+        # identities like union with Empty can hide a solvable core; retry
+        # once on the simplified expression
+        simplified = self._canon()
+        if simplified != self:
+            return simplified._rule()
+        raise NotExactlySolvable(f"{type(self).__name__} is not exactly solvable here")
 
     @classmethod
     def _parse(cls, p):
@@ -822,12 +824,11 @@ class Compl(SetExpr):
     def _complemented(self):
         return self.inner
 
-    def _form(self):
-        f = self.inner._form()
-        return _Form(f.modulus, _complement(f), f.fuzz)
-
-    def _limits(self):
-        upper, lower, method = _exact(self.inner)
+    def _rule(self):
+        f = self.inner._rule()
+        if isinstance(f, _Form) and f.modulus <= MAX_FORM_ENTRIES:
+            return _Form(f.modulus, _complement(f), f.fuzz)
+        upper, lower, method = _limits_of(f)
         return 1 - lower, 1 - upper, method
 
     @classmethod
@@ -868,13 +869,11 @@ class Dilate(SetExpr):
     def _dilated(self, factor):
         return Dilate(factor * self.factor, self.inner)
 
-    def _form(self):
-        f = self.inner._form()
-        L = _common_modulus(f.modulus * self.factor)
-        return _Form(L, f.residues * self.factor, f.fuzz)
-
-    def _limits(self):
-        upper, lower, method = _exact(self.inner)
+    def _rule(self):
+        f = self.inner._rule()
+        if isinstance(f, _Form) and f.modulus * self.factor <= MAX_MODULUS:
+            return _Form(f.modulus * self.factor, f.residues * self.factor, f.fuzz)
+        upper, lower, method = _limits_of(f)
         return Fraction(upper, self.factor), Fraction(lower, self.factor), method
 
     @classmethod
@@ -919,15 +918,14 @@ class Shift(SetExpr):
     def _shifted(self, offset):
         return Shift(offset + self.offset, self.inner)
 
-    def _form(self):
-        f = self.inner._form()
+    def _rule(self):
+        f = self.inner._rule()
+        if not isinstance(f, _Form):
+            return f
         shifted = _rotate(f.residues, f.modulus, self.offset % f.modulus)
         # shifting drops nothing but delays the pattern: a finite prefix
         # of the shifted residue classes is missing, a null perturbation
         return _Form(f.modulus, shifted, f.fuzz or self.offset > 0)
-
-    def _limits(self):
-        return _exact(self.inner)
 
     @classmethod
     def _parse(cls, p):
@@ -944,9 +942,9 @@ class Midpoint(SetExpr):
     Selection starts with the first element of the difference, so the
     count up to N is c_lower(N) + ceil(c_gap(N) / 2), with the gap
     ``upper \\ lower``; lower plus the gap is lower ∪ upper.  So the exact
-    limits are (d(lower) + d(lower ∪ upper)) / 2 for periodic operands;
-    for others, (d(lower) + d(upper)) / 2 holds only when lower is a
-    subset of upper, which builders verify on a prefix.
+    limit is (d(lower) + d(lower ∪ upper)) / 2 when both exist, the union's
+    from its own rule; without one, d(upper) stands in for it, which holds
+    when lower ⊆ upper, as builders verify on a prefix.
     """
 
     lower: SetExpr
@@ -982,19 +980,16 @@ class Midpoint(SetExpr):
         lo, hi = self.lower._canon(), self.upper._canon()
         return lo if lo == hi else Midpoint(lo, hi)
 
-    def _limits(self):
+    def _rule(self):
+        lo, hi = self.lower._rule(), self.upper._rule()
         try:
-            lo, hi = self.lower._form(), self.upper._form()
-            L = _common_modulus(math.lcm(lo.modulus, hi.modulus))
-            mid = (lo.density + Fraction(_union(_lift(lo, L), _lift(hi, L)).size, L)) / 2
-            return mid, mid, "exact"
+            union = Union(self.lower, self.upper)._joint(lo, hi)
         except NotExactlySolvable:
-            pass  # not both periodic: the rule below takes lower ⊆ upper
-        lu, ll, lm = _exact(self.lower)
-        hu, hl, hm = _exact(self.upper)
-        if lu == ll and hu == hl:
-            mid = Fraction(lu + hu, 2)
-            return mid, mid, "exact" if lm == hm == "exact" else "block-formula"
+            union = hi  # no rule for the union: take lower ⊆ upper
+        (lu, ll, lm), (uu, ul, um) = _limits_of(lo), _limits_of(union)
+        if lu == ll and uu == ul:
+            mid = (lu + uu) / 2
+            return mid, mid, "exact" if lm == um == "exact" else "block-formula"
         raise NotExactlySolvable("midpoint of divergent endpoints")
 
     @classmethod
@@ -1140,6 +1135,10 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("prefix length must be >= 0")
+    if N >= MAX_MASK:
+        raise CesaroError(
+            f"prefix length {N} not below the mask limit {MAX_MASK}, past which counts need int64"
+        )
     return e._indicator(N)
 
 
@@ -1162,18 +1161,15 @@ def canonicalize(e: SetExpr) -> SetExpr:
 
 def _form(e: SetExpr) -> _Form:
     """The periodic normal form of e, or NotExactlySolvable."""
-    return e._form()
+    f = e._rule()
+    if not isinstance(f, _Form):
+        raise NotExactlySolvable(f"{type(e).__name__} has no periodic form")
+    return f
 
 
 def _exact(e: SetExpr) -> tuple[Fraction, Fraction, str]:
-    """(upper, lower, method) of e's exact limits, or NotExactlySolvable:
-    the density of its periodic form, else its kind's exact-limit rule."""
-    try:
-        f = e._form()
-    except NotExactlySolvable:
-        return e._limits()
-    d = f.density
-    return d, d, "exact"
+    """(upper, lower, method) of e's exact limits, or NotExactlySolvable."""
+    return _limits_of(e._rule())
 
 
 def partial_average(e: SetExpr, N: int) -> Fraction:

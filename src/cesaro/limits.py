@@ -1,14 +1,15 @@
 """Upper/lower Cesàro limits: exact where structure allows, streamed otherwise.
 
-The exact engine (``exprs._exact``) reduces an expression to a periodic
-normal form (a set of residues modulo m, held as a sorted int64 array,
-possibly perturbed by a density-zero set).  Perturbing by a null set never
-moves the upper or lower limit, so the exact density |R|/m survives finite
-exceptions and unions with known null sets.  Without a form, each node
-kind's own rule applies: block and greedy families have closed forms, and
-complements, dilations, shifts and midpoints follow from their operands.
-Everything else falls back to a windowed streaming estimate with an
-explicit Unknown verdict when the evidence is inconclusive.
+The exact engine (``exprs._exact``) evaluates each node's one exact rule
+once: a periodic normal form (residues modulo m as a sorted int64 array,
+possibly perturbed by a density-zero set), else the node's limits.  A
+null perturbation never moves the upper or lower limit, so |R|/m survives
+finite exceptions and unions with known null sets.  Block and greedy
+families have closed forms; complements, dilations, shifts and midpoints
+follow from their operands' results, and a Boolean node with no joint
+form retries once on its ``canonicalize``d expression.  Everything else
+falls back to a windowed streaming estimate with an explicit Unknown
+verdict when the evidence is inconclusive.
 """
 
 from __future__ import annotations
@@ -104,21 +105,20 @@ def _running_averages(mask: np.ndarray, first: int, last: int):
     starting at index a: carry is c_a, run[i] is c_{a+i+1} - c_a and avg[i]
     is c_{a+i+1}/(a+i+1).  ``avg`` and ``run`` are reused buffers, valid
     until the next step.  Each chunk's running count goes into the int32
-    buffer ``run`` (int64 from 2^31 elements on), the carry is added into
-    the float64 buffer, and that is divided by the chunk's n, so every
-    c_n/n is the same float64 as an N-long count array divided by an
+    buffer ``run`` (masks are shorter than ``MAX_MASK``), the carry is
+    added into the float64 buffer, and that is divided by the chunk's n, so
+    every c_n/n is the same float64 as an N-long count array divided by an
     N-long arange.
     """
     size = min(_CHUNK, last - first)
-    dtype = np.int32 if last < 2**31 else np.int64
-    run = np.empty(size, dtype=dtype)
+    run = np.empty(size, dtype=np.int32)
     avg = np.empty(size, dtype=np.float64)
     n = np.arange(first + 1, first + 1 + size, dtype=np.float64)
     carry = int(np.count_nonzero(mask[:first]))
     for a in range(first, last, size):
         k = min(size, last - a)
-        np.add.accumulate(mask[a : a + k], dtype=dtype, out=run[:k])
-        # carry + run[i] <= last, so the integer sum cannot overflow dtype
+        np.add.accumulate(mask[a : a + k], dtype=np.int32, out=run[:k])
+        # carry + run[i] <= last < 2**31, so the integer sum cannot overflow
         np.add(run[:k], carry, out=avg[:k])
         np.divide(avg[:k], n[:k], out=avg[:k])
         yield a, carry, avg[:k], run[:k]

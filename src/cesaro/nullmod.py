@@ -26,6 +26,7 @@ from .exprs import (
     Explicit,
     SetExpr,
     Union,
+    _farey_neighbours,
     indicator,
 )
 from .limits import (
@@ -71,8 +72,9 @@ def _removed_points(
     n = mask.size
     if not 0 <= p <= q:
         raise NullModError("bound must lie in [0, 1]")
-    if p * n >= 2**62:
-        raise NullModError("bound numerator times horizon too large")
+    # the lower Farey neighbour of order n has the floors of p/q up to n
+    # and a numerator at most n < MAX_MASK, so p*n fits int64
+    p, q = _farey_neighbours(Fraction(p, q), max(n, 1))[0].as_integer_ratio()
     tmp = np.empty(min(n, _CHUNK), dtype=bool)
     rank = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
     found = []

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, JSON shapes, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,54 @@ def test_default_horizon_env_rejects_bad_value(capsys, monkeypatch, raw):
         main(["limits", "residue 2 {0}"])
     assert exc.value.code == 2
     assert "CESARO_DEFAULT_HORIZON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nullmod", "residue 2 {1}", "--bound", "abc"],
+        ["nullmod", "residue 2 {1}", "--bound", "1/0"],
+        ["chain", "certify", "chain.txt", "--epsilon", "abc"],
+        ["chain", "certify", "chain.txt", "--epsilon", "1/0"],
+    ],
+)
+def test_malformed_fractions_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not a fraction" in err
+
+
+def test_nullmod_bound_zero_is_a_bound(capsys):
+    # 0 is not the exact upper limit 1/2 of the odd numbers ...
+    code, _, err = run(capsys, "nullmod", "residue 2 {1}", "--bound", "0")
+    assert code == 4 and "nullmod error" in err
+    # ... but it is that of the squares, which it trims away entirely
+    code, out, _ = run(capsys, "nullmod", "predicate squares", "--bound", "0", "--horizon", "100")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bound"] == "0/1" and doc["kept_count"] == 0
+    assert doc["removed"] == [k * k for k in range(1, 11)]
+
+
+def test_chain_certify_takes_a_decimal_epsilon(capsys, tmp_path):
+    chainfile = tmp_path / "chain.txt"
+    chainfile.write_text("residue 2 {0}\n")
+    code, out, _ = run(
+        capsys, "chain", "certify", str(chainfile), "--epsilon", "0.01", "--horizon", "1000"
+    )
+    assert code == 0
+    assert json.loads(out)["epsilon"] == 0.01
+
+
+def test_trace_beyond_the_mask_limit_is_a_typed_error(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["trace", "union(residue 2 {0}, blocks geometric 2)", "--horizon", str(10**12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "mask limit" in capsys.readouterr().err
+    assert peak < 2**20

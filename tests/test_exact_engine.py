@@ -9,7 +9,8 @@ verbatim in substance: one Python set operation per lifted residue.
 import math
 import random
 import tracemalloc
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from cesaro.exprs import (
     MAX_CANON_MODULUS,
     MAX_FORM_ENTRIES,
     MAX_MODULUS,
+    SetExpr,
     _form,
     _reduce_residue,
     predicate_spec,
@@ -284,3 +286,59 @@ def test_reduce_residue_matches_trying_every_d():
         res = frozenset(res)
         array = np.array(sorted(res), dtype=np.int64)
         assert _reduce_residue(m, array) == _reduce_by_every_d(m, res), (m, sorted(res))
+
+
+# ---------------------------------------------------------------------------
+# one exact rule per node, evaluated once per query
+
+
+def _nodes(e):
+    yield e
+    for f in fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, SetExpr):
+            yield from _nodes(child)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "compl(dilate 2 shift 1 compl(dilate 2 shift 3 compl(dilate 2 blocks poly 2)))",
+        "midpoint(shift 2 residue 6 {1,4}, union(residue 4 {1}, compl(residue 3 {0})))",
+        "compl(dilate 3 compl(residue 16777217 {0}))",  # the inner form is refused
+        "shift 5 dilate 7 greedy 2/9",
+    ],
+)
+def test_every_rule_runs_once_per_query(text, monkeypatch):
+    calls = Counter()
+
+    def counted(rule):
+        def wrapper(self):
+            calls[id(self)] += 1
+            return rule(self)
+
+        return wrapper
+
+    for kind in SetExpr.KINDS.values():
+        monkeypatch.setattr(kind, "_rule", counted(kind._rule))
+    e = c.parse_expr(text)
+    c.exact_limits(e)
+    assert calls == Counter({id(n): 1 for n in _nodes(e)})
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # the union is all of N: taking d(upper) for it, which assumes
+        # lower ⊆ upper, would give 2/3, and nothing for divergent blocks
+        ("midpoint(all, greedy 1/3)", Fraction(1)),
+        ("midpoint(all, blocks geometric 2)", Fraction(1)),
+        # the union is greedy 2/5 itself, not the empty upper operand
+        ("midpoint(greedy 2/5, empty)", Fraction(2, 5)),
+    ],
+)
+def test_midpoint_limit_takes_the_union_of_its_operands(text, value):
+    e = c.parse_expr(text)
+    rep = c.exact_limits(e)
+    assert (rep.upper, rep.lower, rep.method) == (value, value, "exact")
+    assert abs(c.partial_average(e, 10**6) - value) < Fraction(1, 1000)

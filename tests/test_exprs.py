@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.exprs import PREDICATES, _icbrt
+from cesaro.exprs import MAX_MASK, PREDICATES, _farey_neighbours, _icbrt
 from conftest import brute_set, random_fragment
 
 SPECIALS = [
@@ -474,3 +474,52 @@ def test_primes_beyond_the_sieve_limit_are_rejected_before_allocating(op):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
+# one prefix budget: indicator refuses MAX_MASK elements or more before it
+# allocates, and every prefix-walking entry point goes through it
+
+_UNION = "union(residue 2 {0}, blocks geometric 2)"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: c.indicator(c.parse_expr(_UNION), MAX_MASK),
+        lambda: c.partial_average(c.parse_expr(_UNION), 10**12),
+        lambda: c.estimate_limits(c.parse_expr(_UNION), 10**12),
+        lambda: c.classify(c.parse_expr(_UNION), 10**12),
+        lambda: c.prefix_scan(c.parse_expr(_UNION), 1, 10**12),
+        lambda: c.count_upto(c.parse_expr("midpoint(residue 4 {0}, residue 2 {0})"), 10**12),
+    ],
+    ids=["indicator", "partial_average", "estimate_limits", "classify", "prefix_scan", "midpoint"],
+)
+def test_prefix_walks_beyond_the_mask_limit_are_rejected_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(c.CesaroError, match="mask limit"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_farey_neighbours_keep_floors_and_ceilings():
+    rng = random.Random(1618)
+    for _ in range(300):
+        q = rng.randint(1, 10**18)
+        t = Fraction(rng.randint(0, q), q)
+        D = rng.randint(1, 300)
+        lower, upper = _farey_neighbours(t, D)
+        assert lower <= t <= upper
+        assert lower.denominator <= D and upper.denominator <= D
+        for m in range(1, D + 1):
+            # nearest on each side among denominators <= D ...
+            assert Fraction(math.floor(m * t), m) <= lower
+            assert Fraction(math.ceil(m * t), m) >= upper
+            # ... so the floors and the ceilings of t survive
+            assert math.floor(m * lower) == math.floor(m * t)
+            assert math.ceil(m * upper) == math.ceil(m * t)
+    assert _farey_neighbours(Fraction(2, 7), 7) == (Fraction(2, 7), Fraction(2, 7))

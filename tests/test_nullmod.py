@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import cesaro as c
 from cesaro.cli import main
 from cesaro.limits import _CHUNK
-from cesaro.nullmod import MAX_MASK, _chain_nus, _null_modify_mask
+from cesaro.nullmod import MAX_MASK, _chain_nus, _null_modify_mask, _removed_points
 from conftest import random_fragment
 
 
@@ -444,3 +444,28 @@ def test_chain_nus_take_the_streamed_estimate_where_the_exact_engine_fails():
     assert _chain_nus([e], 10**5) == ([Fraction(8333750000000001, 25000000000000000)], True)
     exact = [c.Residue(2, frozenset({0})), c.Dilate(2, c.Predicate("squares"))]
     assert _chain_nus(exact, 10**5) == ([Fraction(1, 2), Fraction(0)], False)
+
+
+def test_trimming_with_long_denominators_matches_the_big_int_rule():
+    # p*n overflows int64 for these bounds; the trimming pass reads the
+    # floors off a nearby fraction of denominator at most the mask size
+    rng = np.random.default_rng(4242)
+    for _ in range(60):
+        q = int(rng.integers(2, 10**18))
+        p = int(rng.integers(0, q + 1))
+        n = int(rng.integers(1, 3000))
+        mask = rng.random(n) < rng.random()
+        want = sequential_trim(mask.tolist(), p, q)[1]
+        assert _removed_points(mask, p, q).tolist() == want
+
+
+@pytest.mark.parametrize("chain_map", [c.chain_psi, c.chain_phi])
+def test_chain_maps_take_an_estimated_density(chain_map):
+    e = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    out = chain_map([e], 10**5)
+    assert out.approximate
+    (mod,) = out.modifications
+    nu = mod.nu
+    assert nu.denominator > 10**15  # the streamed estimate, as a float's decimal
+    counts = np.cumsum(mod.modified_mask).tolist()
+    assert all(k * nu.denominator <= nu.numerator * n for n, k in enumerate(counts, 1))
