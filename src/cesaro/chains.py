@@ -8,7 +8,7 @@ countable statements; horizons are explicit everywhere.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -267,13 +267,9 @@ def skeleton(chain: Chain, epsilon) -> Chain:
     selected = [0]
     s = 0
     while s < n - 1:
-        t = s + 1
-        for j in range(n - 1, s, -1):
-            if nus[j] - nus[s] < eps:
-                t = j
-                break
-        selected.append(t)
-        s = t
+        # the last density below nus[s] + eps, or the next element
+        s = max(s + 1, bisect_left(nus, nus[s] + eps) - 1)
+        selected.append(s)
     return verify_chain([chain.elements[i] for i in selected], chain.horizon)
 
 

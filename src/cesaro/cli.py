@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: eval, limits, trace, nullmod, chain, quotient, repro.
-Exit codes: 0 success/decided, 2 parse error, 3 Unknown verdict,
+Exit codes: 0 success/decided, 2 parse or usage error, 3 Unknown verdict,
 4 null-modification error, 5 chain error, 6 quotient error.
 """
 
@@ -55,6 +55,10 @@ from .nullmod import NullModError, null_modify
 from .quotient import Ideal, QuotientError, build_algebra, build_quotient, monotone_closure
 
 
+class UsageError(Exception):
+    """A missing or unreadable input named on the command line."""
+
+
 def _default_horizon(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get("CESARO_DEFAULT_HORIZON")
     if not raw:
@@ -80,14 +84,36 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction p/q or a decimal: {text!r}") from None
 
 
+def _open(path: str, mode: str = "r"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot open {path}: {exc.strerror}") from None
+
+
 def _read_chain_file(path: str):
-    exprs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                exprs.append(parse_expr(line))
-    return exprs
+    with _open(path) as fh:
+        try:
+            lines = [line.strip() for line in fh]
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return [parse_expr(line) for line in lines if line and not line.startswith("#")]
+
+
+def _read_spec(path: str | None, flag: str, universe: int):
+    """The power-set algebra and member masks of a JSON spec file
+    {"universe": n, "members": [[...], ...]}; universe defaults to --universe."""
+    if path is None:
+        raise UsageError(f"{flag} FILE is required")
+    with _open(path) as fh:
+        try:
+            spec = json.load(fh)
+            universe = spec.get("universe", universe)
+            alg = build_algebra(universe)
+            masks = frozenset(_subset_to_mask(s, universe) for s in spec["members"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(f"{path}: not a JSON spec of a universe and members: {exc!r}") from None
+    return universe, alg, masks
 
 
 def _emit(obj) -> None:
@@ -145,7 +171,7 @@ def cmd_nullmod(args) -> int:
     bound = args.bound if args.bound is not None else exact_limits(e).upper
     result = null_modify(e, bound, args.horizon)
     if args.audit:
-        with open(args.audit, "w", encoding="utf-8") as fh:
+        with _open(args.audit, "w") as fh:
             result.export_audit(fh)
     _emit(
         {
@@ -161,10 +187,6 @@ def cmd_nullmod(args) -> int:
 
 def cmd_chain(args) -> int:
     elements = _read_chain_file(args.chainfile)
-    if args.action == "verify":
-        chain = verify_chain(elements, args.horizon)
-        _emit({"elements": [format_expr(e) for e in chain.elements]})
-        return 0
     if args.action == "certify":
         chain = verify_chain(elements, min(args.horizon, 10**4))
         outcome = uniformity_check(chain, args.epsilon, args.horizon)
@@ -181,22 +203,16 @@ def cmd_chain(args) -> int:
             }
         )
         return 5
-    if args.action == "dense":
-        chain = verify_chain(elements, min(args.horizon, 10**4))
-        extended = dense_extension(chain, args.k)
-        _emit({"elements": [format_expr(e) for e in extended.elements]})
-        return 0
-    if args.action == "skeleton":
-        chain = verify_chain(elements, min(args.horizon, 10**4))
-        sk = skeleton(chain, args.epsilon)
-        _emit({"elements": [format_expr(e) for e in sk.elements]})
-        return 0
-    if args.action == "maximal":
-        chain = verify_chain(elements, max(args.universe, 2))
-        extended = maximal_extension(chain, args.universe)
-        _emit({"elements": [format_expr(e) for e in extended.elements]})
-        return 0
-    raise ChainError(f"unknown chain action {args.action!r}")
+    if args.action == "verify":
+        chain = verify_chain(elements, args.horizon)
+    elif args.action == "dense":
+        chain = dense_extension(verify_chain(elements, min(args.horizon, 10**4)), args.k)
+    elif args.action == "skeleton":
+        chain = skeleton(verify_chain(elements, min(args.horizon, 10**4)), args.epsilon)
+    else:  # maximal
+        chain = maximal_extension(verify_chain(elements, max(args.universe, 2)), args.universe)
+    _emit({"elements": [format_expr(e) for e in chain.elements]})
+    return 0
 
 
 def _subset_to_mask(subset, universe: int) -> int:
@@ -214,21 +230,13 @@ def _mask_to_subset(mask: int, universe: int) -> list[int]:
 
 def cmd_quotient(args) -> int:
     if args.action == "closure":
-        with open(args.seed, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        universe = spec.get("universe", args.universe)
-        alg = build_algebra(universe)
-        seed = frozenset(_subset_to_mask(s, universe) for s in spec["members"])
+        universe, alg, seed = _read_spec(args.seed, "--seed", args.universe)
         closure = monotone_closure(alg, seed)
         _emit({"closure": sorted(_mask_to_subset(m, universe) for m in closure)})
         return 0
     if args.action == "build":
-        with open(args.ideal, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        universe = spec.get("universe", args.universe)
-        alg = build_algebra(universe)
-        ideal = Ideal(frozenset(_subset_to_mask(s, universe) for s in spec["members"]))
-        result = build_quotient(alg, ideal)
+        universe, alg, members = _read_spec(args.ideal, "--ideal", args.universe)
+        result = build_quotient(alg, Ideal(members))
         _emit(
             {
                 "carrier_size": result.algebra.size,
@@ -239,21 +247,22 @@ def cmd_quotient(args) -> int:
             }
         )
         return 0
-    if args.action == "nulleq":
-        a = parse_expr(args.expr_a)
-        b = parse_expr(args.expr_b)
-        verdict = quotient_mod.null_equivalent(a, b, args.horizon)
-        density = verdict.density
-        _emit(
-            {
-                "verdict": verdict.value,
-                "evidence": verdict.evidence,
-                "density": None if density is None else float(density),
-                "exact": verdict.exact,
-            }
-        )
-        return 3 if verdict.value == "Unknown" else 0
-    raise QuotientError(f"unknown quotient action {args.action!r}")
+    # nulleq
+    if args.expr_b is None:
+        raise UsageError("quotient nulleq takes two expressions")
+    verdict = quotient_mod.null_equivalent(
+        parse_expr(args.expr_a), parse_expr(args.expr_b), args.horizon
+    )
+    density = verdict.density
+    _emit(
+        {
+            "verdict": verdict.value,
+            "evidence": verdict.evidence,
+            "density": None if density is None else float(density),
+            "exact": verdict.exact,
+        }
+    )
+    return 3 if verdict.value == "Unknown" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +444,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except NullModError as exc:
         print(f"nullmod error: {exc}", file=sys.stderr)

@@ -205,23 +205,19 @@ def classify(
     horizon: int = DEFAULT_HORIZON,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Classification:
-    """Three-way (plus Unknown) classification, exact first, streamed fallback."""
+    """Three-way (plus Unknown) classification, exact first, streamed fallback.
+
+    The kind is the report's verdict, except that a limit at or below the
+    report's tolerance (0 for an exact report) is Null.
+    """
     try:
         rep = exact_limits(e)
     except NotExactlySolvable:
         rep = estimate_limits(e, horizon, DEFAULT_WINDOW, tolerance)
-        if rep.verdict is Verdict.IN_F:
-            kind = "Null" if rep.limit <= tolerance else "InF"
-        elif rep.verdict is Verdict.NOT_IN_F:
-            kind = "NotInF"
-        else:
-            kind = "Unknown"
-        return Classification(kind, rep, approximate=True)
-    if rep.verdict is Verdict.IN_F:
-        kind = "Null" if rep.limit == 0 else "InF"
-    else:
-        kind = "NotInF"
-    return Classification(kind, rep, approximate=False)
+    kind = rep.verdict.value
+    if rep.verdict is Verdict.IN_F and rep.limit <= rep.tolerance:
+        kind = "Null"
+    return Classification(kind, rep, approximate=not rep.exact)
 
 
 # ---------------------------------------------------------------------------

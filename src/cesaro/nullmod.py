@@ -323,34 +323,18 @@ def disjoint_modify(parts, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
                     f"parts {i} and {j} intersect at {int(tmp.argmax()) + 1}"
                 )
     nus, approximate = _chain_nus(parts, horizon)
-
-    live = [i for i in range(len(parts)) if nus[i] != 0]
-    cum_masks = []
-    cum_nus = []
-    acc = None
-    total = Fraction(0)
-    for i in live:
-        acc = masks[i].copy() if acc is None else acc | masks[i]
-        total += nus[i]
-        cum_masks.append(acc)
-        cum_nus.append(total)
-    if live:
-        _psi_masks(cum_masks, cum_nus)
-
+    nothing = acc = np.zeros(horizon, dtype=bool)
+    cover = {}  # part index -> union of the non-null parts up to it
+    for i, nu in enumerate(nus):
+        if nu:
+            acc = cover[i] = acc | masks[i]
+    _psi_masks(list(cover.values()), list(itertools.accumulate(nu for nu in nus if nu)))
     mods: list[ChainModification] = []
-    live_pos = {i: pos for pos, i in enumerate(live)}
     for i, (part, mask, nu) in enumerate(zip(parts, masks, nus)):
-        if i not in live_pos:
-            rem = tuple((np.flatnonzero(mask) + 1).tolist())
-            mods.append(
-                ChainModification(
-                    part, Empty(), np.zeros(horizon, dtype=bool), rem, (), nu
-                )
-            )
-            continue
-        kept = mask & cum_masks[live_pos[i]]
+        kept = mask & cover.get(i, nothing)  # a null part keeps nothing
         rem = tuple((np.flatnonzero(np.greater(mask, kept, out=tmp)) + 1).tolist())
-        mods.append(ChainModification(part, _modified(part, (), rem), kept, rem, (), nu))
+        expr = _modified(part, (), rem) if nu else Empty()
+        mods.append(ChainModification(part, expr, kept, rem, (), nu))
     return ChainMapResult(tuple(mods), horizon, approximate)
 
 

@@ -169,6 +169,52 @@ def test_skeleton_contract_and_frozen_size():
     assert len(sk.elements) < len(chain.elements)
 
 
+def _backward_sweep(nus, eps):
+    """The skeleton indices: from each selected density, scan back from the
+    top for the farthest one strictly less than eps above it."""
+    selected, s = [0], 0
+    while s < len(nus) - 1:
+        t = s + 1
+        for j in range(len(nus) - 1, s, -1):
+            if nus[j] - nus[s] < eps:
+                t = j
+                break
+        selected.append(t)
+        s = t
+    return selected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.integers(0, d - 1), min_size=1, max_size=12).map(sorted),
+            st.integers(1, 2 * d),
+        )
+    )
+)
+@example((4, [0, 0, 2, 2, 2, 3], 2))
+def test_skeleton_matches_the_backward_sweep(case):
+    # element i has density ks[i]/d: the first ks[i] residues mod d, plus the
+    # points d*j - 1 (j <= i), all in the residue d - 1, to keep ties distinct
+    d, ks, eps_num = case
+    elements = []
+    for i, k in enumerate(ks):
+        parts = [c.Residue(d, frozenset(range(k)))] if k else []
+        if i:
+            parts.append(c.Explicit(tuple(d * j - 1 for j in range(1, i + 1))))
+        e = parts[0] if parts else c.Empty()
+        for p in parts[1:]:
+            e = c.Union(e, p)
+        elements.append(e)
+    chain = c.verify_chain(elements, d * (len(ks) + 1))
+    assert chain.elements == tuple(elements)
+    eps = Fraction(eps_num, d)
+    want = _backward_sweep([Fraction(k, d) for k in ks], eps)
+    assert c.skeleton(chain, eps).elements == tuple(elements[i] for i in want)
+
+
 def test_maximal_extension_saturates():
     chain = c.verify_chain(residue_chain([1, 2]), 100)
     maximal = c.maximal_extension(chain, 6)

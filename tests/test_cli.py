@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,3 +280,54 @@ def test_trace_beyond_the_mask_limit_is_a_typed_error(capsys):
     assert code == 1
     assert "mask limit" in capsys.readouterr().err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "verify", "{tmp}/missing.txt"],
+        ["chain", "verify", "{tmp}/latin-1.txt"],
+        ["quotient", "closure", "--seed", "{tmp}"],
+        ["nullmod", "residue 2 {1}", "--horizon", "1000", "--audit", "{tmp}/no/dir/x.csv"],
+        ["quotient", "closure"],
+        ["quotient", "build"],
+        ["quotient", "nulleq", "residue 2 {0}"],
+        ["quotient", "closure", "--seed", "{tmp}/not-json.json"],
+        ["quotient", "build", "--ideal", "{tmp}/no-members.json"],
+    ],
+)
+def test_unusable_inputs_are_usage_errors(capsys, tmp_path, argv):
+    (tmp_path / "latin-1.txt").write_bytes("explicit{1} # \u00e9\n".encode("latin-1"))
+    (tmp_path / "not-json.json").write_text("universe 3, members [[]]\n")
+    (tmp_path / "no-members.json").write_text(json.dumps({"universe": 3}))
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "action, flags, extend",
+    [
+        ("dense", ["--k", "2"], lambda chain: c.dense_extension(chain, 2)),
+        ("skeleton", ["--epsilon", "1/5"], lambda chain: c.skeleton(chain, Fraction(1, 5))),
+        ("maximal", ["--universe", "12"], lambda chain: c.maximal_extension(chain, 12)),
+    ],
+)
+def test_chain_extensions_match_the_library(capsys, tmp_path, action, flags, extend):
+    lines = ["residue 8 {0}", "residue 2 {0}", "residue 16 {0}", "residue 4 {0}"]
+    chainfile = tmp_path / "chain.txt"
+    chainfile.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "chain", action, str(chainfile), "--horizon", "1000", *flags)
+    assert code == 0
+    chain = c.verify_chain([c.parse_expr(t) for t in lines], 12 if action == "maximal" else 1000)
+    want = [c.format_expr(e) for e in extend(chain).elements]
+    assert json.loads(out)["elements"] == want
+    assert len(want) != len(lines)  # each action changes the chain
+
+
+def test_quotient_error_exit_code(capsys, tmp_path):
+    seedfile = tmp_path / "seed.json"
+    seedfile.write_text(json.dumps({"universe": 2, "members": [[], [3]]}))
+    code, out, err = run(capsys, "quotient", "closure", "--seed", str(seedfile))
+    assert code == 6 and out == ""
+    assert err == "quotient error: element 3 outside universe 1..2\n"

@@ -138,6 +138,15 @@ def test_classify_kinds():
     assert cls.report.upper - cls.report.lower > 0.1
 
 
+def test_classify_unknown_kind():
+    # {501..750} is null, but at horizon 1000 its window has not settled
+    late = c.Diff(c.Shift(500, c.All()), c.Shift(750, c.All()))
+    assert c.estimate_limits(late, 1000).verdict is c.Verdict.UNKNOWN
+    cls = c.classify(c.Inter(c.Blocks(c.Geometric(2)), late), 1000)
+    assert cls.kind == "Unknown" and cls.approximate
+    assert cls.report.verdict is c.Verdict.UNKNOWN and cls.report.limit is None
+
+
 def test_gap_sublinearity_trends():
     assert c.gap_sublinearity(c.Blocks(c.Geometric(2)), 10**5).trend == (
         "bounded-away-from-zero"
@@ -239,6 +248,7 @@ STREAMED_TREES = [
     c.Compl(c.Diff(c.Blocks(c.Geometric(4)), c.Predicate("squares"))),
     c.Inter(c.Blocks(c.Poly(2)), c.Residue(3, frozenset({1, 2}))),
     c.Predicate("paired"),
+    c.Diff(c.Shift(500, c.All()), c.Shift(750, c.All())),
 ]
 
 

@@ -122,6 +122,18 @@ def test_null_modify_odds():
     assert res.removed_density(10**4) == Fraction(1, 10**4)
 
 
+def test_null_modify_kept_average_and_removed_expr():
+    res = c.null_modify(c.Residue(2, frozenset({1})), Fraction(1, 2), 100)
+    assert res.removed_expr == c.Explicit((1,))
+    assert [res.kept_average(n) for n in (1, 2, 3, 100)] == [0, 0, Fraction(1, 3), Fraction(49, 100)]
+    for n in (0, 101):
+        with pytest.raises(ValueError, match="outside"):
+            res.kept_average(n)
+    res = c.null_modify(c.Residue(2, frozenset({0})), Fraction(1, 2), 100)
+    assert res.removed == () and res.removed_expr == c.Empty()
+    assert res.kept_average(100) == Fraction(1, 2)
+
+
 def test_null_modify_residue_example():
     e = c.Residue(3, frozenset({0, 1}))
     res = c.null_modify(e, Fraction(2, 3), 1000)

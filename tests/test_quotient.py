@@ -106,6 +106,14 @@ def test_monotone_closure_equals_generated_subalgebra():
         c.monotone_closure(alg, [alg.zero])  # not complement-closed
 
 
+def test_monotone_closure_takes_a_generator_seed():
+    alg = c.build_algebra(3)
+    sub = c.generate_subalgebra(alg, [0b011])
+    assert c.monotone_closure(alg, (x for x in sub)) == sub
+    with pytest.raises(c.QuotientError, match="not a subalgebra"):
+        c.monotone_closure(alg, (x for x in sub if x != alg.one))
+
+
 def test_null_equivalent_exact_branches():
     evens = c.Residue(2, frozenset({0}))
     bumped = c.Union(evens, c.Predicate("pow2"))
