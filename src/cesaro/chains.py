@@ -21,6 +21,7 @@ from .limits import (
     DEFAULT_HORIZON,
     Verdict,
     _running_averages,
+    _window_extremes,
     classify,
     exact_limits,
 )
@@ -133,8 +134,8 @@ class UniformityFailure:
 
 def _chunk_deviations(mask: np.ndarray, a: int, horizon: int, nu_f: float):
     """c_a, the running counts c_n - c_a and the float |c_n/n - nu| for n in
-    the chunk (a, min(a + _CHUNK, horizon)], from the running-average pass."""
-    _, carry, avg, run = next(_running_averages(mask, a, min(a + _CHUNK, horizon)))
+    the chunk (a, min(a + _CHUNK, horizon)], from a dense recount."""
+    carry, avg, run = _running_averages(mask, a, min(a + _CHUNK, horizon))
     avg -= nu_f
     return carry, run, np.abs(avg, out=avg)
 
@@ -144,10 +145,10 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     its limit for all N in (N_eps, horizon]; failure report if a violation
     reaches the horizon itself.
 
-    One chunked pass of the partial averages per element keeps, for each
-    chunk, max(c_n/n) - nu and nu - min(c_n/n); x -> fl(x - nu) is
-    monotone, so these are the largest float deviations above and below
-    nu in the chunk.  Only chunks whose deviation reaches epsilon - 1e-12
+    One ``_window_extremes`` pass per element, with the chunks as windows,
+    keeps for each chunk the larger of max(c_n/n) - nu and nu - min(c_n/n);
+    x -> fl(x - nu) is monotone, so these are the largest float deviations
+    above and below nu in the chunk.  Only chunks whose deviation reaches epsilon - 1e-12
     are recounted for the exact integer test, from the top down until one
     holds a violation.  The deviations above N_eps then come from the
     kept chunk figures, except in the chunk holding N_eps, which is
@@ -163,17 +164,16 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     cutoff = float(eps) - 1e-12
     last_bad = 0
     worst = (0, 0.0)
-    stats = []  # per element: nu as a float, (start, carry, deviation) per chunk
+    stats = []  # per element: nu as a float, (start, deviation) per chunk
     for i, (e, nu) in enumerate(zip(chain.elements, nus)):
         q, p = nu.denominator, nu.numerator
         if q * eps.denominator * horizon >= 2**62:
             raise ChainError("parameters too large for exact deviation scan")
         mask = indicator(e, horizon)
         nu_f = p / q
-        chunks = [
-            (a, max(float(avg.max()) - nu_f, nu_f - float(avg.min())))
-            for a, _, avg, _ in _running_averages(mask, 0, horizon)
-        ]
+        windows = [(a, min(a + _CHUNK, horizon)) for a in range(0, horizon, _CHUNK)]
+        extremes = _window_extremes(mask, windows)
+        chunks = [(a, max(mx - nu_f, nu_f - mn)) for (a, _), (mx, mn) in zip(windows, extremes)]
         stats.append((nu_f, chunks))
         for a, top in reversed(chunks):
             if a + _CHUNK <= last_bad:
@@ -292,37 +292,6 @@ def _restricted_ladder(chain: Chain, universe: int) -> list[int]:
     if masks[-1] != full:
         masks.append(full)
     return masks
-
-
-def interval_blocks(chain: Chain, universe_horizon: int) -> list[tuple[int, int, int]]:
-    """For each point k of the finite universe: (B_k, C_k, D_k) bitmasks.
-
-    B_k is the union of chain elements missing k, C_k the intersection of
-    elements containing k, D_k their difference; k always lands in D_k and
-    the D_k partition the universe into the chain's gaps.
-    """
-    u = universe_horizon
-    masks = _restricted_ladder(chain, u)
-    full = masks[-1]
-    out = []
-    for k in range(1, u + 1):
-        bit = 1 << (k - 1)
-        b = 0
-        c = full
-        for m in masks:
-            if m & bit:
-                c &= m
-            else:
-                b |= m
-        d = c & ~b
-        # the reader-verified properties of the construction, asserted live
-        if b & bit or not (c & bit) or (b & ~c) or not (d & bit):
-            raise ChainError(f"interval block properties violated at k={k}")
-        for m in masks:
-            if (m | b) != b and (m & c) != c:
-                raise ChainError(f"element incomparable to interval at k={k}")
-        out.append((b, c, d))
-    return out
 
 
 def maximal_extension(chain: Chain, universe_horizon: int) -> Chain:

@@ -8,6 +8,7 @@ Exit codes: 0 success/decided, 2 parse or usage error, 3 Unknown verdict,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -169,9 +170,10 @@ def cmd_trace(args) -> int:
 def cmd_nullmod(args) -> int:
     e = parse_expr(args.expr)
     bound = args.bound if args.bound is not None else exact_limits(e).upper
-    result = null_modify(e, bound, args.horizon)
-    if args.audit:
-        with _open(args.audit, "w") as fh:
+    # open the audit file first, so an unusable path fails before the trim
+    with _open(args.audit, "w") if args.audit else contextlib.nullcontext() as fh:
+        result = null_modify(e, bound, args.horizon)
+        if fh is not None:
             result.export_audit(fh)
     _emit(
         {

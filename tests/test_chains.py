@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.chains import interval_blocks
 from cesaro.limits import _CHUNK
 
 
@@ -79,10 +78,10 @@ def test_uniformity_failure_at_horizon():
     assert res.n == 400 and res.element_index == 0
 
 
-def one_pass_uniformity(chain, eps, horizon):
+def one_pass_uniformity(chain, eps, horizon, nus=None):
     """Reference uniformity scan: every element's counts kept at once and
-    an exact integer test at every N."""
-    nus = [c.exact_limits(e).limit for e in chain.elements]
+    an exact integer test at every N; the limits default to the exact ones."""
+    nus = nus or [c.exact_limits(e).limit for e in chain.elements]
     narr = np.arange(1, horizon + 1, dtype=np.int64)
     last_bad = 0
     worst = (0, 0.0)
@@ -229,19 +228,6 @@ def test_maximal_extension_saturates():
         assert any(np.array_equal(target, m) for m in masks)
 
 
-def test_interval_blocks_partition():
-    chain = c.verify_chain(residue_chain([1, 2]), 100)
-    u = 8
-    blocks = interval_blocks(chain, u)
-    seen = 0
-    for k, (b, cmask, d) in enumerate(blocks, start=1):
-        assert d & (1 << (k - 1))
-        assert not (b & d)
-    # the D_k cover each point exactly via its own block
-    for k in range(1, u + 1):
-        assert blocks[k - 1][2] & (1 << (k - 1))
-
-
 def test_maximal_extension_universe_cap():
     chain = c.verify_chain([c.All()], 10)
     with pytest.raises(c.ChainError):
@@ -373,3 +359,35 @@ def test_maximal_extension_rejects_a_ladder_that_does_not_nest(elements):
     chain = c.verify_chain(elements, 4)
     with pytest.raises(c.ChainError, match="not nested"):
         c.maximal_extension(chain, 6)
+
+
+def _greedy_union(t, extra):
+    return c.Union(c.Greedy(Fraction(t)), c.Explicit(tuple(extra)))
+
+
+# each chain's limits; the greedy unions are null perturbations of their
+# greedy set, whose limit the exact engine cannot yet carry through a union
+REPLAY_CHAINS = {
+    "dyadic": (residue_chain([1, 4, 8]), None),
+    "dyadic-prefix": ([c.Union(c.Residue(4, frozenset({3})), first(5000)), c.All()], None),
+    "greedy": (
+        [_greedy_union("1/3", [2, 5]), _greedy_union("1/3", range(1, 301))],
+        [Fraction(1, 3)] * 2,
+    ),
+    "greedy-prefix": ([_greedy_union("5/7", range(2, 3001, 2))], [Fraction(5, 7)]),
+}
+
+
+@pytest.mark.parametrize("horizon", [_CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 17])
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 10), Fraction(1, 300), Fraction(1, 1000), Fraction(1, 10**5)]
+)
+@pytest.mark.parametrize("name", sorted(REPLAY_CHAINS))
+def test_uniformity_check_replays_the_count_oracle(monkeypatch, name, eps, horizon):
+    elements, nus = REPLAY_CHAINS[name]
+    chain = c.Chain(tuple(elements), (), horizon)
+    if nus is not None:
+        limit = dict(zip(elements, nus))
+        monkeypatch.setattr("cesaro.chains._exact_nu", limit.__getitem__)
+    # N_eps and every deviation, or the failing element, N and deviation
+    assert c.uniformity_check(chain, eps, horizon) == one_pass_uniformity(chain, eps, horizon, nus)

@@ -305,6 +305,18 @@ def test_unusable_inputs_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def test_nullmod_audit_path_is_checked_before_the_trim(capsys, tmp_path, monkeypatch):
+    def trim(*args):
+        raise AssertionError("null_modify ran before the audit path was opened")
+
+    monkeypatch.setattr("cesaro.cli.null_modify", trim)
+    audit = tmp_path / "no" / "dir" / "x.csv"
+    argv = ["nullmod", "residue 2 {1}", "--horizon", "20000000", "--audit", str(audit)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: cannot open {audit}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "action, flags, extend",
     [

@@ -221,6 +221,58 @@ def test_window_extremes_match_full_count_array(kind, horizon, window, seed, den
     assert _window_extremes(mask, segments) == want
 
 
+EDGE_N = 2 * _CHUNK + 5
+EDGE_WINDOWS = [
+    (0, EDGE_N),
+    (0, 1),
+    (5, 6),
+    (EDGE_N - 1, EDGE_N),
+    (0, _CHUNK),
+    (_CHUNK, 2 * _CHUNK),
+    (_CHUNK - 1, _CHUNK),
+    (_CHUNK, _CHUNK + 1),
+    (_CHUNK - 1, _CHUNK + 1),
+    (17, _CHUNK - 1),
+    (_CHUNK + 1, EDGE_N),
+]
+
+
+def _edge_mask(kind):
+    rng = np.random.default_rng(11)
+    idx = np.arange(EDGE_N)
+    starts = sorted({b for window in EDGE_WINDOWS for b in window} - {EDGE_N})
+    if kind == "alternating-01":
+        return idx % 2 == 1
+    if kind == "alternating-10":
+        return idx % 2 == 0
+    if kind == "ones":
+        return np.ones(EDGE_N, dtype=bool)
+    if kind == "zeros":
+        return np.zeros(EDGE_N, dtype=bool)
+    if kind == "half-per-chunk":
+        # exactly as many members as non-members in each aligned chunk
+        chunks = [np.arange(min(_CHUNK, EDGE_N - a)) % 2 == 0 for a in range(0, EDGE_N, _CHUNK)]
+        return np.concatenate([rng.permutation(chunk) for chunk in chunks])
+    # the rarer bit at the first position of every piece
+    mask = rng.random(EDGE_N) < (0.1 if kind == "sparse-member-first" else 0.9)
+    mask[starts] = kind == "sparse-member-first"
+    return mask
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["alternating-01", "alternating-10", "ones", "zeros", "half-per-chunk",
+     "sparse-member-first", "dense-gap-first"],
+)
+def test_window_extremes_at_piece_edges(kind):
+    mask = _edge_mask(kind)
+    want = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in EDGE_WINDOWS]
+    assert _window_extremes(mask, EDGE_WINDOWS) == want
+    # one window at a time: each is then cut into pieces from its own start
+    for window, extremes in zip(EDGE_WINDOWS, want):
+        assert _window_extremes(mask, [window]) == [extremes]
+
+
 def _estimate_limits_oracle(e, horizon, window, tolerance):
     """The streamed estimate from an N-long int64 cumsum, window by window."""
     mask = c.indicator(e, horizon)

@@ -106,6 +106,18 @@ def test_monotone_closure_equals_generated_subalgebra():
         c.monotone_closure(alg, [alg.zero])  # not complement-closed
 
 
+def test_every_subalgebra_generates_itself():
+    # the identity that lets monotone_closure return a subalgebra seed as is
+    alg = c.build_algebra(3)
+    subalgebras = 0
+    for bits in range(2**alg.size):
+        s = frozenset(x for x in range(alg.size) if bits >> x & 1)
+        if c.is_subalgebra(alg, s):
+            subalgebras += 1
+            assert c.generate_subalgebra(alg, s) == s
+    assert subalgebras == 5  # the partitions of a 3-element set
+
+
 def test_monotone_closure_takes_a_generator_seed():
     alg = c.build_algebra(3)
     sub = c.generate_subalgebra(alg, [0b011])
