@@ -58,14 +58,12 @@ from .exprs import (
 )
 from .limits import (
     Classification,
-    GapDiagnostic,
     LimitReport,
     NotExactlySolvable,
     Verdict,
     classify,
     estimate_limits,
     exact_limits,
-    gap_sublinearity,
 )
 from .nullmod import (
     ChainMapResult,

@@ -9,27 +9,30 @@ returned as ``fractions.Fraction``.
 
 A node kind is one class; to add one, define its methods.  Each frozen
 dataclass below holds every rule of its kind: membership (``_member``),
-the 0/1 prefix (``_indicator``), the count (``_count``), the rewrite of
-``canonicalize`` (``_canon``), its one exact rule (``_rule``: the node's
-periodic ``_Form``, else its (upper, lower, method), computed once from
-its operands' results), and its DSL ``keyword``, ``_parse`` and
-``_format``.  ``SetExpr`` holds the defaults.  The public functions
-check their arguments and dispatch.
+its phase table (``_table``) and mask kernel (``_indicator``), counts
+(``_counts``), the rewrite of ``canonicalize`` (``_canon``), its one
+exact rule (``_rule``: the node's periodic ``_Form``, else its (upper,
+lower, method), computed once from its operands' results), and its DSL
+``keyword``, ``_parse`` and ``_format``.  ``SetExpr`` holds the
+defaults.  The public functions check their arguments and dispatch.
 
 Residue sets are sorted int64 arrays of distinct residues; the exact
 engine and ``canonicalize`` lift and combine them with the same numpy
 operations (``_lift``, ``_union``, ``_inter``, ``_symdiff``, ``_diff``).
 
-The streaming kernel is ``indicator``, which materialises the 0/1 prefix
-of a set as a numpy array; ``prefix_scan`` is the range-splittable
-counting primitive built on it.
-
-Leaf kernels are closed forms that keep nothing between calls.  A greedy
-set with target p/q has period q from n = 3 on, and a ``RunList`` block
-set is periodic once its listed runs are spent: both are one period tiled
-out to N, and their ``member``/``count_upto`` reduce n modulo the period.
-Geometric and polynomial block sets are built per call from their
-O(log N), resp. O(N^(1/(e+1))), runs.  The one cache is the primes sieve.
+A set on [1, N] is evaluated once per call, bottom up (``_eval``), as a
+phase table where it has one and as a 0/1 mask otherwise.  A phase table
+(``_Table``) cuts [1, N] at a few breakpoints into pieces that are each
+one fuzz-free form: residue classes and constants are one piece, a
+greedy set with target p/q is periodic with period q from n = 3 on,
+block sets are one All or Empty piece per run (a ``RunList`` set adds
+one periodic piece once its listed runs are spent), and the combinators
+combine their operands' tables piece by piece.  Counts and the streamed
+window scan read a table in closed form, and ``indicator`` fills it out
+to a mask.  Explicit sets, the sparse predicates and primes, and every
+node above one of them, keep mask kernels, as does a combinator whose
+table would cost more than its mask (``_affordable``).  Nothing is
+cached between calls but the primes sieve.
 """
 
 from __future__ import annotations
@@ -37,10 +40,12 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, count, cycle, takewhile
 from operator import and_, lt, or_, sub, xor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +66,18 @@ MAX_FORM_ENTRIES = 1 << 24
 #: Masks and the primes sieve hold fewer than this many elements, so every
 #: count fits in int32.
 MAX_MASK = 2**31
+
+#: Phase tables cover [1, N] for N below this, so every count and position
+#: is exact in float64.
+MAX_TABLE = 2**53
+
+#: The size rule of phase tables, from measured cost parity: a combinator
+#: keeps its table on [1, N] only from N = TABLE_BASE on, below which the
+#: fixed cost of building and scanning a table exceeds the mask's, and,
+#: where it lifts or complements forms, while TABLE_SHARE · (residues its
+#: forms hold) <= N, past which the table's size does.
+TABLE_SHARE = 64
+TABLE_BASE = 1 << 16
 
 
 class CesaroError(Exception):
@@ -172,7 +189,7 @@ def _rotate(res: np.ndarray, m: int, s: int) -> np.ndarray:
     """The residues r + s mod m of the sorted residues ``res``, still
     sorted (0 <= s < m)."""
     # r + s wraps below s exactly for the residues r >= m - s
-    i = int(np.searchsorted(res, m - s))
+    i = int(res.searchsorted(m - s))
     return np.concatenate((res[i:] + (s - m), res[:i] + s))
 
 
@@ -195,32 +212,220 @@ def _reduce_residue(m: int, res: np.ndarray) -> SetExpr:
 
 
 # ---------------------------------------------------------------------------
-# eventually periodic bit patterns
+# phase tables: piecewise-periodic membership on [1, N]
+
+_EMPTY_FORM = _Form(1, _NONE, False)
+_ALL_FORM = _Form(1, _ZERO, False)
 
 
-def _periodic(head: np.ndarray, period: np.ndarray, N: int) -> np.ndarray:
-    """The first N bits of ``head`` followed by ``period`` repeated forever."""
-    out = np.empty(N, dtype=bool)
-    h = min(head.size, N)
-    out[:h] = head[:h]
-    body = out[h:]
-    if body.size:
-        # tile a block of at least 4096 bits: numpy copies short periods
-        # slowly, one small chunk at a time
-        block = np.tile(period, -(-4096 // period.size))
-        reps, rest = divmod(body.size, block.size)
-        body[: reps * block.size].reshape(reps, block.size)[:] = block
-        body[reps * block.size :] = block[:rest]
-    return out
+def _table_form(L: int, res: np.ndarray) -> _Form:
+    """The fuzz-free form of the residues ``res`` mod L; an empty or full
+    one gets modulus 1."""
+    if not res.size:
+        return _EMPTY_FORM
+    return _ALL_FORM if res.size == L else _Form(L, res, False)
 
 
-def _clip(runs: list[int], N: int) -> list[int]:
-    """The runs covering [1, N], the last one cut to end at N."""
-    bounds = list(accumulate(runs))
-    k = bisect_left(bounds, N)
-    if k == len(runs):
-        return runs
-    return runs[:k] + [runs[k] - (bounds[k] - N)]
+def _tile(out: np.ndarray, period: np.ndarray) -> None:
+    """Fill ``out`` with ``period`` repeated from its start, no longer than it."""
+    out[: period.size] = period
+    done = period.size  # a whole number of periods: copy them, doubling
+    while done < out.size:
+        step = min(done, out.size - done)
+        out[done : done + step] = out[:step]
+        done += step
+
+
+#: a form with at most this many residues is written one residue class at
+#: a time, a strided write each, rather than tiled
+_STRIDED = 8
+
+
+def _fill_form(out: np.ndarray, s: int, f: _Form) -> None:
+    """Set out[i], all False on entry, for each n = s + 1 + i with n mod L
+    in f's residues."""
+    L, res, k = f.modulus, f.residues, out.size
+    if L == 1:  # All or Empty
+        out[:] = res.size
+        return
+    first = (s + 1) % L
+    if L > k:  # at most one period: the residues in [first, first + k), wrapped
+        i, j = res.searchsorted((first, first + k))
+        out[res[i:j] - first] = True
+        if first + k > L:
+            out[res[: res.searchsorted(first + k - L)] + (L - first)] = True
+        return
+    if res.size <= _STRIDED:
+        for r in res.tolist():
+            out[(r - first) % L :: L] = True  # n = s + 1 + (r - first) % L has residue r
+        return
+    period = np.zeros(L, dtype=bool)
+    period[(res - first) % L] = True
+    _tile(out, period)
+
+
+class _Table(NamedTuple):
+    """A set on [1, N] as pieces (bounds[i], bounds[i + 1]], each periodic.
+
+    Piece i holds n iff n mod L is one of the residues R of its form
+    (L, R) = forms[phase[i]].  The residues are of n itself, not of its
+    offset in the piece, so two tables combine piece by piece as their
+    forms lift.  Forms are fuzz-free; an empty or full one has modulus 1.
+    Within one form the count on [1, x] is (x // L)·|R| + #{r ∈ R :
+    1 <= r <= x mod L}, so every count is a closed form.
+    """
+
+    bounds: np.ndarray  # int64, 0 = bounds[0] < ... < bounds[-1] = N
+    phase: np.ndarray  # intp, one per piece
+    forms: tuple[_Form, ...]
+
+    def _form_counts(self, phase: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """#{m in [1, x[i]] : m mod L in R} under the form phase[i], for each i."""
+        moduli = np.array([f.modulus for f in self.forms], dtype=np.int64)
+        sizes = np.array([f.residues.size for f in self.forms], dtype=np.int64)
+        if moduli.max() == 1:  # All and Empty count x and 0
+            return x * sizes[phase]
+        # every form's residues in one sorted array, each form's shifted by
+        # the sum of the moduli before it
+        shift = np.cumsum(moduli) - moduli
+        keys = np.concatenate([f.residues + s for f, s in zip(self.forms, shift.tolist())])
+        q, r = np.divmod(x, moduli[phase])
+        r += shift[phase]
+        zero = keys.searchsorted(shift, side="right")  # the entries up to each residue 0
+        return q * sizes[phase] + keys.searchsorted(r, side="right") - zero[phase]
+
+    def _bases(self, x: np.ndarray = _NONE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per piece, c_b less its form's count at b, for its start b: the
+        count at any x in the piece is this plus the form's count at x.
+        Then, for each position x, its piece and its form's count there."""
+        b, p, k = self.bounds, self.phase, self.phase.size
+        i = np.maximum(b.searchsorted(x) - 1, 0)  # bounds[i] < x <= bounds[i + 1]
+        f = self._form_counts(np.concatenate((p, p, p[i])), np.concatenate((b[:-1], b[1:], x)))
+        at_start, per_piece = f[:k], f[k : 2 * k] - f[:k]
+        before = np.cumsum(per_piece) - per_piece
+        return before - at_start, i, f[2 * k :]
+
+    def counts(self, x: np.ndarray) -> np.ndarray:
+        """c_x, the members in [1, x], for each 0 <= x <= N of the int64 array x."""
+        bases, i, at_x = self._bases(x)
+        return bases[i] + at_x
+
+    def member(self, n: int) -> bool:
+        f = self.forms[self.phase[self.bounds.searchsorted(n) - 1]]
+        r = n % f.modulus
+        i = int(f.residues.searchsorted(r))
+        return i < f.residues.size and int(f.residues[i]) == r
+
+    def fill(self, a: int, b: int) -> np.ndarray:
+        """The membership of n = a + 1, ..., b as a fresh bool array."""
+        out = np.zeros(b - a, dtype=bool)
+        if self.phase.size == 1:
+            _fill_form(out, a, self.forms[self.phase[0]])
+            return out
+        i0 = int(self.bounds.searchsorted(a, side="right")) - 1
+        i1 = int(self.bounds.searchsorted(b))
+        edges = self.bounds[i0 : i1 + 1].tolist()
+        edges[0], edges[-1] = a, b
+        for lo, hi, j in zip(edges, edges[1:], self.phase[i0:i1].tolist()):
+            if self.forms[j] is not _EMPTY_FORM:
+                _fill_form(out[lo - a : hi - a], lo, self.forms[j])
+        return out
+
+
+_ONE_PHASE = np.zeros(1, dtype=np.intp)
+_ONE_PHASE.flags.writeable = False  # shared by every one-piece table
+
+
+def _one_piece(f: _Form, N: int) -> _Table:
+    return _Table(np.array([0, N]), _ONE_PHASE, (f,))
+
+
+def _run_table(ends, N: int) -> _Table:
+    """Alternating Empty and All pieces, the first one Empty, ending at
+    ``ends`` (nondecreasing, each below N) and then at N; an empty first
+    run gives no piece."""
+    bounds = np.concatenate(([0], np.asarray(ends, dtype=np.int64), [N]))
+    keep = bounds[1:] > bounds[:-1]
+    phase = (np.arange(keep.size) % 2)[keep]
+    return _Table(np.concatenate(([0], bounds[1:][keep])), phase, (_EMPTY_FORM, _ALL_FORM))
+
+
+def _retable(bounds: np.ndarray, phase: np.ndarray, forms: list[_Form]) -> _Table:
+    """The table of these pieces with equal forms merged and adjacent
+    pieces of one form joined."""
+    index: dict = {}
+    remap = np.array(
+        [index.setdefault((f.modulus, f.residues.tobytes()), (len(index), f))[0] for f in forms],
+        dtype=np.intp,
+    )
+    phase = remap[phase]
+    last = np.ones(phase.size, dtype=bool)  # the last piece of each run of one form
+    last[:-1] = phase[1:] != phase[:-1]
+    forms = tuple(f for _, f in index.values())
+    return _Table(np.concatenate((bounds[:1], bounds[1:][last])), phase[last], forms)
+
+
+def _distinct(codes: np.ndarray, size: int) -> tuple[list[int], np.ndarray]:
+    """The distinct values in ``codes``, each in [0, size), in order, and
+    the index of each entry among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[codes] = True
+    return np.flatnonzero(seen).tolist(), (np.cumsum(seen) - 1)[codes]
+
+
+def _merge(a: _Table, b: _Table) -> tuple[np.ndarray, np.ndarray, list]:
+    """The common refinement of two tables on one [1, N]: its bounds, and
+    per piece the index of its (a form, b form) pair among the distinct
+    pairs; then the pairs."""
+    if a.phase.size == 1:  # b's pieces, each with a's one form
+        return b.bounds, b.phase, [(a.forms[a.phase[0]], f) for f in b.forms]
+    if b.phase.size == 1:
+        return a.bounds, a.phase, [(f, b.forms[b.phase[0]]) for f in a.forms]
+    bounds = _union(a.bounds, b.bounds)
+    ends = bounds[1:]
+    pa = a.phase[a.bounds.searchsorted(ends) - 1]
+    pb = b.phase[b.bounds.searchsorted(ends) - 1]
+    nb = len(b.forms)
+    codes, pair = _distinct(pa * nb + pb, len(a.forms) * nb)
+    return bounds, pair, [(a.forms[c // nb], b.forms[c % nb]) for c in codes]
+
+
+def _affordable(entries: int, N: int) -> bool:
+    """The size rule: whether a table whose forms hold this many residues
+    beats the mask on [1, N]."""
+    return TABLE_SHARE * entries <= N
+
+
+def _lifts(pairs, N: int, periods: int = 1):
+    """Each pair's forms lifted to their common modulus L, as (L, a, b);
+    None when the lifts, at ``periods`` periods of L each, would hold more
+    than the table budget for [1, N]."""
+    moduli = [math.lcm(fa.modulus, fb.modulus) for fa, fb in pairs]
+    if max(moduli) * periods > MAX_MODULUS:
+        return None
+    entries = sum(
+        L // fa.modulus * fa.residues.size + L // fb.modulus * fb.residues.size
+        for L, (fa, fb) in zip(moduli, pairs)
+    )
+    if not _affordable(entries * periods, N):
+        return None
+    return [(L, _lift(fa, L), _lift(fb, L)) for L, (fa, fb) in zip(moduli, pairs)]
+
+
+def _midpoint_form(L: int, lo: np.ndarray, gap: np.ndarray, odd: int) -> _Form:
+    """lo plus the gap points whose gap count, plus ``odd``, is odd: a
+    midpoint's selection where lo and gap are residues mod L.
+
+    The k-th period of n = 1..L holds gap points k·g + 1, ..., (k + 1)·g,
+    so the parity of the count repeats with period L for an even g and 2L
+    for an odd one.  A gap point x in [1, M) has count its rank among them
+    plus one; a gap point 0 is the last of its period, n = M, whose count
+    M/L·g is even.
+    """
+    M = L if gap.size % 2 == 0 else 2 * L
+    lo, gap = _lift(_Form(L, lo, False), M), _lift(_Form(L, gap, False), M)
+    count = np.arange(1, gap.size + 1) - (gap.size and gap[0] == 0)
+    return _table_form(M, _union(lo, gap[(count + odd) % 2 == 1]))
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -275,18 +480,28 @@ class ZSpec(_Keyed):
         """Length of the k-th run (k >= 1; run 1 is zeroes, run 2 ones, ...)."""
         raise NotImplementedError
 
-    def _runs(self, N: int) -> tuple[list[int], int, int]:
-        """Run lengths from run 1 on, at least up to the run holding N; then
-        the position after which the runs repeat, and their period in
-        positions (0: they do not repeat)."""
-        runs, total = [], 0
-        while total < N:
-            zk = self.run(len(runs) + 1)
-            if runs and zk < 1:
-                raise ValueError("run lengths after the first must be >= 1")
-            runs.append(zk)
-            total += zk
-        return runs, total, 0
+    def _run_ends(self, N: int) -> Iterator[int]:
+        """The positions where runs 1, 2, ... end, as Python ints, on to N
+        and past it."""
+        raise NotImplementedError
+
+    def _ends(self, N: int) -> np.ndarray:
+        """The positions where runs 1, 2, ... end, those below N."""
+        return np.array(list(takewhile(lambda e: e < N, self._run_ends(N))), dtype=np.int64)
+
+    def _table(self, N: int) -> _Table:
+        return _run_table(self._ends(N), N)
+
+    def _walk(self, x: int) -> tuple[int, bool]:
+        """c_x, and whether x >= 1 is a member, from the run ends as Python
+        ints: counts from ``MAX_TABLE`` on, where there is no table."""
+        c = prev = 0
+        ones = False  # run 1 is zeroes
+        for end in self._run_ends(x):
+            if end >= x:  # x lies in (prev, end]
+                return c + (x - prev) * ones, ones
+            c += (end - prev) * ones
+            prev, ones = end, not ones
 
     def _limits(self) -> tuple[Fraction, Fraction, str]:
         raise NotExactlySolvable(f"blocks {self._format()} has no block formula")
@@ -309,6 +524,10 @@ class Geometric(ZSpec):
 
     def run(self, k: int) -> int:
         return self.ratio ** (k - 1)
+
+    def _run_ends(self, N):
+        # (r**k - 1)/(r - 1), k >= 1: O(log N) of them below N
+        return accumulate(self.ratio**k for k in count())
 
     def _limits(self):
         r = self.ratio
@@ -333,6 +552,29 @@ class Poly(ZSpec):
 
     def run(self, k: int) -> int:
         return k**self.exponent
+
+    def _runs_upto(self, N: int) -> int:
+        """K, a number of runs that reach N: at most 2**26 of them, else a
+        typed error before anything is built."""
+        e = self.exponent
+        # the first K runs hold at least K**(e + 1)/(e + 1) >= N positions
+        K = int(((e + 1) * N) ** (1 / (e + 1))) + 2
+        if K > MAX_MASK >> 5:
+            raise CesaroError(f"blocks poly {e} has {K} runs up to {N}, past the table limit")
+        return K
+
+    def _run_ends(self, N):
+        self._runs_upto(N)
+        return accumulate(k**self.exponent for k in count(1))
+
+    def _ends(self, N):
+        e, K = self.exponent, self._runs_upto(N)
+        if K**e < 1 << 62:
+            runs = np.arange(1, K + 1, dtype=np.int64) ** e
+        else:  # a few runs, each cut to N so that their sum fits int64
+            runs = np.array([min(k**e, N) for k in range(1, K + 1)], dtype=np.int64)
+        ends = np.cumsum(runs)
+        return ends[: ends.searchsorted(N)]
 
     def _limits(self):
         return Fraction(1, 2), Fraction(1, 2), "block-formula"
@@ -374,15 +616,43 @@ class RunList(ZSpec):
             return self.runs[-1]
         return self.runs[i % len(self.runs)]
 
-    def _runs(self, N):
-        # periodic once the listed runs are spent: the listed runs, then one
-        # period of the tail with an even number of runs, so that run
-        # parities repeat too
+    def _tail(self) -> np.ndarray:
+        """The runs of one period once the listed runs are spent: an even
+        number of them, so that run parities repeat too."""
         if self.tail == "repeat-last":
-            tail = [self.runs[-1]] * 2
-        else:
-            tail = list(self.runs) * (1 + len(self.runs) % 2)
-        return [self.head, *self.runs, *tail], self.head + sum(self.runs), sum(tail)
+            return np.array([self.runs[-1]] * 2)
+        return np.array(self.runs * (1 + len(self.runs) % 2))
+
+    def _run_ends(self, N):
+        return accumulate(chain((self.head,), self.runs, cycle(self._tail().tolist())))
+
+    def _walk(self, x):
+        # x less whole periods of the tail, each holding the same members
+        start, tail = self.head + sum(self.runs), self._tail()
+        period, ones = int(tail.sum()), int(tail[len(self.runs) % 2 :: 2].sum())
+        skip = max(0, (x - start - 1) // period)
+        c, member = super()._walk(x - skip * period)
+        return c + skip * ones, member
+
+    def _table(self, N):
+        listed = np.cumsum([self.head, *self.runs])
+        start = int(listed[-1])
+        if N <= start:
+            return _run_table(listed[listed < N], N)
+        # periodic once the listed runs are spent; the odd runs, counted
+        # from the head run 0, are members
+        tail = self._tail()
+        period = int(tail.sum())
+        ones = (np.arange(tail.size) + len(self.runs) + 1) % 2 == 1
+        reps = _ceil_div(N - start, period)
+        if reps == 1 or reps * tail.size <= tail[ones].sum():  # few runs up to N
+            ends = start + np.cumsum(np.tile(tail, reps))
+            return _run_table(np.concatenate((listed, ends[ends < N])), N)
+        offsets = np.cumsum(tail) - tail
+        res = np.concatenate([np.arange(o, o + z) for o, z in zip(offsets[ones], tail[ones])])
+        form = _table_form(period, _rotate(res, period, (start + 1) % period))
+        head = _run_table(listed[:-1], start)
+        return _Table(np.append(head.bounds, N), np.append(head.phase, 2), (*head.forms, form))
 
     @classmethod
     def _parse(cls, p):
@@ -409,10 +679,15 @@ class SetExpr(_Keyed):
     """Base class for set expressions.  All variants are frozen dataclasses.
 
     Every kind names its DSL ``keyword`` and defines ``_member``,
-    ``_indicator``, ``_rule``, ``_parse`` and ``_format``; the methods here
-    are the defaults of its other rules.  The public functions below have
-    checked their arguments (n >= 1, N >= 1 for ``_count``,
-    0 <= N < ``MAX_MASK`` for ``_indicator``) before they dispatch.
+    ``_rule``, ``_parse`` and ``_format``, and a phase table (``_table``),
+    a mask kernel (``_indicator``) or both; the methods here are the
+    defaults of its other rules.  A combinator lists its ``_operands`` and
+    gets their results: ``_table`` their tables, returning None where it
+    has no table or one too large to beat the mask, and ``_indicator``
+    their masks, which it may change in place.  The public functions below
+    have checked their arguments (n >= 1, xs >= 0 for ``_counts``,
+    1 <= N < ``MAX_TABLE`` for ``_table``, 1 <= N < ``MAX_MASK`` for
+    ``_indicator``) before they dispatch.
     """
 
     __slots__ = ()
@@ -424,8 +699,26 @@ class SetExpr(_Keyed):
     #: ``canonicalize`` merges and complements
     _residue_class = False
 
-    def _count(self, N: int) -> int:
-        return int(np.count_nonzero(indicator(self, N)))
+    def _operands(self, N: int) -> tuple[tuple[SetExpr, int], ...]:
+        """The operands and the prefix of each that this node on [1, N] reads."""
+        return ()
+
+    def _table(self, N: int, *tables: _Table) -> _Table | None:
+        """The phase table on [1, N] from the operands' tables, or None."""
+        return None
+
+    def _counts(self, xs: list[int]) -> list[int]:
+        """c_x for each x of the nondecreasing xs, x >= 0: here from one
+        evaluation up to the last."""
+        r = _eval(self, xs[-1])
+        if isinstance(r, _Table):
+            return r.counts(np.array(xs)).tolist()
+        counts, c, prev = [], 0, 0
+        for x in xs:
+            c += int(np.count_nonzero(r[prev:x]))
+            counts.append(c)
+            prev = x
+        return counts
 
     def _canon(self) -> SetExpr:
         return self
@@ -456,11 +749,11 @@ class _Constant(SetExpr):
     def _member(self, n):
         return self._constant
 
-    def _indicator(self, N):
-        return np.full(N, self._constant)
+    def _table(self, N):
+        return _one_piece(_ALL_FORM if self._constant else _EMPTY_FORM, N)
 
-    def _count(self, N):
-        return N if self._constant else 0
+    def _counts(self, xs):
+        return [x * self._constant for x in xs]
 
     def _dilated(self, factor):
         return Residue(factor, frozenset({0})) if self._constant else self
@@ -512,8 +805,8 @@ class Explicit(SetExpr):
             arr[np.fromiter(self.elements[:cut], dtype=np.int64) - 1] = True
         return arr
 
-    def _count(self, N):
-        return bisect_right(self.elements, N)
+    def _counts(self, xs):
+        return [bisect_right(self.elements, x) for x in xs]
 
     def _canon(self):
         return self if self.elements else Empty()
@@ -555,20 +848,15 @@ class Residue(SetExpr):
     def _member(self, n):
         return n % self.modulus in self.residues
 
-    def _indicator(self, N):
-        arr = np.zeros(N, dtype=bool)
-        for r in self.residues:
-            arr[(r - 1) % self.modulus :: self.modulus] = True
-        return arr
+    def _table(self, N):
+        res = np.array(sorted(self.residues), dtype=np.int64)
+        if self.modulus > N:  # n mod (N + 1) = n on [1, N]
+            return _one_piece(_table_form(N + 1, res[(res >= 1) & (res <= N)]), N)
+        return _one_piece(_table_form(self.modulus, res), N)
 
-    def _count(self, N):
-        total = 0
-        for r in self.residues:
-            if r == 0:
-                total += N // self.modulus
-            elif r <= N:
-                total += (N - r) // self.modulus + 1
-        return total
+    def _counts(self, xs):
+        m = self.modulus
+        return [sum(x // m + (0 < r <= x % m) for r in self.residues) for x in xs]
 
     def _canon(self):
         return _reduce_residue(self.modulus, self._rule().residues)
@@ -593,25 +881,15 @@ class Blocks(SetExpr):
     keyword = "blocks"
 
     def _member(self, n):
-        runs, start, period = self.z._runs(n)
-        if period and n > start:
-            n = start + (n - start - 1) % period + 1
-        # run k (from 0) holds n; the odd ones are members
-        return bisect_left(list(accumulate(runs)), n) % 2 == 1
+        return _eval(self, n).member(n) if n < MAX_TABLE else self.z._walk(n)[1]
 
-    def _indicator(self, N):
-        runs, start, period = self.z._runs(N)
-        runs = _clip(runs, N)
-        bits = np.repeat(np.arange(len(runs)) % 2 == 1, runs)
-        return _periodic(bits[:start], bits[start:], N) if period else bits
+    def _table(self, N):
+        return self.z._table(N)
 
-    def _count(self, N):
-        runs, start, period = self.z._runs(N)
-        if period and N > start:
-            full, rest = divmod(N - start, period)
-            period_ones = sum(runs[1::2]) - sum(_clip(runs, start)[1::2])
-            return full * period_ones + sum(_clip(runs, start + rest)[1::2])
-        return sum(_clip(runs, N)[1::2])  # runs 2, 4, ... are the ones
+    def _counts(self, xs):
+        if xs[-1] < MAX_TABLE:
+            return super()._counts(xs)
+        return [self.z._walk(x)[0] for x in xs]
 
     def _rule(self):
         return self.z._limits()
@@ -648,18 +926,24 @@ class Greedy(SetExpr):
         p, q = self.target.numerator, self.target.denominator
         return _ceil_div(p * (n - 1), q) > _ceil_div(p * (n - 2), q)
 
-    def _indicator(self, N):
+    def _table(self, N):
+        if N <= 2:
+            return _Table(np.arange(N + 1), np.arange(N), (_ALL_FORM, _EMPTY_FORM))
         t = self.target
-        span = min(t.denominator, max(N - 2, 0))  # one period of n = 3, 4, ..., or less
+        span = min(t.denominator, N - 2)  # one period of n = 3, 4, ..., or less
+        if span >= MAX_MASK:
+            raise CesaroError(f"greedy period {span} not below the mask limit {MAX_MASK}")
         # a long-decimal target has the ceilings of a nearby short fraction;
         # span < MAX_MASK, so p * m < 2**62
         p, q = _farey_neighbours(t, span + 1)[1].as_integer_ratio()
         m = np.arange(1, span + 2, dtype=np.int64)
-        steps = np.diff(_ceil_div(p * m, q)) > 0  # entry i is membership of n = i + 3
-        return _periodic(np.array([True, False]), steps, N)
+        joins = np.flatnonzero(np.diff(_ceil_div(p * m, q)) > 0)  # entry i: n = i + 3 joins
+        form = _table_form(span, _rotate(joins, span, 3 % span))
+        return _Table(np.array([0, 1, 2, N]), np.arange(3), (_ALL_FORM, _EMPTY_FORM, form))
 
-    def _count(self, N):
-        return max(1, _ceil_div(self.target.numerator * (N - 1), self.target.denominator))
+    def _counts(self, xs):
+        p, q = self.target.numerator, self.target.denominator
+        return [max(1, _ceil_div(p * (x - 1), q)) if x else 0 for x in xs]
 
     def _rule(self):
         return self.target, self.target, "exact"
@@ -683,8 +967,12 @@ class Predicate(SetExpr):
     def _indicator(self, N):
         return predicate_spec(self.name).indicator(N)
 
-    def _count(self, N):
-        return int(predicate_spec(self.name).count_upto(N))
+    def _table(self, N):
+        table = predicate_spec(self.name).table
+        return table and table(N)
+
+    def _counts(self, xs):
+        return [int(predicate_spec(self.name).count_upto(x)) for x in xs]
 
     def _rule(self):
         spec = predicate_spec(self.name)
@@ -728,9 +1016,19 @@ class Binary(SetExpr):
             return self._truth(x, False)  # right cannot change the answer
         return self._truth(x, member(self.right, n))
 
-    def _indicator(self, N):
-        out = indicator(self.left, N)
-        return self.ufunc(out, indicator(self.right, N), out=out)
+    def _operands(self, N):
+        return (self.left, N), (self.right, N)
+
+    def _indicator(self, N, a, b):
+        return self.ufunc(a, b, out=a)
+
+    def _table(self, N, a, b):
+        bounds, pair, pairs = _merge(a, b)
+        lifts = _lifts(pairs, N)
+        if lifts is None:
+            return None
+        forms = [_table_form(L, self.array_op(x, y)) for L, x, y in lifts]
+        return _one_piece(forms[pair[0]], N) if pair.size == 1 else _retable(bounds, pair, forms)
 
     def _canon(self):
         a, b = self.left._canon(), self.right._canon()
@@ -811,12 +1109,20 @@ class Compl(SetExpr):
     def _member(self, n):
         return not member(self.inner, n)
 
-    def _indicator(self, N):
-        out = indicator(self.inner, N)
-        return np.logical_not(out, out=out)
+    def _operands(self, N):
+        return ((self.inner, N),)
 
-    def _count(self, N):
-        return N - count_upto(self.inner, N)
+    def _indicator(self, N, m):
+        return np.logical_not(m, out=m)
+
+    def _table(self, N, t):
+        if not _affordable(sum(f.modulus - f.residues.size for f in t.forms), N):
+            return None
+        forms = tuple(_table_form(f.modulus, _complement(f)) for f in t.forms)
+        return _Table(t.bounds, t.phase, forms)
+
+    def _counts(self, xs):
+        return [x - c for x, c in zip(xs, self.inner._counts(xs))]
 
     def _canon(self):
         return self.inner._canon()._complemented()
@@ -854,13 +1160,27 @@ class Dilate(SetExpr):
     def _member(self, n):
         return n % self.factor == 0 and member(self.inner, n // self.factor)
 
-    def _indicator(self, N):
+    def _operands(self, N):
+        return ((self.inner, N // self.factor),)
+
+    def _indicator(self, N, m):
         arr = np.zeros(N, dtype=bool)
-        arr[self.factor - 1 :: self.factor] = indicator(self.inner, N // self.factor)
+        arr[self.factor - 1 :: self.factor] = m
         return arr
 
-    def _count(self, N):
-        return count_upto(self.inner, N // self.factor)
+    def _table(self, N, t):
+        k = self.factor
+        if max(f.modulus for f in t.forms) * k > MAX_MODULUS:
+            return None
+        # n = k·m with m in a piece of t: the piece scaled by k, whose form
+        # (L, R) becomes (kL, kR); past k·(N // k) lies no multiple of k
+        bounds = t.bounds * k
+        bounds[-1] = N
+        forms = tuple(_table_form(k * f.modulus, k * f.residues) for f in t.forms)
+        return _Table(bounds, t.phase, forms)
+
+    def _counts(self, xs):
+        return self.inner._counts([x // self.factor for x in xs])
 
     def _canon(self):
         inner = self.inner._canon()
@@ -902,14 +1222,30 @@ class Shift(SetExpr):
     def _member(self, n):
         return n > self.offset and member(self.inner, n - self.offset)
 
-    def _indicator(self, N):
+    def _operands(self, N):
+        return ((self.inner, max(N - self.offset, 0)),)
+
+    def _indicator(self, N, m):
         arr = np.zeros(N, dtype=bool)
-        if N > self.offset:
-            arr[self.offset :] = indicator(self.inner, N - self.offset)
+        arr[self.offset :] = m
         return arr
 
-    def _count(self, N):
-        return count_upto(self.inner, N - self.offset)
+    def _table(self, N, t):
+        s = self.offset
+        if not s:
+            return t
+        # an Empty piece (0, s], then the pieces moved by s, residues rotated
+        forms = [
+            _table_form(f.modulus, _rotate(f.residues, f.modulus, s % f.modulus)) for f in t.forms
+        ]
+        return _retable(
+            np.concatenate(([0], t.bounds + s)),
+            np.concatenate(([len(forms)], t.phase)),
+            forms + [_EMPTY_FORM],
+        )
+
+    def _counts(self, xs):
+        return self.inner._counts([max(x - self.offset, 0) for x in xs])
 
     def _canon(self):
         inner = self.inner._canon()
@@ -941,40 +1277,62 @@ class Midpoint(SetExpr):
 
     Selection starts with the first element of the difference, so the
     count up to N is c_lower(N) + ceil(c_gap(N) / 2), with the gap
-    ``upper \\ lower``; lower plus the gap is lower ∪ upper.  So the exact
-    limit is (d(lower) + d(lower ∪ upper)) / 2 when both exist, the union's
-    from its own rule; without one, d(upper) stands in for it, which holds
-    when lower ⊆ upper, as builders verify on a prefix.
+    ``upper \\ lower``; lower plus the gap is lower ∪ upper.  A midpoint of
+    two fuzz-free forms is a form (``_midpoint_form``).  Otherwise the
+    exact limit is (d(lower) + d(lower ∪ upper)) / 2 when both exist, the
+    union's from its own rule: a null perturbation of an operand may flip
+    the selection parity from some point on, but moves no density.
     """
 
     lower: SetExpr
     upper: SetExpr
     keyword = "midpoint"
 
-    def _split(self, N: int) -> tuple[np.ndarray, np.ndarray]:
-        """lower and upper \\ lower on [1, N], from one walk of each operand."""
-        lo = indicator(self.lower, N)
-        gap = indicator(self.upper, N)
-        np.greater(gap, lo, out=gap)
-        return lo, gap
+    def _operands(self, N):
+        return (self.lower, N), (self.upper, N)
 
     def _member(self, n):
         if member(self.lower, n):
             return True
         if not member(self.upper, n):
             return False
-        return np.count_nonzero(self._split(n)[1]) % 2 == 1  # n is the last gap element so far
+        r = _eval(self, n)
+        return r.member(n) if isinstance(r, _Table) else bool(r[-1])
 
-    def _indicator(self, N):
-        lo, gap = self._split(N)
+    def _indicator(self, N, lo, gap):
+        np.greater(gap, lo, out=gap)  # upper \\ lower
         odd = np.logical_xor.accumulate(gap)  # parity of the gap count so far
         odd &= gap
         lo |= odd
         return lo
 
-    def _count(self, N):
-        lo, gap = self._split(N)
-        return int(np.count_nonzero(lo)) + (int(np.count_nonzero(gap)) + 1) // 2
+    def _counts(self, xs):
+        # a mask midpoint is counted from its operands' masks, as c_lower +
+        # ceil(c_gap / 2), with no parity pass
+        if not xs[-1]:
+            return [0] * len(xs)
+        r = _eval(self, xs[-1], kernel=lambda N, lo, hi: (lo, np.greater(hi, lo, out=hi)))
+        if isinstance(r, _Table):
+            return r.counts(np.array(xs)).tolist()
+        lo, gap = r
+        return [
+            int(np.count_nonzero(lo[:x])) + (int(np.count_nonzero(gap[:x])) + 1) // 2 for x in xs
+        ]
+
+    def _table(self, N, lo, hi):
+        bounds, pair, pairs = _merge(lo, hi)
+        lifts = _lifts(pairs, N, periods=2)
+        if lifts is None:
+            return None
+        gaps = [(L, x, _diff(y, x)) for L, x, y in lifts]
+        if pair.size == 1:  # one piece from 0: no gap point before it
+            return _one_piece(_midpoint_form(*gaps[pair[0]], 0), N)
+        # the parity of the gap count before each piece, less its form's
+        # count at the piece's start, picks the piece's selection
+        odd = _Table(bounds, pair, tuple(_Form(L, d, False) for L, _, d in gaps))._bases()[0] & 1
+        codes, phase = _distinct(2 * pair + odd, 2 * len(gaps))
+        forms = [_midpoint_form(*gaps[c // 2], c % 2) for c in codes]
+        return _retable(bounds, phase, forms)
 
     def _canon(self):
         lo, hi = self.lower._canon(), self.upper._canon()
@@ -982,10 +1340,12 @@ class Midpoint(SetExpr):
 
     def _rule(self):
         lo, hi = self.lower._rule(), self.upper._rule()
-        try:
-            union = Union(self.lower, self.upper)._joint(lo, hi)
-        except NotExactlySolvable:
-            union = hi  # no rule for the union: take lower ⊆ upper
+        if isinstance(lo, _Form) and isinstance(hi, _Form) and not (lo.fuzz or hi.fuzz):
+            L = math.lcm(lo.modulus, hi.modulus)
+            if _fits(lo, 2 * L) and _fits(hi, 2 * L):
+                x = _lift(lo, L)
+                return _midpoint_form(L, x, _diff(_lift(hi, L), x), 0)  # its one-piece table
+        union = Union(self.lower, self.upper)._joint(lo, hi)
         (lu, ll, lm), (uu, ul, um) = _limits_of(lo), _limits_of(union)
         if lu == ll and uu == ul:
             mid = (lu + uu) / 2
@@ -1047,13 +1407,14 @@ def _paired_member(n: int) -> bool:
     return not member(_PAIRED_BLOCKS, (n + 1) // 2)
 
 
-def _paired_indicator(N: int) -> np.ndarray:
-    half = (N + 1) // 2
-    base = indicator(_PAIRED_BLOCKS, half)
-    arr = np.zeros(N, dtype=bool)
-    arr[1::2] = base[: N // 2]  # even n = 2k  <->  k in base
-    arr[0::2] = ~base[:half]  # odd n = 2k-1 <->  k not in base
-    return arr
+def _paired_table(N: int) -> _Table:
+    # the runs of the block set up to ceil(N/2), doubled: on its member runs
+    # the even n belong, on the others the odd ones
+    base = _PAIRED_BLOCKS._table((N + 1) // 2)
+    bounds = base.bounds * 2
+    bounds[-1] = N
+    odd, even = _Form(2, np.array([1]), False), _Form(2, np.array([0]), False)
+    return _Table(bounds, base.phase, (odd, even))  # for base's (Empty, All)
 
 
 @dataclass(frozen=True)
@@ -1063,6 +1424,7 @@ class PredicateSpec:
     indicator: object  # N -> np.ndarray
     exact_upper: Fraction  # the upper Cesàro limit
     exact_lower: Fraction
+    table: object = None  # N -> _Table, for a piecewise-periodic set
 
 
 def _sparse(term, count) -> PredicateSpec:
@@ -1099,9 +1461,10 @@ PREDICATES: dict[str, PredicateSpec] = {
         # exactly one of {2k-1, 2k} belongs for every k: N // 2 members in
         # full pairs up to N, and the limit is exactly 1/2
         count_upto=lambda N: N // 2 + (N % 2 == 1 and _paired_member(N)),
-        indicator=_paired_indicator,
+        indicator=lambda N: _paired_table(N).fill(0, N),
         exact_upper=Fraction(1, 2),
         exact_lower=Fraction(1, 2),
+        table=_paired_table,
     ),
 }
 
@@ -1129,24 +1492,53 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
 
     The array is fresh and the caller owns it: it may be changed in place
     without affecting any later call.  The combinators rely on this and
-    combine into their left child's array, so every leaf kernel, and every
+    combine into their left operand's mask, so every mask kernel, and every
     registered predicate's ``indicator``, must return an array it keeps no
-    reference to.
+    reference to; a table's fill always is.
     """
     if N < 0:
         raise ValueError("prefix length must be >= 0")
+    _check_mask(N)
+    r = _eval(e, N)
+    return r.fill(0, N) if isinstance(r, _Table) else r
+
+
+def _check_mask(N: int) -> None:
     if N >= MAX_MASK:
         raise CesaroError(
             f"prefix length {N} not below the mask limit {MAX_MASK}, past which counts need int64"
         )
-    return e._indicator(N)
+
+
+def _eval(e: SetExpr, N: int, over: int = 0, kernel=None) -> _Table | np.ndarray:
+    """e on [1, N]: its phase table, else its mask, from its operands'
+    results; each node is evaluated once.  ``kernel`` stands for e's mask
+    kernel ``_indicator``.  A mask is fresh, owned by the caller, and
+    refused from ``MAX_MASK`` elements on.  ``over`` is the length, from
+    ``MAX_MASK`` on, of an ancestor that needs a table: below it a node
+    without one is refused before its operands' masks are built."""
+    if not N:
+        return np.zeros(0, dtype=bool)
+    over = over or (N if N >= MAX_MASK else 0)
+    operands = e._operands(N)
+    parts = [_eval(x, M, over) for x, M in operands]
+    # a leaf's table is its kernel; above the leaves a table has to pay
+    # for itself: from TABLE_BASE on, unless no mask can stand in for it,
+    # and by its size (``_affordable``)
+    if N < MAX_TABLE and (
+        not parts or ((over or N >= TABLE_BASE) and all(isinstance(p, _Table) for p in parts))
+    ):
+        t = e._table(N, *parts)
+        if t is not None:
+            return t
+    _check_mask(over or N)
+    masks = (p.fill(0, M) if isinstance(p, _Table) else p for p, (_, M) in zip(parts, operands))
+    return (kernel or e._indicator)(N, *masks)
 
 
 def count_upto(e: SetExpr, N: int) -> int:
     """Number of members of ``e`` in [1, N], exactly."""
-    if N <= 0:
-        return 0
-    return e._count(N)
+    return e._counts([N])[0] if N > 0 else 0
 
 
 def canonicalize(e: SetExpr) -> SetExpr:
@@ -1198,12 +1590,8 @@ def prefix_scan(e: SetExpr, frm: int, to: int) -> PrefixStat:
     """Membership count over [frm, to].  Associative under concatenation."""
     if not (1 <= frm <= to):
         raise ValueError("need 1 <= frm <= to")
-    if isinstance(e, Binary):
-        # count_upto would walk the tree twice, to frm - 1 and to to
-        count = int(np.count_nonzero(indicator(e, to)[frm - 1 :]))
-    else:
-        count = count_upto(e, to) - count_upto(e, frm - 1)
-    return PrefixStat(to - frm + 1, count)
+    before, upto = e._counts([frm - 1, to])
+    return PrefixStat(to - frm + 1, upto - before)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ families have closed forms; complements, dilations, shifts and midpoints
 follow from their operands' results, and a Boolean node with no joint
 form retries once on its ``canonicalize``d expression.  Everything else
 falls back to a windowed streaming estimate with an explicit Unknown
-verdict when the evidence is inconclusive.
+verdict when the evidence is inconclusive.  The estimate reads the set's
+phase table where it has one, with no mask and so no mask limit, and
+otherwise one mask; both give the same floats (``_window_extremes``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprs import NotExactlySolvable, SetExpr, _exact, gap_functions, indicator
+from .exprs import (
+    TABLE_SHARE,
+    NotExactlySolvable,
+    SetExpr,
+    _complement,
+    _distinct,
+    _eval,
+    _exact,
+    _Form,
+    _Table,
+    _union,
+)
 
 DEFAULT_HORIZON = 10**6
 DEFAULT_WINDOW = 0.5
@@ -152,29 +165,107 @@ def _piece_extremes(seg: np.ndarray, a: int, carry: int, buf: np.ndarray):
     return float(before.max(initial=top)), float(before.min(initial=bottom)), total
 
 
-def _window_extremes(
-    mask: np.ndarray, segments: list[tuple[int, int]]
-) -> list[tuple[float, float]]:
+def _dense_extremes(fill, a: int, b: int, carry: int, buf: np.ndarray):
+    """(max, min) of c_n/n over n in (a, b], and c_b, for c_a = carry, from
+    the mask ``fill(x, y)`` of n = x + 1, ..., y, one ``_CHUNK`` at a time
+    (``_piece_extremes``)."""
+    top, bottom = -math.inf, math.inf
+    for x in range(a, b, _CHUNK):
+        t, m, total = _piece_extremes(fill(x, min(b, x + _CHUNK)), x, carry, buf)
+        top, bottom, carry = max(top, t), min(bottom, m), carry + total
+    return top, bottom, carry
+
+
+def _form_extremes(f: _Form, a: np.ndarray, b: np.ndarray, ca: np.ndarray):
+    """(max, min) of c_n/n over n in (a, b] per piece of form f = (L, R),
+    from candidates; ca is the count at a.
+
+    With g = |R|, n = n0 + kL has c_n = c_n0 + kg, so c_n/n is monotone in
+    k: the last maximum and minimum of a piece lie in its first or last L
+    positions.  As in ``_piece_extremes`` they also lie at a + 1 or at b,
+    which the caller reads, or at or just before a position of the rarer
+    bit.  The counts there come from one cumulative count over the period,
+    at the rarer residues s and at s - 1.
+    """
+    L, R, g = f.modulus, f.residues, f.residues.size
+    members = 2 * g <= L
+    rare = R if members else _complement(f)
+    rank = np.arange(1, rare.size + 1) - (rare.size and rare[0] == 0)
+    at = rank if members else rare - rank  # the count on [1, s] of residue s
+    # s - 1 has one member fewer when s is one, and residue 0 stands for L
+    s = np.concatenate((rare, (rare - 1) % L))
+    at = np.concatenate((at, at - members + g * (rare == 0)))
+    a, b = a[:, None], b[:, None]
+    q, r = np.divmod(a, L)
+    base = ca[:, None] - q * g - (R.searchsorted(r, side="right") - (g and R[0] == 0))
+    # each residue's first and last position in the piece
+    n = np.concatenate((a + 1 + (s - a - 1) % L, b - (b - s) % L), axis=1)
+    v = (base + n // L * g + np.concatenate((at, at))) / n  # c_n = base + F(n)
+    inside = (n > a) & (n <= b)
+    top = np.where(inside, v, -np.inf).max(axis=1, initial=-np.inf)
+    return top, np.where(inside, v, np.inf).min(axis=1, initial=np.inf)
+
+
+def _table_extremes(t: _Table, cuts: np.ndarray):
+    """(max, min) of c_n/n per piece between consecutive ``cuts`` of a
+    phase table, each piece inside one of its pieces."""
+    a, b = cuts[:-1], cuts[1:]
+    c = t.counts(np.concatenate((cuts, a + 1)))
+    ca, cb, c1 = c[: a.size], c[1 : cuts.size], c[cuts.size :]
+    # the ends; they are all of an All or Empty piece's candidates
+    first, last = c1 / (a + 1), cb / b
+    tops, bottoms = np.maximum(first, last), np.minimum(first, last)
+    phase = t.phase[t.bounds.searchsorted(b) - 1]
+    buf = np.empty((3, _CHUNK // 2))
+    for j in _distinct(phase, len(t.forms))[0]:
+        f = t.forms[j]
+        if f.modulus == 1:
+            continue
+        on = phase == j
+        rare = min(f.residues.size, f.modulus - f.residues.size)
+        # a rarer residue's candidates cost about as much as TABLE_SHARE
+        # mask elements scanned densely, and a dense piece about _CHUNK // 2
+        # more, so a shorter piece is filled
+        long = on & (b - a + _CHUNK // 2 > TABLE_SHARE * rare)
+        pieces = np.flatnonzero(long)
+        step = max(1, _CHUNK // (4 * rare + 1))  # pieces of at most _CHUNK candidates at a time
+        for k in range(0, pieces.size, step):
+            i = pieces[k : k + step]
+            top, bottom = _form_extremes(f, a[i], b[i], ca[i])
+            tops[i] = np.maximum(tops[i], top)
+            bottoms[i] = np.minimum(bottoms[i], bottom)
+        for i in np.flatnonzero(on & ~long).tolist():
+            top, bottom, _ = _dense_extremes(t.fill, int(a[i]), int(b[i]), int(ca[i]), buf)
+            tops[i], bottoms[i] = max(tops[i], top), min(bottoms[i], bottom)
+    return tops, bottoms
+
+
+def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, float]]:
     """(max, min) of the partial averages c_n/n over n in (lo, hi], per window.
 
-    One pass over the span of the windows, cut at every window bound and
-    every ``_CHUNK`` positions, so each piece lies wholly inside or outside
-    each window and windows share the pieces they overlap.  Windows must be
-    nonempty.
+    ``src`` is a mask or a phase table.  One pass over the span of the
+    windows, cut at every window bound, and every bound of a table, so each
+    piece lies wholly inside or outside each window and windows share the
+    pieces they overlap.  Windows must be nonempty.
     """
     first = min(lo for lo, _ in segments)
     last = max(hi for _, hi in segments)
-    cuts = sorted({*range(first, last, _CHUNK), *(b for seg in segments for b in seg), last})
-    buf = np.empty((3, _CHUNK // 2))
-    carry = int(np.count_nonzero(mask[:first]))
-    tops, bottoms = [], []
-    for a, b in zip(cuts, cuts[1:]):
-        top, bottom, total = _piece_extremes(mask[a:b], a, carry, buf)
-        tops.append(top)
-        bottoms.append(bottom)
-        carry += total
-    at = {b: i for i, b in enumerate(cuts)}
-    return [(max(tops[at[lo] : at[hi]]), min(bottoms[at[lo] : at[hi]])) for lo, hi in segments]
+    edges = np.unique([b for seg in segments for b in seg])
+    if isinstance(src, _Table):
+        cuts = _union(src.bounds[(src.bounds > first) & (src.bounds < last)], edges)
+        tops, bottoms = _table_extremes(src, cuts)
+    else:
+        cuts = edges
+        buf = np.empty((3, _CHUNK // 2))
+        carry = int(np.count_nonzero(src[:first]))
+        tops, bottoms = np.empty((2, cuts.size - 1))
+        for i, (a, b) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
+            tops[i], bottoms[i], carry = _dense_extremes(lambda x, y: src[x:y], a, b, carry, buf)
+    out = []
+    for lo, hi in segments:
+        i, j = cuts.searchsorted((lo, hi))
+        out.append((float(tops[i:j].max()), float(bottoms[i:j].min())))
+    return out
 
 
 def _estimate(
@@ -188,7 +279,7 @@ def _estimate(
     start = max(1, math.ceil((1 - window) * horizon))
     doubling = [(horizon // 2, horizon), (horizon // 4, horizon // 2), (horizon // 8, horizon // 4)]
     (upper, lower), *subs = _window_extremes(
-        indicator(e, horizon), [(start - 1, horizon), *doubling]
+        _eval(e, horizon), [(start - 1, horizon), *doubling]
     )
     persistent = all(mx - mn > tolerance for mx, mn in subs)
 
@@ -212,10 +303,10 @@ def estimate_limits(
     The upper/lower estimates are the max/min of the partial averages over
     the trailing window.  NotInF requires the oscillation to persist in
     three consecutive doubling sub-windows; a single wide swing is not
-    treated as divergence.  The cost is one ``indicator`` walk and one
-    pass of ``_piece_extremes`` over the windows, which reads c_n/n only at
-    the positions of each piece's rarer bit and just before them; no
-    running count and no N-long count array is built.
+    treated as divergence.  The cost is one evaluation of the tree and
+    one pass over the windows, which reads c_n/n only at the positions of
+    each piece's rarer bit and just before them; a tree with a phase table
+    builds no mask, and no running count or N-long count array is built.
     """
     return _estimate(e, horizon, window, tolerance)[0]
 
@@ -249,48 +340,3 @@ def classify(
     if rep.verdict is Verdict.IN_F and rep.limit <= rep.tolerance:
         kind = "Null"
     return Classification(kind, rep, approximate=not rep.exact)
-
-
-# ---------------------------------------------------------------------------
-# gap diagnostics
-
-
-@dataclass(frozen=True)
-class GapDiagnostic:
-    # entries are (N, ratio or None); None marks a horizon-censored sample
-    p_samples: tuple[tuple[int, float | None], ...]
-    q_samples: tuple[tuple[int, float | None], ...]
-    trend: str  # "decreasing" | "bounded-away-from-zero" | "inconclusive"
-
-
-def gap_sublinearity(e: SetExpr, horizon: int) -> GapDiagnostic:
-    """Sample next-member/next-gap distances at N = 2^j and classify the trend.
-
-    A decreasing trend of P(N)/N is the finite-scale signature of
-    convergence; ratios staying bounded away from zero witness long runs
-    of the complement growing with N.
-    """
-    if horizon < 1000:
-        raise ValueError("horizon must be >= 1000")
-    p_samples: list[tuple[int, float | None]] = []
-    q_samples: list[tuple[int, float | None]] = []
-    j = 3
-    while 2**j <= horizon:
-        n = 2**j
-        pair = gap_functions(e, n, 5 * n + 100)
-        p_samples.append((n, None if pair.p is None else pair.p / n))
-        q_samples.append((n, None if pair.q is None else pair.q / n))
-        j += 1
-
-    # censored samples exceeded a horizon ~4N past the base point; treat
-    # them as a large ratio for trend purposes
-    ratios = [4.0 if r is None else r for _, r in p_samples]
-    head = ratios[: min(4, len(ratios))]
-    tail = ratios[-min(4, len(ratios)) :]
-    if max(tail) <= max(0.25 * max(head), 1e-6):
-        trend = "decreasing"
-    elif max(tail) >= 0.01:
-        trend = "bounded-away-from-zero"
-    else:
-        trend = "inconclusive"
-    return GapDiagnostic(tuple(p_samples), tuple(q_samples), trend)

@@ -342,3 +342,50 @@ def test_midpoint_limit_takes_the_union_of_its_operands(text, value):
     rep = c.exact_limits(e)
     assert (rep.upper, rep.lower, rep.method) == (value, value, "exact")
     assert abs(c.partial_average(e, 10**6) - value) < Fraction(1, 1000)
+
+
+# ---------------------------------------------------------------------------
+# every fuzz-free form predicts exact counts, not only its density
+
+fuzz_free = st.recursive(
+    st.one_of(
+        st.just(c.Empty()),
+        st.just(c.All()),
+        st.integers(1, 12).flatmap(
+            lambda m: st.sets(st.integers(0, m - 1), min_size=1).map(lambda r: c.Residue(m, r))
+        ),
+    ),
+    lambda inner: st.one_of(
+        st.builds(c.Union, inner, inner),
+        st.builds(c.Inter, inner, inner),
+        st.builds(c.Diff, inner, inner),
+        st.builds(c.SymDiff, inner, inner),
+        st.builds(c.Compl, inner),
+        st.builds(c.Dilate, st.integers(1, 4), inner),
+        st.builds(c.Midpoint, inner, inner),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_free)
+def test_every_fuzz_free_form_predicts_its_counts(e):
+    f = _form(e)
+    assert not f.fuzz
+    L, R = f.modulus, f.residues
+    for k in (1, 2, 3):
+        assert c.count_upto(e, k * L) == k * R.size, k
+    want = np.zeros(L, dtype=bool)
+    want[(R - 1) % L] = True  # n = r, and n = L for r = 0
+    assert np.array_equal(c.indicator(e, L), want)
+
+
+def test_midpoint_form_of_nested_midpoints():
+    # the gap of midpoint(4Z, 2Z) is 2 mod 4, every second point from 2 on
+    inner = c.parse_expr("midpoint(residue 4 {0}, residue 2 {0})")
+    f = _form(inner)
+    assert (f.modulus, f.residues.tolist(), f.fuzz) == (8, [0, 2, 4], False)
+    outer = c.Midpoint(inner, c.Residue(2, frozenset({0})))
+    rep = c.exact_limits(outer)
+    assert (rep.upper, rep.lower, rep.method) == (Fraction(7, 16), Fraction(7, 16), "exact")

@@ -478,9 +478,10 @@ def test_primes_beyond_the_sieve_limit_are_rejected_before_allocating(op):
 
 # ---------------------------------------------------------------------------
 # one prefix budget: indicator refuses MAX_MASK elements or more before it
-# allocates, and every prefix-walking entry point goes through it
+# allocates, and every prefix-walking entry point goes through it; an
+# explicit set has no phase table, so these trees walk masks
 
-_UNION = "union(residue 2 {0}, blocks geometric 2)"
+_UNION = "union(explicit{1}, blocks geometric 2)"
 
 
 @pytest.mark.parametrize(
@@ -491,9 +492,29 @@ _UNION = "union(residue 2 {0}, blocks geometric 2)"
         lambda: c.estimate_limits(c.parse_expr(_UNION), 10**12),
         lambda: c.classify(c.parse_expr(_UNION), 10**12),
         lambda: c.prefix_scan(c.parse_expr(_UNION), 1, 10**12),
-        lambda: c.count_upto(c.parse_expr("midpoint(residue 4 {0}, residue 2 {0})"), 10**12),
+        lambda: c.count_upto(
+            c.parse_expr("midpoint(residue 4 {0}, union(residue 2 {0}, explicit{1}))"), 10**12
+        ),
+        # operands on a shorter prefix, below the limit, are not built either
+        lambda: c.estimate_limits(c.parse_expr("shift 1 explicit{1}"), 2**31),
+        lambda: c.estimate_limits(c.parse_expr("dilate 2 explicit{1}"), 2**31),
+        lambda: c.estimate_limits(c.parse_expr("shift 1 predicate primes"), 2**31),
+        lambda: c.classify(c.parse_expr("dilate 2 union(explicit{1}, blocks geometric 2)"), 2**31),
+        lambda: c.count_upto(c.parse_expr("midpoint(residue 2 {0}, shift 1 explicit{1})"), 2**31),
     ],
-    ids=["indicator", "partial_average", "estimate_limits", "classify", "prefix_scan", "midpoint"],
+    ids=[
+        "indicator",
+        "partial_average",
+        "estimate_limits",
+        "classify",
+        "prefix_scan",
+        "midpoint",
+        "shift",
+        "dilate",
+        "shift_primes",
+        "dilate_classify",
+        "midpoint_shift",
+    ],
 )
 def test_prefix_walks_beyond_the_mask_limit_are_rejected_before_allocating(call):
     tracemalloc.start()
@@ -504,6 +525,68 @@ def test_prefix_walks_beyond_the_mask_limit_are_rejected_before_allocating(call)
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _odd_members_of_geometric_2(N):
+    """Odd members of blocks geometric 2 in [1, N], run by run."""
+    total, end, k = 0, 0, 1
+    while end < N:
+        start, end = end, end + 2 ** (k - 1)
+        if k % 2 == 0:  # runs 2, 4, ... are members
+            total += (min(end, N) + 1) // 2 - (start + 1) // 2  # the odd n in (start, end]
+        k += 1
+    return total
+
+
+def test_table_counts_past_the_mask_limit():
+    N = 10**12
+    tracemalloc.start()
+    try:
+        union = c.count_upto(c.parse_expr("union(residue 2 {0}, blocks geometric 2)"), N)
+        mid = c.count_upto(c.parse_expr("midpoint(residue 4 {0}, residue 2 {0})"), N)
+        scan = c.prefix_scan(c.parse_expr("blocks poly 1"), N - 10**6 + 1, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert union == N // 2 + _odd_members_of_geometric_2(N)
+    # the gap 2 mod 4, every second point from 2 on: 2 mod 8
+    assert mid == N // 4 + (N - 2) // 8 + 1
+    # runs 1, 2, ..., k end at k(k+1)/2; the even ones are members
+    k = (math.isqrt(8 * N + 1) - 1) // 2  # the last run ending by N
+    assert k * (k + 1) // 2 <= N < (k + 1) * (k + 2) // 2 and k % 2 == 1
+    assert scan.count == min(10**6, N - k * (k + 1) // 2)
+    assert peak < 1 << 27  # int64 arrays over the 1.4·10^6 runs of poly 1, no mask
+
+
+@pytest.mark.parametrize(
+    "text, n, is_member, count",
+    [
+        ("blocks geometric 2", 10**20, False, 49191317529892137642),
+        ("blocks geometric 3", 10**20 + 7, False, 41032120924317134703),
+        ("blocks poly 3", 10**20, False, 49999496201269072200),
+        ("blocks list [3;2,5,7] cycle", 10**20 + 13, False, 50000000000000000006),
+        ("blocks list [0;4,1] repeat-last", 10**20 + 2, True, 50000000000000000003),
+        ("predicate paired", 10**20, True, 5 * 10**19),
+        ("predicate paired", 10**20 + 1, False, 5 * 10**19),
+    ],
+)
+def test_block_sets_past_the_table_limit_count_with_python_ints(text, n, is_member, count):
+    e = c.parse_expr(text)
+    assert c.member(e, n) is is_member
+    assert c.count_upto(e, n) == count
+    assert c.count_upto(e, n - 1) == count - is_member
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["blocks geometric 3", "blocks poly 2", "blocks list [3;2,5,7] cycle", "blocks list [0;4,1]"],
+)
+def test_block_run_walk_matches_the_table(text):
+    z = c.parse_expr(text).z
+    N = 5000
+    table = z._table(N)
+    for x in range(1, N + 1):
+        assert z._walk(x) == (int(table.counts(np.array([x]))[0]), table.member(x))
 
 
 def test_farey_neighbours_keep_floors_and_ceilings():

@@ -8,7 +8,9 @@ beyond any finite perturbation.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
+from cesaro import exprs, limits
+from cesaro.exprs import _eval, _Table
 from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes
-from conftest import PERIOD, WINDOW_START, random_fragment, window_density
+from conftest import PERIOD, WINDOW_START, brute_set, random_fragment, window_density
+from test_grammar import _leaves, _nodes
 
 
 def test_exact_matches_window_oracle_on_random_fragments():
@@ -145,16 +150,6 @@ def test_classify_unknown_kind():
     cls = c.classify(c.Inter(c.Blocks(c.Geometric(2)), late), 1000)
     assert cls.kind == "Unknown" and cls.approximate
     assert cls.report.verdict is c.Verdict.UNKNOWN and cls.report.limit is None
-
-
-def test_gap_sublinearity_trends():
-    assert c.gap_sublinearity(c.Blocks(c.Geometric(2)), 10**5).trend == (
-        "bounded-away-from-zero"
-    )
-    assert c.gap_sublinearity(c.Residue(5, frozenset({1, 2})), 10**5).trend == (
-        "decreasing"
-    )
-    assert c.gap_sublinearity(c.Blocks(c.Poly(2)), 10**5).trend == "decreasing"
 
 
 def test_report_as_dict_rendering():
@@ -362,3 +357,71 @@ def test_midpoint_exact_limits_match_a_count_over_two_periods():
         want = Fraction(c.count_upto(m, hi) - c.count_upto(m, lo), 2 * PERIOD)
         rep = c.exact_limits(m)
         assert rep.upper == rep.lower == want, m
+
+
+def test_midpoint_without_a_union_rule_is_not_exact():
+    # greedy 1/2 is {1} and the evens from 4: not nested with the odds, so
+    # d(upper) cannot stand in for the union's density
+    e = c.parse_expr("midpoint(residue 2 {1}, greedy 1/2)")
+    with pytest.raises(NotExactlySolvable):
+        c.exact_limits(e)
+    assert c.partial_average(e, 10**6) == Fraction(3, 4)
+    cls = c.classify(e, 10**6)
+    assert cls.kind == "InF" and cls.approximate and abs(cls.report.limit - 0.75) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# phase tables against the mask: every tree without explicit sets or
+# predicates other than paired has one, unless its forms outgrow the mask
+
+table_trees = st.recursive(
+    st.one_of(
+        *(leaf for kind, leaf in _leaves.items() if kind not in ("explicit", "predicate")),
+        st.just(c.Predicate("paired")),
+    ),
+    lambda inner: st.one_of(*_nodes(inner).values()),
+    max_leaves=5,
+)
+TABLE_HORIZONS = (1000, 2**16 - 1, 2**16 + 1, 3 * 2**16 + 17)
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=table_trees, window=st.floats(0.05, 0.95), cut=st.floats(0, 1))
+@example(e=c.Predicate("paired"), window=0.9, cut=0.5)
+@example(e=c.Blocks(c.Poly(1)), window=0.5, cut=0.3)
+@example(e=c.Shift(3, c.Greedy(Fraction(1234, 4999))), window=0.5, cut=0.7)
+def test_table_scans_match_the_mask(e, window, cut):
+    for H in TABLE_HORIZONS:
+        # every table the forms allow, whether or not it beats the mask
+        with mock.patch.multiple(exprs, TABLE_SHARE=1, TABLE_BASE=0):
+            t = _eval(e, H)
+            if not isinstance(t, _Table):
+                continue
+            frm = 1 + int(cut * (H - 1))
+            scans = [c.prefix_scan(e, lo, hi).count for lo, hi in ((frm, H), (1, frm))]
+            counts = [c.count_upto(e, H), *scans]
+        # and no table above the leaves
+        with mock.patch.object(exprs, "TABLE_BASE", exprs.MAX_TABLE):
+            mask = c.indicator(e, H)
+        if H == TABLE_HORIZONS[0]:
+            assert set((np.flatnonzero(mask) + 1).tolist()) == brute_set(e, H)
+        segments = _estimate_windows(H, window)
+        want_extremes = _window_extremes(mask, segments)
+        # every periodic piece scanned from candidates, then every one filled
+        for share in (0, 2**40):
+            with mock.patch.object(limits, "TABLE_SHARE", share):
+                assert _window_extremes(t, segments) == want_extremes, (H, share)
+        want = [np.count_nonzero(mask[lo - 1 : hi]) for lo, hi in ((1, H), (frm, H), (1, frm))]
+        assert counts == want, H
+
+
+def test_streamed_estimate_at_1e9_from_a_phase_table():
+    e = c.parse_expr("union(residue 3 {1}, blocks geometric 2)")
+    tracemalloc.start()
+    try:
+        rep = c.estimate_limits(e, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.method == "streamed" and rep.verdict is c.Verdict.NOT_IN_F
+    assert peak < 16 << 20
