@@ -475,6 +475,7 @@ class ZSpec(_Keyed):
     __slots__ = ()
     #: DSL keyword after ``blocks`` -> spec class
     KINDS: dict[str, type] = {}
+    WALK_FROM = 0  #: a lone block set counts by ``_walk`` from here on, by its table below
 
     def run(self, k: int) -> int:
         """Length of the k-th run (k >= 1; run 1 is zeroes, run 2 ones, ...)."""
@@ -494,7 +495,7 @@ class ZSpec(_Keyed):
 
     def _walk(self, x: int) -> tuple[int, bool]:
         """c_x, and whether x >= 1 is a member, from the run ends as Python
-        ints: counts from ``MAX_TABLE`` on, where there is no table."""
+        ints: the counts of a lone block set from ``WALK_FROM`` on."""
         c = prev = 0
         ones = False  # run 1 is zeroes
         for end in self._run_ends(x):
@@ -545,6 +546,7 @@ class Poly(ZSpec):
 
     exponent: int
     keyword = "poly"
+    WALK_FROM = MAX_TABLE  # the walk is O(N^(1/(e+1))) Python steps
 
     def __post_init__(self):
         if self.exponent < 1:
@@ -789,10 +791,9 @@ class Explicit(SetExpr):
         elems = self.elements
         if len(elems) > MAX_EXPLICIT:
             raise ValueError(f"explicit set larger than {MAX_EXPLICIT} elements")
-        if elems and min(elems) < 1:
-            raise ValueError("explicit elements must be >= 1")
-        if not all(map(lt, elems, elems[1:])):
-            raise ValueError("explicit elements must be strictly increasing")
+        if not all(map(lt, elems, elems[1:])) or (elems and elems[0] < 1):
+            bad = ">= 1" if min(elems) < 1 else "strictly increasing"  # min() on errors only
+            raise ValueError(f"explicit elements must be {bad}")
 
     def _member(self, n):
         i = bisect_left(self.elements, n)
@@ -881,13 +882,13 @@ class Blocks(SetExpr):
     keyword = "blocks"
 
     def _member(self, n):
-        return _eval(self, n).member(n) if n < MAX_TABLE else self.z._walk(n)[1]
+        return _eval(self, n).member(n) if n < self.z.WALK_FROM else self.z._walk(n)[1]
 
     def _table(self, N):
         return self.z._table(N)
 
     def _counts(self, xs):
-        if xs[-1] < MAX_TABLE:
+        if xs[-1] < self.z.WALK_FROM:
             return super()._counts(xs)
         return [self.z._walk(x)[0] for x in xs]
 

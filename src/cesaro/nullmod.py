@@ -118,8 +118,62 @@ def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.
     return kept, removed
 
 
-_AUDIT_CHUNK = 2**14  # rows per write: bounds the memory of the audit text
-_AUDIT_LABELS = np.array(["0,,", "1,kept,", "1,removed,"], dtype=object)
+# The audit is rendered a chunk at a time into records of NUL-padded fixed-width
+# fields filled from lookup tables; the records' bytes without the NULs are its text.
+_AUDIT_CHUNK = 2**11  # rows per write: every per-chunk array stays below 128 KB
+_AUDIT_ROW = np.dtype(  # "ed," of "removed," opens prefix; lead: digits 1-4 of running_nu
+    [("n", "u4", 3), ("label", "u8"), ("prefix", "u8"), ("lead", "u8")]
+    + [("mid", "u4"), ("low", "u4"), ("tail", "u8")]
+)
+_NU_START = _AUDIT_ROW.fields["prefix"][1] + 3
+_digits = list(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48)  # digit i of k
+_nonzero = [d > 48 for d in _digits]
+_more = list(itertools.accumulate(_nonzero[::-1], np.logical_or))[::-1]  # a nonzero from i on
+_bare = [d * m for d, m in zip(_digits, itertools.accumulate(_nonzero, np.logical_or))]
+_cut = [d * m for d, m in zip(_digits, _more)]
+# group k at k + j·10^4: "%04d" % k (j = 0), less trailing (1) or leading zeros (2)
+_GROUPS = np.stack([np.concatenate(c) for c in zip(_digits, _cut, _bare)], 1).view("u4").ravel()
+# digits 1-4 the same (j = 0, 1), then with "." after the first unless nothing follows
+_none, _dot = np.zeros(10**4, np.uint8), np.full(10**4, 46, np.uint8)
+_lead = [[*_digits, _none], [*_cut, _none], [_digits[0], _dot, *_digits[1:]]]
+_lead += [[_cut[0], _dot * _more[1], *_cut[1:]]]
+_LEAD = np.stack([np.concatenate(c) for c in zip(*_lead)] + [_none.repeat(4)] * 3, 1)
+_LEAD = _LEAD.view("u8").ravel()
+# by status, then the end of ",1,removed," that goes in prefix
+_LABELS = np.array([b",0,,", b",1,kept,", b",1,remov", b"ed,"], "S8").view("u8")
+# by s = #{10^-10, ..., 10^0 <= running_nu}: "0" at s = 0, exponent notation at 1..6,
+# a "0.000" prefix cut to 12 - s bytes at 7..10, and the digits alone at 11
+_DECADES = np.array([float(f"1e{j}") for j in range(-10, 1)])
+_SCALE = np.array([float(10 ** (22 - s)) for s in range(12)])
+_prefix = [b"0", *[b""] * 6, *(b"0.000"[: 12 - s] for s in range(7, 11)), b""]
+_PREFIX = np.array([b"\0\0\0" + p for p in _prefix], "S8").view("u8")
+_TAIL = np.array([b"e-%02d" % (11 - s) * (1 <= s <= 6) + b"\n" for s in range(12)], "S8").view("u8")
+
+
+def _render_nu(x: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``"%.12g\\n" % v`` for each v of x, 0 or in [10^-10, 1], into
+    the running_nu fields of ``rows``.  v·10^(22 - s) lies in [10^11, 10^12)
+    and is exact to 2^-14 in float64, so it rounds to the 12 significant
+    digits unless it lies within 2^-12 of a half or rounds up to 10^12:
+    those rows Python formats."""
+    # a running average rarely leaves its decade within a chunk: s is then a scalar
+    first, last = _DECADES.searchsorted((x.min(), x.max()), side="right")
+    s = first + sum(x >= d for d in _DECADES[first:last])
+    y = x * _SCALE[s]
+    m = np.rint(y)
+    slow = np.flatnonzero((np.abs(y - m) > 0.5 - 2**-12) | (m >= 1e12))
+    m[slow] = 0  # keeps the lookups below in range
+    top, low = np.divmod(m.astype(np.int64), 10**4)
+    lead, mid = np.divmod(top, 10**4)
+    stripped = low == 0  # the groups before the last nonzero one lose trailing zeros
+    rows["low"] = _GROUPS[low + 10**4]
+    rows["mid"] = _GROUPS[mid + stripped * 10**4]
+    stripped &= mid == 0
+    rows["lead"] = _LEAD[lead + (stripped + ((1 <= s) & (s <= 6)) * 2) * 10**4]
+    rows["prefix"], rows["tail"] = _PREFIX[s], _TAIL[s]
+    for i in slow.tolist():
+        text = (b"%.12g\n" % x[i]).ljust(_AUDIT_ROW.itemsize - _NU_START, b"\0")
+        rows[i : i + 1].view(np.uint8)[_NU_START:] = np.frombuffer(text, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -168,18 +222,26 @@ class NullModResult:
     def export_audit(self, stream) -> None:
         """CSV audit: one row per prefix position, written in chunks."""
         stream.write("N,member,kept_or_removed,running_nu\n")
-        status = self.kept_mask.astype(np.int8)  # 0 non-member, 1 kept, 2 removed
-        status[np.asarray(self.removed, dtype=np.intp) - 1] = 2
+        gone = np.asarray(self.removed, dtype=np.int64) - 1
+        buf = np.empty(min(self.horizon, _AUDIT_CHUNK), _AUDIT_ROW)
         kept = 0
         for lo in range(0, self.horizon, _AUDIT_CHUNK):
-            hi = min(lo + _AUDIT_CHUNK, self.horizon)
-            n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            cnt = np.cumsum(self.kept_mask[lo:hi], dtype=np.int64) + kept
+            rows = buf[: min(_AUDIT_CHUNK, self.horizon - lo)]
+            i = 0  # N without leading zeros (j = 2); its first two words change at each 10^4
+            while i < rows.size:
+                q, r = divmod(lo + 1 + i, 10**4)
+                j = min(rows.size, i + 10**4 - r)
+                rows["n"][i:j, :2] = _GROUPS[[q // 10**4 + 20000, q % 10**4 + (q < 10**4) * 20000]]
+                rows["n"][i:j, 2] = _GROUPS[r + (q == 0) * 20000 :][: j - i]
+                i = j
+            part = self.kept_mask[lo : lo + rows.size]
+            rows["label"] = np.where(part, _LABELS[1], _LABELS[0])
+            cnt = np.cumsum(part, dtype=np.int64) + kept
             kept = int(cnt[-1])
-            labels = _AUDIT_LABELS[status[lo:hi]].tolist()
-            rows = zip(n.tolist(), labels, (cnt / n).tolist())
-            fields = tuple(itertools.chain.from_iterable(rows))
-            stream.write(("%d,%s%.12g\n" * (hi - lo)) % fields)
+            _render_nu(cnt / np.arange(lo + 1, lo + 1 + rows.size), rows)
+            out = gone[gone.searchsorted(lo) : gone.searchsorted(lo + rows.size)] - lo
+            rows["label"][out], rows["prefix"][out] = _LABELS[2], rows["prefix"][out] | _LABELS[3]
+            stream.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModResult:

@@ -8,10 +8,11 @@ set algebras use bitmasks as labels.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .exprs import CesaroError, Diff, Empty, Inter, SetExpr, SymDiff, Union
 from .limits import (
@@ -34,7 +35,7 @@ class QuotientError(CesaroError):
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """Boolean algebra on handles 0..size-1 with table-free operations."""
+    """Boolean algebra on handles 0..size-1, its operations given by tables."""
 
     labels: tuple  # label per handle, for printing
     joins: tuple[tuple[int, ...], ...]
@@ -63,68 +64,63 @@ class FiniteAlgebra:
         return self.meet(a, b) == a
 
     def check_axioms(self, sample_triples: int = 10**4, seed: int = 0) -> None:
-        """Identity, complement, commutative, associative, absorption and
-        distributive laws.  Exhaustive for small carriers, sampled above
-        MAX_EXHAUSTIVE_CARRIER."""
+        """Identity, complement, commutative, associative and distributive
+        laws, as table lookups over all handles, pairs and triples (sampled
+        above MAX_EXHAUSTIVE_CARRIER) at once.  The failure raised is the one
+        a loop over them in that order, trying the laws below in turn, meets first."""
         n = self.size
-        for a in range(n):
-            if self.join(a, self.zero) != a or self.meet(a, self.one) != a:
-                raise QuotientError(f"identity law fails at {a}")
-            if self.join(a, self.compl(a)) != self.one:
-                raise QuotientError(f"complement join law fails at {a}")
-            if self.meet(a, self.compl(a)) != self.zero:
-                raise QuotientError(f"complement meet law fails at {a}")
-        for a in range(n):
-            for b in range(n):
-                if self.join(a, b) != self.join(b, a):
-                    raise QuotientError(f"join commutativity fails at {a},{b}")
-                if self.meet(a, b) != self.meet(b, a):
-                    raise QuotientError(f"meet commutativity fails at {a},{b}")
+        join, meet = np.array(self.joins, dtype=np.intp), np.array(self.meets, dtype=np.intp)
+        a, c = np.arange(n), np.array(self.compls, dtype=np.intp)
+        _first_failure(
+            (a,),
+            ("identity law", (join[a, self.zero] != a) | (meet[a, self.one] != a)),
+            ("complement join law", join[a, c] != self.one),
+            ("complement meet law", meet[a, c] != self.zero),
+        )
+        a, b = a[:, None], a
+        _first_failure(
+            (a, b),
+            ("join commutativity", join[a, b] != join[b, a]),
+            ("meet commutativity", meet[a, b] != meet[b, a]),
+        )
         if n <= MAX_EXHAUSTIVE_CARRIER:
-            triples = itertools.product(range(n), repeat=3)
+            a, b, c = a[:, None], b[:, None], b
         else:
             rng = random.Random(seed)
-            triples = (
-                tuple(rng.randrange(n) for _ in range(3))
-                for _ in range(sample_triples)
-            )
-        for a, b, c in triples:
-            if self.meet(a, self.join(b, c)) != self.join(
-                self.meet(a, b), self.meet(a, c)
-            ):
-                raise QuotientError(f"distributivity fails at {a},{b},{c}")
-            if self.join(a, self.meet(b, c)) != self.meet(
-                self.join(a, b), self.join(a, c)
-            ):
-                raise QuotientError(f"dual distributivity fails at {a},{b},{c}")
-            if self.join(a, self.join(b, c)) != self.join(self.join(a, b), c):
-                raise QuotientError(f"join associativity fails at {a},{b},{c}")
-            if self.meet(a, self.meet(b, c)) != self.meet(self.meet(a, b), c):
-                raise QuotientError(f"meet associativity fails at {a},{b},{c}")
+            draws = [rng.randrange(n) for _ in range(3 * sample_triples)]
+            a, b, c = np.array(draws, dtype=np.intp).reshape(-1, 3).T
+        _first_failure(
+            (a, b, c),
+            ("distributivity", meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]),
+            ("dual distributivity", join[a, meet[b, c]] != meet[join[a, b], join[a, c]]),
+            ("join associativity", join[a, join[b, c]] != join[join[a, b], c]),
+            ("meet associativity", meet[a, meet[b, c]] != meet[meet[a, b], c]),
+        )
 
 
-def _algebra_from_ops(labels, join, meet, compl, zero, one) -> FiniteAlgebra:
-    n = len(labels)
-    joins = tuple(tuple(join(a, b) for b in range(n)) for a in range(n))
-    meets = tuple(tuple(meet(a, b) for b in range(n)) for a in range(n))
-    compls = tuple(compl(a) for a in range(n))
-    return FiniteAlgebra(tuple(labels), joins, meets, compls, zero, one)
+def _first_failure(at: tuple[np.ndarray, ...], *laws: tuple[str, np.ndarray]) -> None:
+    """Raise for the first position, in C order, where a law fails, naming
+    the first law failing there and the handles ``at`` holds there."""
+    fails = np.stack([bad for _, bad in laws])
+    hit = np.flatnonzero(fails.any(axis=0))
+    if hit.size:
+        name = laws[int(fails.reshape(len(laws), -1)[:, hit[0]].argmax())][0]
+        where = ",".join(str(h.flat[hit[0]]) for h in np.broadcast_arrays(*at))
+        raise QuotientError(f"{name} fails at {where}")
+
+
+def _algebra(labels, joins, meets, compls, zero, one) -> FiniteAlgebra:
+    """A FiniteAlgebra from numpy tables, its entries Python ints."""
+    tables = (tuple(map(tuple, t.tolist())) for t in (joins, meets))
+    return FiniteAlgebra(tuple(labels), *tables, tuple(compls.tolist()), int(zero), int(one))
 
 
 def build_algebra(n: int) -> FiniteAlgebra:
     """Power-set algebra on {1..n}, n <= 10 (4^n-entry tables); handles are subset bitmasks."""
     if not (0 <= n <= 10):
         raise QuotientError("universe size must lie in 0..10")
-    size = 1 << n
-    full = size - 1
-    alg = _algebra_from_ops(
-        labels=tuple(range(size)),
-        join=lambda a, b: a | b,
-        meet=lambda a, b: a & b,
-        compl=lambda a: full & ~a,
-        zero=0,
-        one=full,
-    )
+    h = np.arange(1 << n)
+    alg = _algebra(range(h.size), h[:, None] | h, h[:, None] & h, h[-1] ^ h, 0, h[-1])
     alg.check_axioms(sample_triples=2000)
     return alg
 
@@ -190,13 +186,14 @@ def build_quotient(alg: FiniteAlgebra, ideal: Ideal) -> QuotientResult:
                 raise QuotientError(f"meet not well-defined at {p},{q}")
         if class_of[alg.compl(p)] != class_of[alg.compl(reps[class_of[p]])]:
             raise QuotientError(f"complement not well-defined at {p}")
-    qalg = _algebra_from_ops(
-        labels=tuple(reps),
-        join=lambda a, b: class_of[alg.join(reps[a], reps[b])],
-        meet=lambda a, b: class_of[alg.meet(reps[a], reps[b])],
-        compl=lambda a: class_of[alg.compl(reps[a])],
-        zero=class_of[alg.zero],
-        one=class_of[alg.one],
+    cls, at = np.array(class_of), np.array(reps)
+    qalg = _algebra(
+        reps,
+        cls[np.array(alg.joins)[np.ix_(at, at)]],
+        cls[np.array(alg.meets)[np.ix_(at, at)]],
+        cls[np.array(alg.compls)[at]],
+        class_of[alg.zero],
+        class_of[alg.one],
     )
     qalg.check_axioms()
     out_classes = tuple(

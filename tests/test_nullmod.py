@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 import cesaro as c
 from cesaro.cli import main
 from cesaro.limits import _CHUNK
-from cesaro.nullmod import MAX_MASK, _chain_nus, _null_modify_mask, _removed_points
+from cesaro.nullmod import (
+    _AUDIT_CHUNK,
+    _AUDIT_ROW,
+    MAX_MASK,
+    _chain_nus,
+    _null_modify_mask,
+    _removed_points,
+    _render_nu,
+)
 from conftest import random_fragment
 
 
@@ -208,6 +216,57 @@ def test_export_audit_matches_per_row_loop(expr, bound, horizon):
     buf = io.StringIO()
     res.export_audit(buf)
     assert buf.getvalue() == per_row_audit(res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    expr=st.sampled_from(
+        [
+            "greedy 17/199",
+            "blocks poly 1",
+            "residue 20000 {7}",  # density below 10^-4: exponent notation
+            "union(residue 20000 {7}, explicit {1,2,3,5})",  # removals, then exponent notation
+            "all",
+            "empty",
+            "shift 3000 residue 3 {0}",  # a member-free prefix
+        ]
+    ),
+    horizon=st.one_of(
+        st.sampled_from([1, _AUDIT_CHUNK - 1, _AUDIT_CHUNK, _AUDIT_CHUNK + 1, 5 * _AUDIT_CHUNK + 17]),
+        st.integers(1, 3 * _AUDIT_CHUNK),
+    ),
+)
+def test_export_audit_matches_per_row_loop_at_chunk_edges(expr, horizon):
+    e = c.parse_expr(expr)
+    res = c.null_modify(e, c.exact_limits(e).upper, horizon)
+    buf = io.StringIO()
+    res.export_audit(buf)
+    assert buf.getvalue() == per_row_audit(res)
+
+
+def _rendered_nu(x):
+    """running_nu of each x as the audit writer renders it, a chunk at a time."""
+    out = []
+    for a in range(0, x.size, _AUDIT_CHUNK):
+        rows = np.zeros(min(_AUDIT_CHUNK, x.size - a), _AUDIT_ROW)
+        _render_nu(x[a : a + _AUDIT_CHUNK], rows)
+        out += rows.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+    return out
+
+
+def test_running_nu_matches_percent_format():
+    top = 1500
+    n = np.repeat(np.arange(1, top + 1), np.arange(1, top + 1))
+    cnt = np.arange(1, n.size + 1) - np.repeat(np.cumsum(np.arange(top)), np.arange(1, top + 1))
+    near = []  # floats next to the powers of ten where rounding carries a digit
+    for p in (1e-4, 1e-3, 0.01, 0.1, 1.0):
+        near += [p, *np.nextafter(p, 0) - np.arange(40) * np.spacing(p)]
+        near += [p + k * np.spacing(p) for k in range(1, 41) if p < 1]
+    # exact decimal ties of the 13th significant digit, such as odd c / 2^13
+    ties = [c / 2**j for j in (13, 20, 33) for c in range(1, 2**13, 2)]
+    x = np.concatenate([cnt / n, near, ties, [0.0, 1e-10, 2**-33]])
+    assert np.all((x == 0) | ((x >= 1e-10) & (x <= 1)))
+    assert _rendered_nu(x) == ["%.12g" % v for v in x.tolist()]
 
 
 def test_cli_audit_file_matches_per_row_loop(capsys, tmp_path):

@@ -4,6 +4,7 @@ null-difference equivalence on set expressions."""
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +40,125 @@ def test_check_axioms_catches_tampering():
     )
     with pytest.raises(c.QuotientError):
         broken.check_axioms()
+
+
+def loop_check_axioms(alg, sample_triples=10**4, seed=0):
+    """Reference: the per-element loop that check_axioms replaced."""
+    n = alg.size
+    for a in range(n):
+        if alg.join(a, alg.zero) != a or alg.meet(a, alg.one) != a:
+            raise c.QuotientError(f"identity law fails at {a}")
+        if alg.join(a, alg.compl(a)) != alg.one:
+            raise c.QuotientError(f"complement join law fails at {a}")
+        if alg.meet(a, alg.compl(a)) != alg.zero:
+            raise c.QuotientError(f"complement meet law fails at {a}")
+    for a in range(n):
+        for b in range(n):
+            if alg.join(a, b) != alg.join(b, a):
+                raise c.QuotientError(f"join commutativity fails at {a},{b}")
+            if alg.meet(a, b) != alg.meet(b, a):
+                raise c.QuotientError(f"meet commutativity fails at {a},{b}")
+    if n <= MAX_EXHAUSTIVE_CARRIER:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(sample_triples))
+    for a, b, x in triples:
+        if alg.meet(a, alg.join(b, x)) != alg.join(alg.meet(a, b), alg.meet(a, x)):
+            raise c.QuotientError(f"distributivity fails at {a},{b},{x}")
+        if alg.join(a, alg.meet(b, x)) != alg.meet(alg.join(a, b), alg.join(a, x)):
+            raise c.QuotientError(f"dual distributivity fails at {a},{b},{x}")
+        if alg.join(a, alg.join(b, x)) != alg.join(alg.join(a, b), x):
+            raise c.QuotientError(f"join associativity fails at {a},{b},{x}")
+        if alg.meet(a, alg.meet(b, x)) != alg.meet(alg.meet(a, b), x):
+            raise c.QuotientError(f"meet associativity fails at {a},{b},{x}")
+
+
+def _first_failure_message(check, alg):
+    try:
+        check(alg)
+    except c.QuotientError as exc:
+        return str(exc)
+    return None
+
+
+def _edited(alg, table, x, y, value, mirror):
+    """alg with entry (x, y) of its join or meet table set to value, and
+    entry (y, x) too when mirror, so that commutativity still holds."""
+    rows = [list(r) for r in getattr(alg, table)]
+    rows[x][y] = value
+    if mirror:
+        rows[y][x] = value
+    return replace(alg, **{table: tuple(map(tuple, rows))})
+
+
+# one edit per law and carrier, each found by a search for an edit whose
+# first failure under the reference loop is that law
+@pytest.mark.parametrize(
+    "universe, table, x, y, value, mirror, law",
+    [
+        (2, "joins", 0, 0, 2, True, "identity law"),
+        (2, "joins", 2, 1, 2, True, "complement join law"),
+        (2, "meets", 1, 2, 3, True, "complement meet law"),
+        (2, "joins", 2, 3, 2, False, "join commutativity"),
+        (2, "meets", 3, 2, 0, False, "meet commutativity"),
+        (2, "joins", 2, 2, 1, True, "distributivity"),
+        (2, "meets", 1, 1, 2, True, "dual distributivity"),
+        (2, "joins", 2, 3, 2, True, "join associativity"),
+        (2, "meets", 2, 2, 3, True, "meet associativity"),
+        (3, "joins", 0, 4, 0, True, "identity law"),
+        (3, "joins", 0, 7, 4, True, "complement join law"),
+        (3, "meets", 2, 5, 1, True, "complement meet law"),
+        (3, "joins", 2, 7, 3, False, "join commutativity"),
+        (3, "meets", 0, 1, 2, False, "meet commutativity"),
+        (3, "joins", 6, 6, 7, True, "distributivity"),
+        (3, "meets", 6, 4, 6, True, "dual distributivity"),
+        (3, "joins", 2, 7, 3, True, "join associativity"),
+        (3, "meets", 0, 1, 2, True, "meet associativity"),
+        # carrier 128: sampled triples
+        (7, "joins", 0, 85, 6, True, "identity law"),
+        (7, "joins", 55, 72, 20, True, "complement join law"),
+        (7, "meets", 55, 72, 16, True, "complement meet law"),
+        (7, "joins", 24, 93, 14, False, "join commutativity"),
+        (7, "meets", 38, 101, 12, False, "meet commutativity"),
+        (7, "meets", 35, 24, 12, True, "distributivity"),
+        (7, "joins", 70, 126, 24, True, "dual distributivity"),
+        (7, "joins", 81, 125, 86, True, "join associativity"),
+        (7, "meets", 98, 107, 90, True, "meet associativity"),
+    ],
+)
+def test_check_axioms_raises_the_first_failure_of_the_loop(universe, table, x, y, value, mirror, law):
+    broken = _edited(c.build_algebra(universe), table, x, y, value, mirror)
+    want = _first_failure_message(loop_check_axioms, broken)
+    assert want.startswith(f"{law} fails at ")
+    assert _first_failure_message(lambda a: a.check_axioms(), broken) == want
+
+
+@pytest.mark.parametrize("universe", [2, 3])
+def test_check_axioms_matches_the_loop_on_random_edits(universe):
+    alg = c.build_algebra(universe)
+    rng = random.Random(universe)
+    n = alg.size
+    for _ in range(150):
+        table = rng.choice(("joins", "meets", "compls"))
+        if table == "compls":
+            compls = list(alg.compls)
+            compls[rng.randrange(n)] = rng.randrange(n)
+            broken = replace(alg, compls=tuple(compls))
+        else:
+            x, y = rng.randrange(n), rng.randrange(n)
+            broken = _edited(alg, table, x, y, rng.randrange(n), rng.random() < 0.5)
+        want = _first_failure_message(loop_check_axioms, broken)
+        assert _first_failure_message(lambda a: a.check_axioms(), broken) == want
+
+
+def test_algebra_tables_hold_python_ints():
+    alg = c.build_algebra(4)
+    q = c.build_quotient(alg, principal_ideal(alg, 3)).algebra
+    for a in (alg, q):
+        entries = [*a.labels, *a.compls, a.zero, a.one, *itertools.chain(*a.joins, *a.meets)]
+        assert all(type(v) is int for v in entries)
+        assert type(a.join(1, 2)) is int and type(a.meet(1, 2)) is int and type(a.compl(1)) is int
 
 
 def test_ideal_validation():
