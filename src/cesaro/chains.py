@@ -8,14 +8,25 @@ countable statements; horizons are explicit everywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .constructions import midpoint_set
-from .exprs import All, CesaroError, Empty, Explicit, SetExpr, SymDiff, indicator
+from .exprs import (
+    All,
+    CesaroError,
+    Diff,
+    Empty,
+    Explicit,
+    NotExactlySolvable,
+    SetExpr,
+    SymDiff,
+    _Table,
+    indicator,
+)
 from .limits import (
     _CHUNK,
     DEFAULT_HORIZON,
@@ -25,7 +36,7 @@ from .limits import (
     classify,
     exact_limits,
 )
-from .nullmod import _as_fraction, _check_horizon
+from .nullmod import _as_fraction, _check_horizon, _combined, _members, _table_or_mask
 
 
 class ChainError(CesaroError):
@@ -59,33 +70,55 @@ def _exact_nu(e: SetExpr) -> Fraction:
     return rep.limit
 
 
+def _exact_nus(elements) -> list[Fraction]:
+    """``_exact_nu`` of each element; an element outside the exact engine
+    is a chain error that names it."""
+    nus = []
+    for i, e in enumerate(elements):
+        try:
+            nus.append(_exact_nu(e))
+        except NotExactlySolvable as exc:
+            raise ChainError(f"element {i} has no exact limit: {exc}") from None
+    return nus
+
+
 def verify_chain(elements, horizon: int = 10**4) -> Chain:
     """Sort by prefix counts and establish pairwise containment evidence.
 
     Incomparable pairs are rejected with one witness on each side;
-    duplicate denoted sets (on the prefix) are rejected too.
+    duplicate denoted sets (on the prefix) are rejected too.  Containment
+    is an empty difference, counted (from phase tables where the sets
+    have them); masks are built only to name the witnesses.
     """
     elems = list(elements)
     if not elems:
         raise ChainError("empty chain")
     _check_horizon(horizon, ChainError)
-    masks = [indicator(e, horizon) for e in elems]
-    order = sorted(range(len(elems)), key=lambda i: (int(masks[i].sum()), i))
+    sets = [_table_or_mask(e, horizon) for e in elems]
+    tables = [r if isinstance(r, _Table) else None for r in sets]
+    counts = [_members(r) for r in sets]
+
+    def mask(i: int) -> np.ndarray:
+        return sets[i] if tables[i] is None else sets[i].fill(0, horizon)
+
+    order = sorted(range(len(elems)), key=lambda i: (counts[i], i))
     evidence = []
     for a, b in zip(order, order[1:]):
-        small, big = masks[a], masks[b]
-        if np.array_equal(small, big):
+        diff = _combined(Diff(elems[a], elems[b]), horizon, tables[a], tables[b])
+        if diff is None or _members(diff):
+            small, big = mask(a), mask(b)
+            extra = np.flatnonzero(small & ~big)
+            if extra.size:
+                missing = np.flatnonzero(big & ~small)
+                n = int(extra[0]) + 1
+                m = int(missing[0]) + 1 if missing.size else int(extra[0]) + 1
+                raise ChainError(
+                    f"incomparable pair: witness {n} in one set only, {m} in the other"
+                )
+        if counts[a] == counts[b]:
             raise ChainError(
                 f"duplicate denoted sets on prefix 1..{horizon}: "
                 f"elements {a} and {b}"
-            )
-        extra = np.flatnonzero(small & ~big)
-        if extra.size:
-            missing = np.flatnonzero(big & ~small)
-            n = int(extra[0]) + 1
-            m = int(missing[0]) + 1 if missing.size else int(extra[0]) + 1
-            raise ChainError(
-                f"incomparable pair: witness {n} in one set only, {m} in the other"
             )
         evidence.append(OrderEvidence("prefix", horizon))
     return Chain(tuple(elems[i] for i in order), tuple(evidence), horizon)
@@ -132,12 +165,25 @@ class UniformityFailure:
     deviation: float
 
 
-def _chunk_deviations(mask: np.ndarray, a: int, horizon: int, nu_f: float):
+def _window_deviations(src, a: int, b: int, nu_f: float):
     """c_a, the running counts c_n - c_a and the float |c_n/n - nu| for n in
-    the chunk (a, min(a + _CHUNK, horizon)], from a dense recount."""
-    carry, avg, run = _running_averages(mask, a, min(a + _CHUNK, horizon))
+    the window (a, b], from a dense recount of ``src``, a mask or a phase
+    table; a table fills only the window."""
+    if isinstance(src, _Table):
+        carry, seg = int(src.counts(np.array([a]))[0]), src.fill(a, b)
+    else:
+        carry, seg = int(np.count_nonzero(src[:a])), src[a:b]
+    avg, run = _running_averages(seg, a, carry)
     avg -= nu_f
     return carry, run, np.abs(avg, out=avg)
+
+
+def _windows(horizon: int) -> list[tuple[int, int]]:
+    """(0, 1], (1, 2], (2, 4], ... up to ``_CHUNK``, where the early partial
+    averages swing, then chunks of ``_CHUNK``, cut at the horizon."""
+    cuts = [0, *(1 << k for k in range(_CHUNK.bit_length() - 1)), *range(_CHUNK, horizon, _CHUNK)]
+    cuts = [x for x in cuts if x < horizon] + [horizon]
+    return list(zip(cuts, cuts[1:]))
 
 
 def uniformity_check(chain: Chain, epsilon, horizon: int):
@@ -145,14 +191,16 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     its limit for all N in (N_eps, horizon]; failure report if a violation
     reaches the horizon itself.
 
-    One ``_window_extremes`` pass per element, with the chunks as windows,
-    keeps for each chunk the larger of max(c_n/n) - nu and nu - min(c_n/n);
+    One ``_window_extremes`` pass per element, over its phase table where
+    it has one and its mask otherwise, with ``_windows`` as windows, keeps
+    for each window the larger of max(c_n/n) - nu and nu - min(c_n/n);
     x -> fl(x - nu) is monotone, so these are the largest float deviations
-    above and below nu in the chunk.  Only chunks whose deviation reaches epsilon - 1e-12
-    are recounted for the exact integer test, from the top down until one
-    holds a violation.  The deviations above N_eps then come from the
-    kept chunk figures, except in the chunk holding N_eps, which is
-    recounted.  One element's mask is in memory at a time.
+    above and below nu in the window.  Only windows whose deviation
+    reaches epsilon - 1e-12 are recounted for the exact integer test, from
+    the top down until one holds a violation; a table fills only the
+    window it recounts.  The deviations above N_eps then come from the
+    kept window figures, except in the window holding N_eps, which is
+    recounted.  At most one element's mask is in memory at a time.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
@@ -160,29 +208,28 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     if horizon < 1:
         raise ChainError("horizon must be >= 1")
     _check_horizon(horizon, ChainError)
-    nus = [_exact_nu(e) for e in chain.elements]
+    nus = _exact_nus(chain.elements)
     cutoff = float(eps) - 1e-12
+    windows = _windows(horizon)
     last_bad = 0
     worst = (0, 0.0)
-    stats = []  # per element: nu as a float, (start, deviation) per chunk
+    stats = []  # per element: nu as a float, the deviation per window
     for i, (e, nu) in enumerate(zip(chain.elements, nus)):
         q, p = nu.denominator, nu.numerator
         if q * eps.denominator * horizon >= 2**62:
             raise ChainError("parameters too large for exact deviation scan")
-        mask = indicator(e, horizon)
+        src = _table_or_mask(e, horizon)
         nu_f = p / q
-        windows = [(a, min(a + _CHUNK, horizon)) for a in range(0, horizon, _CHUNK)]
-        extremes = _window_extremes(mask, windows)
-        chunks = [(a, max(mx - nu_f, nu_f - mn)) for (a, _), (mx, mn) in zip(windows, extremes)]
-        stats.append((nu_f, chunks))
-        for a, top in reversed(chunks):
-            if a + _CHUNK <= last_bad:
+        tops = [max(mx - nu_f, nu_f - mn) for mx, mn in _window_extremes(src, windows)]
+        stats.append((nu_f, tops))
+        for (a, b), top in zip(reversed(windows), reversed(tops)):
+            if b <= last_bad:
                 break  # no later violation than the one already found
             if top < cutoff:
                 continue
             # float pre-filter: its rounding error is far below the 1e-12
             # margin, so every N the exact integer test flags is a candidate
-            carry, run, dev = _chunk_deviations(mask, a, horizon, nu_f)
+            carry, run, dev = _window_deviations(src, a, b, nu_f)
             cand = np.flatnonzero(dev >= cutoff)
             # int64 before the products: int32 counts plus an int stay int32
             cnt = run[cand].astype(np.int64) + carry
@@ -197,14 +244,15 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         i, dev = worst
         return UniformityFailure(i, chain.elements[i], last_bad, dev)
     n_eps = max(1, last_bad)
+    k = bisect_right(windows, (n_eps, horizon)) - 1  # the window (a, b] with a <= N_eps < b
+    a, b = windows[k]
     deviations = []
-    for e, (nu_f, chunks) in zip(chain.elements, stats):
-        tail = [top for a, top in chunks if a >= n_eps]
-        a = chunks[n_eps // _CHUNK][0]
+    for e, (nu_f, tops) in zip(chain.elements, stats):
+        tail = tops[k + (a < n_eps) :]
         if a < n_eps < horizon:
-            # N_eps lies inside this chunk: recount the chunk for its tail
-            mask = indicator(e, min(a + _CHUNK, horizon))
-            tail.append(float(_chunk_deviations(mask, a, horizon, nu_f)[2][n_eps - a :].max()))
+            # N_eps lies inside this window: recount the window for its tail
+            dev = _window_deviations(_table_or_mask(e, b), a, b, nu_f)[2]
+            tail.append(float(dev[n_eps - a :].max()))
         deviations.append(max(tail, default=0.0))
     return UniformityCertificate(eps, n_eps, horizon, tuple(deviations))
 
@@ -222,7 +270,7 @@ def dense_extension(chain: Chain, k: int, check_horizon: int = 10**4) -> Chain:
     """
     if k < 1:
         raise ChainError("resolution exponent must be >= 1")
-    entries = [(_exact_nu(e), e) for e in chain.elements]
+    entries = list(zip(_exact_nus(chain.elements), chain.elements))
     if not any(nu == 0 for nu, _ in entries):
         entries.append((Fraction(0), Empty()))
     if not any(nu == 1 for nu, _ in entries):
@@ -260,7 +308,7 @@ def skeleton(chain: Chain, epsilon) -> Chain:
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ChainError("epsilon must be positive")
-    nus = [_exact_nu(e) for e in chain.elements]
+    nus = _exact_nus(chain.elements)
     if sorted(nus) != nus:
         raise ChainError("chain densities out of order")
     n = len(nus)

@@ -307,6 +307,11 @@ class _Table(NamedTuple):
 
     def counts(self, x: np.ndarray) -> np.ndarray:
         """c_x, the members in [1, x], for each 0 <= x <= N of the int64 array x."""
+        if self.phase.size == 1:  # one piece: its form's count
+            f = self.forms[self.phase[0]]
+            q, r = np.divmod(x, f.modulus)
+            R = f.residues
+            return q * R.size + R.searchsorted(r, side="right") - (R.size and R[0] == 0)
         bases, i, at_x = self._bases(x)
         return bases[i] + at_x
 
@@ -1515,9 +1520,11 @@ def _eval(e: SetExpr, N: int, over: int = 0, kernel=None) -> _Table | np.ndarray
     """e on [1, N]: its phase table, else its mask, from its operands'
     results; each node is evaluated once.  ``kernel`` stands for e's mask
     kernel ``_indicator``.  A mask is fresh, owned by the caller, and
-    refused from ``MAX_MASK`` elements on.  ``over`` is the length, from
-    ``MAX_MASK`` on, of an ancestor that needs a table: below it a node
-    without one is refused before its operands' masks are built."""
+    refused from ``MAX_MASK`` elements on.  ``over`` is the length of an
+    ancestor that needs tables, or 0: below it every node takes its table
+    where it has one, at any size, and when ``over`` is ``MAX_MASK`` or
+    more a node without one is refused before its operands' masks are
+    built."""
     if not N:
         return np.zeros(0, dtype=bool)
     over = over or (N if N >= MAX_MASK else 0)

@@ -110,20 +110,19 @@ def exact_limits(e: SetExpr) -> LimitReport:
 _CHUNK = 1 << 16
 
 
-def _running_averages(mask: np.ndarray, first: int, last: int):
-    """(c_first, c_n/n, c_n - c_first) for n in (first, last], c_n counting
-    the members among the first n entries of ``mask``.
+def _running_averages(seg: np.ndarray, first: int, carry: int):
+    """(c_n/n, c_n - c_first) for n in (first, first + seg.size], from the
+    membership ``seg`` of those n and c_first = carry.
 
     The dense recount behind ``uniformity_check``'s exact test, at about
-    6 ns per element.  The counts are int32 (masks are shorter than
+    6 ns per element.  The counts are int32 (horizons are below
     ``MAX_MASK``); c_n/n is the same float64 as from an N-long count array.
     """
-    carry = int(np.count_nonzero(mask[:first]))
-    run = np.add.accumulate(mask[first:last], dtype=np.int32)
-    # carry + run[i] <= last < 2**31, so the integer sum cannot overflow
+    run = np.add.accumulate(seg, dtype=np.int32)
+    # carry + run[i] <= first + seg.size < 2**31, so the integer sum cannot overflow
     avg = np.add(run, carry, dtype=np.float64)
-    avg /= np.arange(first + 1, last + 1, dtype=np.float64)
-    return carry, avg, run
+    avg /= np.arange(first + 1, first + seg.size + 1, dtype=np.float64)
+    return avg, run
 
 
 _STEPS = np.arange(_CHUNK // 2, dtype=np.float64)
@@ -200,10 +199,12 @@ def _form_extremes(f: _Form, a: np.ndarray, b: np.ndarray, ca: np.ndarray):
     base = ca[:, None] - q * g - (R.searchsorted(r, side="right") - (g and R[0] == 0))
     # each residue's first and last position in the piece
     n = np.concatenate((a + 1 + (s - a - 1) % L, b - (b - s) % L), axis=1)
-    v = (base + n // L * g + np.concatenate((at, at))) / n  # c_n = base + F(n)
     inside = (n > a) & (n <= b)
-    top = np.where(inside, v, -np.inf).max(axis=1, initial=-np.inf)
-    return top, np.where(inside, v, np.inf).min(axis=1, initial=np.inf)
+    # c_n = base + F(n), divided only inside the piece: a short piece's
+    # candidates outside it can be 0 or negative
+    v = np.divide(base + n // L * g + np.concatenate((at, at)), n, out=np.empty(n.shape), where=inside)
+    top = v.max(axis=1, initial=-np.inf, where=inside)
+    return top, v.min(axis=1, initial=np.inf, where=inside)
 
 
 def _table_extremes(t: _Table, cuts: np.ndarray):

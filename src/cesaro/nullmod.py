@@ -20,13 +20,18 @@ import numpy as np
 
 from .exprs import (
     MAX_MASK,
+    TABLE_BASE,
     CesaroError,
+    Compl,
     Diff,
     Empty,
     Explicit,
+    Inter,
     SetExpr,
     Union,
+    _eval,
     _farey_neighbours,
+    _Table,
     indicator,
 )
 from .limits import (
@@ -54,8 +59,51 @@ def _check_horizon(horizon: int, error: type[CesaroError]) -> None:
         raise error(f"horizon {horizon} not below the mask limit {MAX_MASK}")
 
 
+_RANK = np.arange(1, _CHUNK + 1, dtype=np.int64)  # a member's rank in its chunk
+_RANK.flags.writeable = False
+
+#: a skipped stretch shorter than this is scanned instead: each stretch
+#: read costs a few numpy calls, about as much as scanning this many
+#: positions
+_SKIP_MIN = _CHUNK // 16
+
+
+def _dense_spans(t: _Table, p: int, q: int, dirty: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the stretches of [1, N] the trimming pass must
+    read, from the phase table ``t`` of the trimmed set, given that the
+    mask may differ from the table only on [1, dirty].
+
+    Inside a piece of form (L, R), past ``dirty``, with M = lcm(L, q), the
+    excess e_n = c_n - floor(p*n/q) has e_{n+M} = e_n + |R|·M/L - p·M/q.
+    Where that drift is <= 0, each excess in the piece is at most the one
+    M positions earlier, so no new record falls past its first M
+    positions: only those are read, and none of a piece without members.
+    Pieces that drift upward are read whole.
+    """
+    lo = np.maximum(t.bounds[:-1], dirty)
+    hi = t.bounds[1:]
+    moduli = np.array([f.modulus for f in t.forms], dtype=np.int64)[t.phase]
+    sizes = np.array([f.residues.size for f in t.forms], dtype=np.int64)[t.phase]
+    flat = sizes * q <= p * moduli  # |R|/L <= p/q; both products fit int64
+    end = np.where(flat, np.minimum(hi, lo + np.lcm(moduli, q)), hi)
+    end[sizes == 0] = 0
+    keep = end > lo
+    starts = np.concatenate(([0], lo[keep])) if dirty else lo[keep]
+    ends = np.concatenate(([dirty], end[keep])) if dirty else end[keep]
+    if not starts.size:
+        return starts, ends
+    # join the stretches whose gap is short
+    cut = np.flatnonzero(starts[1:] - ends[:-1] >= _SKIP_MIN)
+    return starts[np.concatenate(([0], cut + 1))], ends[np.append(cut, ends.size - 1)]
+
+
 def _removed_points(
-    mask: np.ndarray, p: int, q: int, below: np.ndarray | None = None
+    mask: np.ndarray,
+    p: int,
+    q: int,
+    below: np.ndarray | None = None,
+    table: _Table | None = None,
+    dirty: int = 0,
 ) -> np.ndarray:
     """0-based indices the trimming pass removes from ``mask``, or from
     ``mask & ~below`` when ``below`` is given.
@@ -68,6 +116,11 @@ def _removed_points(
     members are read in chunks of ``_CHUNK`` positions, so every
     temporary is chunk-sized; the rank and the record carry from one
     chunk to the next.
+
+    ``table``, when given, is the phase table of the trimmed set, which
+    the mask matches past its first ``dirty`` positions.  Then only the
+    stretches ``_dense_spans`` names are read, and the rank steps over
+    the rest by the table's counts, from one call.
     """
     n = mask.size
     if not 0 <= p <= q:
@@ -75,30 +128,74 @@ def _removed_points(
     # the lower Farey neighbour of order n has the floors of p/q up to n
     # and a numerator at most n < MAX_MASK, so p*n fits int64
     p, q = _farey_neighbours(Fraction(p, q), max(n, 1))[0].as_integer_ratio()
+    if table is None:
+        starts, ends = np.array([0]), np.array([n])
+        skipped = np.zeros(1, dtype=np.int64)
+    else:
+        starts, ends = _dense_spans(table, p, q, dirty)
+        c = table.counts(np.concatenate((starts, ends)))
+        # the members between one stretch's end and the next one's start
+        skipped = c[: starts.size] - np.concatenate(([0], c[starts.size : -1]))
     tmp = np.empty(min(n, _CHUNK), dtype=bool)
-    rank = np.arange(1, min(n, _CHUNK) + 1, dtype=np.int64)
     found = []
     seen = best = 0  # members so far; highest excess so far, at least 0
-    for a in range(0, n, _CHUNK):
-        part = mask[a : a + _CHUNK]
-        if below is not None:
-            part = np.greater(part, below[a : a + _CHUNK], out=tmp[: part.size])
-        idx = np.flatnonzero(part)
-        if not idx.size:
-            continue
-        # the excess minus ``seen``, in place over floor(p*n/q)
-        ex = idx + (a + 1)
-        ex *= p
-        ex //= q
-        np.subtract(rank[: idx.size], ex, out=ex)
-        top = int(ex.max()) + seen
-        if top > best:
-            np.maximum.accumulate(ex, out=ex)
-            levels = np.arange(best + 1 - seen, top + 1 - seen, dtype=np.int64)
-            found.append(idx[np.searchsorted(ex, levels)] + a)
-            best = top
-        seen += idx.size
+    for s, e, skip in zip(starts.tolist(), ends.tolist(), skipped.tolist()):
+        seen += skip
+        for a in range(s, e, _CHUNK):
+            part = mask[a : min(a + _CHUNK, e)]
+            if below is not None:
+                part = np.greater(part, below[a : a + part.size], out=tmp[: part.size])
+            idx = np.flatnonzero(part)
+            if not idx.size:
+                continue
+            # the excess minus ``seen``, in place over floor(p*n/q)
+            ex = idx + (a + 1)
+            ex *= p
+            ex //= q
+            np.subtract(_RANK[: idx.size], ex, out=ex)
+            top = int(ex.max()) + seen
+            if top > best:
+                np.maximum.accumulate(ex, out=ex)
+                levels = np.arange(best + 1 - seen, top + 1 - seen, dtype=np.int64)
+                found.append(idx[np.searchsorted(ex, levels)] + a)
+                best = top
+            seen += idx.size
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
+
+
+def _table_or_mask(e: SetExpr, horizon: int) -> _Table | np.ndarray:
+    """e on [1, horizon]: from ``TABLE_BASE`` on, where tables pay for
+    themselves (as in ``_eval``), its phase table where it has one, each
+    node taking its own; else its mask, fresh."""
+    if horizon < TABLE_BASE:
+        return indicator(e, horizon)
+    return _eval(e, horizon, horizon)
+
+
+def _mask_and_table(e: SetExpr, horizon: int) -> tuple[np.ndarray, _Table | None]:
+    """e's mask on [1, horizon], fresh, and its phase table or None
+    (``_table_or_mask``)."""
+    r = _table_or_mask(e, horizon)
+    return (r.fill(0, horizon), r) if isinstance(r, _Table) else (r, None)
+
+
+def _masks_and_tables(sets, horizon: int) -> tuple[list[np.ndarray], list[_Table | None]]:
+    """``_mask_and_table`` of each set, as a list of masks and one of tables."""
+    pairs = [_mask_and_table(e, horizon) for e in sets]
+    return [m for m, _ in pairs], [t for _, t in pairs]
+
+
+def _combined(node: SetExpr, horizon: int, *tables: _Table | None) -> _Table | None:
+    """``node``'s phase table on [1, horizon] from its operands' tables,
+    or None where an operand has none or the table would not pay."""
+    if any(t is None for t in tables):
+        return None
+    return node._table(horizon, *tables)
+
+
+def _members(r: _Table | np.ndarray) -> int:
+    """The members of a set on [1, N], from its phase table or its mask."""
+    return int(r.counts(r.bounds[-1:])[0]) if isinstance(r, _Table) else int(np.count_nonzero(r))
 
 
 def _modified(e: SetExpr, added, removed) -> SetExpr:
@@ -207,16 +304,20 @@ class NullModResult:
 
     def verify(self) -> None:
         """Re-check the decomposition and the bound, exhaustively."""
-        mask = indicator(self.source, self.horizon)
-        rem = np.zeros(self.horizon, dtype=bool)
-        if self.removed:
-            rem[np.fromiter(self.removed, dtype=np.int64) - 1] = True
-        if np.any(self.kept_mask & rem):
+        mask, table = _mask_and_table(self.source, self.horizon)
+        rem = np.array(self.removed, dtype=np.int64) - 1
+        if self.kept_mask[rem].any():
             raise NullModError("kept and removed overlap")
-        if not np.array_equal(self.kept_mask | rem, mask):
+        # disjoint, they partition the source when it holds the removed
+        # points and is the kept part without them
+        whole = mask[rem].all()
+        mask[rem] = False
+        if not (whole and np.array_equal(self.kept_mask, mask)):
             raise NullModError("kept and removed do not partition the source")
         p, q = self.bound.numerator, self.bound.denominator
-        if _removed_points(self.kept_mask, p, q).size:
+        # past the last removed point the kept part is the source
+        dirty = self.removed[-1] if self.removed else 0
+        if _removed_points(self.kept_mask, p, q, table=table, dirty=dirty).size:
             raise NullModError("kept part exceeds the bound somewhere")
 
     def export_audit(self, stream) -> None:
@@ -265,8 +366,8 @@ def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModRes
             raise NullModError(
                 f"bound {b} does not match the exact upper limit {rep.upper}"
             )
-    kept = indicator(a, horizon)  # fresh, so trimmed in place
-    removed_idx = _removed_points(kept, b.numerator, b.denominator)
+    kept, table = _mask_and_table(a, horizon)  # fresh, so trimmed in place
+    removed_idx = _removed_points(kept, b.numerator, b.denominator, table=table)
     kept[removed_idx] = False
     removed = tuple((removed_idx + 1).tolist())
     return NullModResult(a, b, horizon, kept, removed, approximate)
@@ -305,22 +406,36 @@ def _chain_nus(elements, horizon: int) -> tuple[list[Fraction], bool]:
     return nus, approximate
 
 
-def _psi_masks(masks: list[np.ndarray], nus: list[Fraction]) -> list[list[int]]:
+def _psi_masks(
+    masks: list[np.ndarray],
+    nus: list[Fraction],
+    sets: list[SetExpr],
+    tables: list[_Table | None],
+    dirty: int = 0,
+) -> tuple[list[list[int]], int]:
     """Sequential order-preserving null modification of a finite chain,
-    in place on ``masks``; returns the points removed from each element.
+    in place on ``masks``; returns the points removed from each element,
+    and the last position any trim has edited so far.
 
     Elements are processed in the given order; each one's increment over
     the largest already-processed subset is trimmed to the density gap,
     and the trimmed-away points are deleted from every chain member
-    strictly between that subset and the element itself.
+    strictly between that subset and the element itself.  ``sets`` and
+    ``tables`` are the elements and their phase tables (or None); the
+    masks match them past their first ``dirty`` positions, and each trim
+    and ordering check reads the table of the difference it scans.
     """
     n = len(masks)
     if len(set(nus)) != n:
         raise NullModError("tied densities across chain elements")
+
+    def increment(k: int, b: int) -> _Table | None:
+        return _combined(Diff(sets[k], sets[b]), masks[k].size, tables[k], tables[b])
+
     order = sorted(range(n), key=lambda i: nus[i])
     for a, b in zip(order, order[1:]):
         # trimmed to density 0, the points of a & ~b are all removed
-        extra = _removed_points(masks[a], 0, 1, below=masks[b])
+        extra = _removed_points(masks[a], 0, 1, masks[b], increment(a, b), dirty)
         if extra.size:
             raise NullModError(
                 f"ordering violation on prefix: {int(extra[0]) + 1} in the "
@@ -332,12 +447,13 @@ def _psi_masks(masks: list[np.ndarray], nus: list[Fraction]) -> list[list[int]]:
         below = [j for j in processed if nus[j] < nus[k]]
         if below:
             b = max(below, key=lambda j: nus[j])
-            base, base_nu = masks[b], nus[b]
+            base, base_nu, table = masks[b], nus[b], increment(k, b)
         else:
-            base, base_nu = None, Fraction(0)
+            base, base_nu, table = None, Fraction(0), tables[k]
         gap = nus[k] - base_nu
-        rem_idx = _removed_points(masks[k], gap.numerator, gap.denominator, base)
+        rem_idx = _removed_points(masks[k], gap.numerator, gap.denominator, base, table, dirty)
         if rem_idx.size:
+            dirty = max(dirty, int(rem_idx[-1]) + 1)
             for j in range(n):
                 if base_nu < nus[j] <= nus[k]:
                     hit = rem_idx[masks[j][rem_idx]]
@@ -346,7 +462,7 @@ def _psi_masks(masks: list[np.ndarray], nus: list[Fraction]) -> list[list[int]]:
         processed.append(k)
     for r in removed:
         r.sort()
-    return removed
+    return removed, dirty
 
 
 def chain_psi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
@@ -359,8 +475,8 @@ def chain_psi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     _check_horizon(horizon, NullModError)
     elements = list(elements)
     nus, approximate = _chain_nus(elements, horizon)
-    masks = [indicator(e, horizon) for e in elements]
-    removed = _psi_masks(masks, nus)
+    masks, tables = _masks_and_tables(elements, horizon)
+    removed, _ = _psi_masks(masks, nus, elements, tables)
     mods = []
     for e, m, r, nu in zip(elements, masks, removed, nus):
         mods.append(ChainModification(e, _modified(e, (), r), m, tuple(r), (), nu))
@@ -376,27 +492,40 @@ def disjoint_modify(parts, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     """
     _check_horizon(horizon, NullModError)
     parts = list(parts)
-    masks = [indicator(p, horizon) for p in parts]
+    masks, tables = _masks_and_tables(parts, horizon)
     tmp = np.empty(horizon, dtype=bool)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
+            meet = _combined(Inter(parts[i], parts[j]), horizon, tables[i], tables[j])
+            if meet is not None and not _members(meet):
+                continue  # the masks are needed only to name a common point
             if np.logical_and(masks[i], masks[j], out=tmp).any():
                 raise NullModError(
                     f"parts {i} and {j} intersect at {int(tmp.argmax()) + 1}"
                 )
     nus, approximate = _chain_nus(parts, horizon)
-    nothing = acc = np.zeros(horizon, dtype=bool)
+    acc = np.zeros(horizon, dtype=bool)
     cover = {}  # part index -> union of the non-null parts up to it
+    unions, union_tables = [Empty()], [_combined(Empty(), horizon)]  # the same as sets
     for i, nu in enumerate(nus):
         if nu:
             acc = cover[i] = acc | masks[i]
-    _psi_masks(list(cover.values()), list(itertools.accumulate(nu for nu in nus if nu)))
+            unions.append(Union(unions[-1], parts[i]))
+            union_tables.append(_combined(unions[-1], horizon, union_tables[-1], tables[i]))
+    totals = list(itertools.accumulate(nu for nu in nus if nu))
+    removed, _ = _psi_masks(list(cover.values()), totals, unions[1:], union_tables[1:])
+    trimmed = dict(zip(cover, removed))  # part index -> the points trimmed from its cover
     mods: list[ChainModification] = []
     for i, (part, mask, nu) in enumerate(zip(parts, masks, nus)):
-        kept = mask & cover.get(i, nothing)  # a null part keeps nothing
-        rem = tuple((np.flatnonzero(np.greater(mask, kept, out=tmp)) + 1).tolist())
+        if nu:  # the part loses its points that left its cover
+            gone = np.array(trimmed[i], dtype=np.int64)
+            gone = gone[mask[gone - 1]]
+        else:  # a null part keeps nothing
+            gone = np.flatnonzero(mask) + 1
+        mask[gone - 1] = False
+        rem = tuple(gone.tolist())
         expr = _modified(part, (), rem) if nu else Empty()
-        mods.append(ChainModification(part, expr, kept, rem, (), nu))
+        mods.append(ChainModification(part, expr, mask, rem, (), nu))
     return ChainMapResult(tuple(mods), horizon, approximate)
 
 
@@ -413,13 +542,16 @@ def chain_phi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     _check_horizon(horizon, NullModError)
     elements = list(elements)
     nus, approximate = _chain_nus(elements, horizon)
-    masks = [indicator(e, horizon) for e in elements]
+    masks, tables = _masks_and_tables(elements, horizon)
     for m in masks:
         np.invert(m, out=m)  # the complement chain
-    added = _psi_masks(masks, [1 - nu for nu in nus])
+    compls = [Compl(e) for e in elements]
+    compl_tables = [_combined(s, horizon, t) for s, t in zip(compls, tables)]
+    # the second pass reads the masks as edited by the first
+    added, dirty = _psi_masks(masks, [1 - nu for nu in nus], compls, compl_tables)
     for m in masks:
         np.invert(m, out=m)
-    removed = _psi_masks(masks, nus)
+    removed, _ = _psi_masks(masks, nus, elements, tables, dirty)
     mods = []
     for e, final, add, rem, nu in zip(elements, masks, added, removed, nus):
         add, rem = tuple(add), tuple(rem)

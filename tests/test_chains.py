@@ -391,3 +391,82 @@ def test_uniformity_check_replays_the_count_oracle(monkeypatch, name, eps, horiz
         monkeypatch.setattr("cesaro.chains._exact_nu", limit.__getitem__)
     # N_eps and every deviation, or the failing element, N and deviation
     assert c.uniformity_check(chain, eps, horizon) == one_pass_uniformity(chain, eps, horizon, nus)
+
+
+# ---------------------------------------------------------------------------
+# phase tables against the masks
+
+
+def _dense_only(monkeypatch):
+    """No phase tables in the chain layer: every scan reads masks."""
+    monkeypatch.setattr("cesaro.chains._table_or_mask", lambda e, h: c.indicator(e, h))
+
+
+def _greedy(t):
+    return c.Greedy(Fraction(t))
+
+
+#: chains (nested or not) whose elements have exact limits and phase tables
+TABLE_CHAINS = {
+    "dyadic": [c.Residue(2**j, frozenset({1234 % 2**j})) for j in (1, 3, 4, 6, 9)],
+    "dyadic-prefix": [c.Union(c.Residue(4, frozenset({3})), first(5000)), c.All()],
+    "greedy": [_greedy("1/3"), _greedy("3/7"), _greedy("1234/4999")],
+    "greedy-shifted": [c.Shift(40_000, _greedy("5/7")), c.Dilate(3, _greedy("2/3"))],
+    "blocks": [c.Blocks(c.Poly(1)), c.Blocks(c.Poly(2)), c.Compl(c.Blocks(c.Poly(3)))],
+}
+
+
+@pytest.mark.parametrize("horizon", [2**16, 3 * _CHUNK + 17, 10**6])
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 3), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**5)]
+)
+@pytest.mark.parametrize("name", sorted(TABLE_CHAINS))
+def test_uniformity_check_on_tables_matches_the_masks(monkeypatch, name, eps, horizon):
+    chain = c.Chain(tuple(TABLE_CHAINS[name]), (), horizon)
+    got = c.uniformity_check(chain, eps, horizon)
+    if horizon < 10**6:
+        assert got == one_pass_uniformity(chain, eps, horizon)
+    _dense_only(monkeypatch)
+    assert got == c.uniformity_check(chain, eps, horizon)
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        TABLE_CHAINS["dyadic"][::-1],
+        [c.Residue(4, frozenset({1})), c.Residue(8, frozenset({1})), c.Residue(8, frozenset({5}))],
+        [c.Blocks(c.Poly(1)), c.Union(c.Blocks(c.Poly(1)), c.Residue(7, frozenset({3}))), c.All()],
+        [c.Inter(_greedy("3/7"), c.Residue(2, frozenset({0}))), _greedy("3/7"), c.Empty()],
+        [_greedy("1/3"), _greedy("2/3")],  # not nested
+        [c.Residue(2, frozenset({0})), c.Residue(4, frozenset({0, 2}))],  # the same set
+        [c.Union(c.Residue(4, frozenset({0})), c.Explicit((999_999,))), c.Residue(2, frozenset({0}))],
+    ],
+)
+@pytest.mark.parametrize("horizon", [2**16, 10**6])
+def test_verify_chain_on_tables_matches_the_masks(monkeypatch, elements, horizon):
+    def outcome():
+        try:
+            return c.verify_chain(elements, horizon)
+        except c.ChainError as exc:
+            return str(exc)
+
+    got = outcome()
+    _dense_only(monkeypatch)
+    assert got == outcome()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain: c.uniformity_check(chain, Fraction(1, 100), 10**4),
+        lambda chain: c.dense_extension(chain, 2),
+        lambda chain: c.skeleton(chain, Fraction(1, 4)),
+    ],
+    ids=["uniformity_check", "dense_extension", "skeleton"],
+)
+def test_element_without_exact_limit_is_a_chain_error(call):
+    fuzzy = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    chain = c.verify_chain([c.Empty(), fuzzy, c.All()], 1000)
+    assert chain.elements[1] == fuzzy
+    with pytest.raises(c.ChainError, match="^element 1 has no exact limit: Union is not exactly solvable here$"):
+        call(chain)

@@ -174,6 +174,14 @@ def test_chain_incomparable_exit_code(capsys, tmp_path):
     assert "chain error" in err
 
 
+def test_chain_certify_element_without_exact_limit_exit_code(capsys, tmp_path):
+    chainfile = tmp_path / "chain.txt"
+    chainfile.write_text("union(greedy 1/3, explicit{2,5})\n")
+    code, out, err = run(capsys, "chain", "certify", str(chainfile), "--epsilon", "1/10")
+    assert code == 5 and out == ""
+    assert err == "chain error: element 0 has no exact limit: Union is not exactly solvable here\n"
+
+
 def test_quotient_closure(capsys, tmp_path):
     seedfile = tmp_path / "seed.json"
     seedfile.write_text(

@@ -9,6 +9,7 @@ beyond any finite perturbation.
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -425,3 +426,24 @@ def test_streamed_estimate_at_1e9_from_a_phase_table():
         tracemalloc.stop()
     assert rep.method == "streamed" and rep.verdict is c.Verdict.NOT_IN_F
     assert peak < 16 << 20
+
+
+@pytest.mark.parametrize(
+    "text, upper, lower",
+    [
+        # a piece shorter than one period: its last-period candidates are
+        # n = 0 (divide by zero) or 0 with a zero count (0/0)
+        ("inter(residue 1000 {0,1},blocks geometric 2)", 0.0013427734375, 0.00067138671875),
+        ("inter(residue 64 {0},blocks geometric 2)", 0.010406494140625, 0.005203286768240114),
+    ],
+)
+def test_short_table_pieces_scan_without_numpy_warnings(text, upper, lower):
+    e, H = c.parse_expr(text), 2**17
+    segments = [(0, 1), (1, 2), (2, 4), *_estimate_windows(H, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = c.estimate_limits(e, H)
+        got = _window_extremes(_eval(e, H), segments)
+    assert (rep.upper, rep.lower) == (upper, lower)
+    with mock.patch.object(exprs, "TABLE_BASE", exprs.MAX_TABLE):
+        assert got == _window_extremes(c.indicator(e, H), segments)

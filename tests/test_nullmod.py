@@ -27,6 +27,8 @@ from cesaro.nullmod import (
     _null_modify_mask,
     _removed_points,
     _render_nu,
+    _table_or_mask,
+    _Table,
 )
 from conftest import random_fragment
 
@@ -540,3 +542,180 @@ def test_chain_maps_take_an_estimated_density(chain_map):
     assert nu.denominator > 10**15  # the streamed estimate, as a float's decimal
     counts = np.cumsum(mod.modified_mask).tolist()
     assert all(k * nu.denominator <= nu.numerator * n for n, k in enumerate(counts, 1))
+
+
+# ---------------------------------------------------------------------------
+# phase tables against the dense pass
+
+
+#: leaves with many pieces or long periods, next to the fragment's residues
+TABLE_LEAVES = (
+    c.Blocks(c.Geometric(2)),
+    c.Blocks(c.Geometric(3)),
+    c.Blocks(c.Poly(1)),
+    c.Greedy(Fraction(3, 7)),
+    c.Greedy(Fraction(1234, 4999)),
+)
+
+
+def _table_tree(rng):
+    e = random_fragment(rng, 2)
+    if rng.random() < 0.5:
+        e = rng.choice((c.Union, c.Inter, c.Diff))(e, rng.choice(TABLE_LEAVES))
+    return e
+
+
+def _edited(mask, rng, dirty):
+    """mask with some of its first ``dirty`` entries flipped."""
+    out = mask.copy()
+    flip = rng.sample(range(dirty), min(dirty, 30))
+    out[flip] = ~out[flip]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(2**16, 2**20),
+    bound=st.sampled_from(["upper", "small", "long", "zero", "one"]),
+    dirty=st.one_of(st.just(0), st.integers(1, 5000)),
+    with_below=st.booleans(),
+)
+@example(seed=1, horizon=2**20, bound="upper", dirty=0, with_below=False)
+@example(seed=2, horizon=2**16, bound="long", dirty=4999, with_below=True)
+def test_table_trimming_matches_the_dense_pass(seed, horizon, bound, dirty, with_below):
+    rng = random.Random(seed)
+    e = _table_tree(rng)
+    b = _table_tree(rng) if with_below else None
+    tree = c.Diff(e, b) if with_below else e
+    t = _table_or_mask(tree, horizon)
+    if not isinstance(t, _Table):
+        return  # a mask-only tree: the dense pass is the only one
+    if bound == "upper":
+        try:
+            nu = c.exact_limits(tree).upper
+        except c.NotExactlySolvable:
+            nu = Fraction(rng.randint(0, 100), 100)
+    else:
+        # a denominator above the horizon takes the Farey path
+        q = rng.randint(horizon + 1, 10**18) if bound == "long" else 50
+        nu = {"small": Fraction(rng.randint(0, 50), 50), "long": Fraction(rng.randint(0, q), q)}.get(
+            bound, Fraction(bound == "one")
+        )
+    mask = _edited(c.indicator(e, horizon), rng, dirty)
+    below = _edited(c.indicator(b, horizon), rng, dirty) if with_below else None
+    p, q = nu.numerator, nu.denominator
+    want = _removed_points(mask, p, q, below)
+    got = _removed_points(mask, p, q, below, t, dirty)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # pieces that drift down, with members, between pieces that drift up:
+        # the rank steps over the first ones by the table's counts
+        "union(residue 3 {0},blocks geometric 2)",
+        "union(greedy 2/7,blocks geometric 3)",
+        "symdiff(residue 5 {1,2},blocks poly 1)",
+        "diff(residue 4 {1,2,3},blocks geometric 2)",
+    ],
+)
+@pytest.mark.parametrize("bound", ["1/3", "1/2", "3/5", "2/3", "123456789/1000000007"])
+@pytest.mark.parametrize("dirty", [0, 3000])
+def test_table_trimming_steps_over_pieces_with_members(text, bound, dirty):
+    horizon = 3 * _CHUNK + 17
+    e, nu = c.parse_expr(text), Fraction(bound)
+    t = _table_or_mask(e, horizon)
+    assert isinstance(t, _Table)
+    mask = _edited(c.indicator(e, horizon), random.Random(dirty), dirty)
+    want = _removed_points(mask, nu.numerator, nu.denominator)
+    got = _removed_points(mask, nu.numerator, nu.denominator, table=t, dirty=dirty)
+    assert np.array_equal(got, want)
+
+
+def test_table_trimming_matches_the_sequential_reference():
+    # a table taken below TABLE_BASE: small enough for the Python loop
+    rng = random.Random(77)
+    for e in (*TABLE_LEAVES, *(_table_tree(rng) for _ in range(20))):
+        t = c.exprs._eval(e, 6000, 6000)
+        if not isinstance(t, _Table):
+            continue
+        mask = c.indicator(e, 6000)
+        for nu in (Fraction(1, 2), Fraction(3, 7), Fraction(2, 5)):
+            want = sequential_trim(mask.tolist(), nu.numerator, nu.denominator)[1]
+            assert _removed_points(mask, nu.numerator, nu.denominator, table=t).tolist() == want
+
+
+def _same_maps(got, want):
+    assert (got.horizon, got.approximate) == (want.horizon, want.approximate)
+    assert len(got.modifications) == len(want.modifications)
+    for g, w in zip(got.modifications, want.modifications):
+        assert (g.element, g.modified_expr, g.removed, g.added, g.nu) == (
+            w.element,
+            w.modified_expr,
+            w.removed,
+            w.added,
+            w.nu,
+        )
+        assert np.array_equal(g.modified_mask, w.modified_mask)
+
+
+def _greedy_chain(t, extra):
+    g = c.Greedy(Fraction(t))
+    return [g, c.Union(g, c.Residue(*extra)), c.All()]
+
+
+#: chains whose elements have phase tables at these horizons
+TABLE_CHAINS = {
+    "dyadic": [c.Residue(2**j, frozenset({1234 % 2**j})) for j in (1, 3, 4, 6, 9)],
+    "dyadic-prefix": [
+        c.Union(c.Residue(8, frozenset({3})), c.Compl(c.Shift(4000, c.All()))),
+        c.Union(c.Residue(4, frozenset({3})), c.Compl(c.Shift(5000, c.All()))),
+    ],
+    "greedy": _greedy_chain("3/7", (5, frozenset({0}))),
+    "greedy-long": _greedy_chain("1234/4999", (2, frozenset({1}))),
+    "blocks": [c.Empty(), c.Blocks(c.Poly(1)), c.All()],
+    "blocks-poly-2": [c.Blocks(c.Poly(2)), c.All()],
+}
+
+#: pairwise-disjoint parts
+TABLE_PARTS = {
+    "dyadic": c.dyadic_partition(4),
+    "greedy": [c.Greedy(Fraction(3, 7)), c.Compl(c.Greedy(Fraction(3, 7)))],
+    "blocks": [c.Blocks(c.Poly(1)), c.Compl(c.Blocks(c.Poly(1)))],
+}
+
+
+def _dense_only(monkeypatch):
+    """No phase tables in the chain layer: every pass scans its masks."""
+    monkeypatch.setattr("cesaro.nullmod._table_or_mask", lambda e, h: c.indicator(e, h))
+
+
+@pytest.mark.parametrize("horizon", [2**16, 3 * _CHUNK + 17, 10**6])
+@pytest.mark.parametrize("name", sorted(TABLE_CHAINS))
+@pytest.mark.parametrize("chain_map", [c.chain_psi, c.chain_phi], ids=["psi", "phi"])
+def test_chain_maps_on_tables_match_the_dense_passes(monkeypatch, chain_map, name, horizon):
+    elements = TABLE_CHAINS[name]
+    got = chain_map(list(reversed(elements)), horizon)
+    _dense_only(monkeypatch)
+    _same_maps(got, chain_map(list(reversed(elements)), horizon))
+
+
+@pytest.mark.parametrize("horizon", [2**16, 10**6])
+@pytest.mark.parametrize("name", sorted(TABLE_PARTS))
+def test_disjoint_modify_on_tables_matches_the_dense_passes(monkeypatch, name, horizon):
+    got = c.disjoint_modify(TABLE_PARTS[name], horizon)
+    _dense_only(monkeypatch)
+    _same_maps(got, c.disjoint_modify(TABLE_PARTS[name], horizon))
+
+
+@pytest.mark.parametrize("source", ["residue 6 {1,2,5}", "greedy 17/199", "blocks geometric 2", "blocks poly 1"])
+def test_null_modify_on_tables_matches_the_dense_pass(monkeypatch, source):
+    e, horizon = c.parse_expr(source), 3 * _CHUNK + 17
+    got = c.null_modify(e, c.exact_limits(e).upper, horizon)
+    got.verify()
+    _dense_only(monkeypatch)
+    want = c.null_modify(e, c.exact_limits(e).upper, horizon)
+    assert got.removed == want.removed and np.array_equal(got.kept_mask, want.kept_mask)
+    assert got.removed == tuple(i + 1 for i in sequential_trim(c.indicator(e, horizon).tolist(), *got.bound.as_integer_ratio())[1])
