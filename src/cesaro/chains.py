@@ -8,22 +8,25 @@ countable statements; horizons are explicit everywhere.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .constructions import midpoint_set
+from .constructions import _check_contained
 from .exprs import (
     All,
     CesaroError,
-    Diff,
     Empty,
     Explicit,
+    Midpoint,
     NotExactlySolvable,
     SetExpr,
     SymDiff,
+    _check_mask,
+    _step,
     _Table,
     indicator,
 )
@@ -36,7 +39,7 @@ from .limits import (
     classify,
     exact_limits,
 )
-from .nullmod import _as_fraction, _check_horizon, _combined, _members, _table_or_mask
+from .nullmod import _as_fraction, _check_horizon, _first_outside, _members, _table_or_mask
 
 
 class ChainError(CesaroError):
@@ -94,27 +97,20 @@ def verify_chain(elements, horizon: int = 10**4) -> Chain:
     if not elems:
         raise ChainError("empty chain")
     _check_horizon(horizon, ChainError)
-    sets = [_table_or_mask(e, horizon) for e in elems]
-    tables = [r if isinstance(r, _Table) else None for r in sets]
+    return _verify(elems, [_table_or_mask(e, horizon) for e in elems], horizon)
+
+
+def _verify(elems: list[SetExpr], sets: list, horizon: int) -> Chain:
+    """``verify_chain`` of ``elems`` from their sets on [1, horizon] as
+    ``_table_or_mask`` gives them."""
     counts = [_members(r) for r in sets]
-
-    def mask(i: int) -> np.ndarray:
-        return sets[i] if tables[i] is None else sets[i].fill(0, horizon)
-
     order = sorted(range(len(elems)), key=lambda i: (counts[i], i))
     evidence = []
     for a, b in zip(order, order[1:]):
-        diff = _combined(Diff(elems[a], elems[b]), horizon, tables[a], tables[b])
-        if diff is None or _members(diff):
-            small, big = mask(a), mask(b)
-            extra = np.flatnonzero(small & ~big)
-            if extra.size:
-                missing = np.flatnonzero(big & ~small)
-                n = int(extra[0]) + 1
-                m = int(missing[0]) + 1 if missing.size else int(extra[0]) + 1
-                raise ChainError(
-                    f"incomparable pair: witness {n} in one set only, {m} in the other"
-                )
+        n = _first_outside(elems[a], elems[b], sets[a], sets[b], horizon)
+        if n is not None:
+            m = _first_outside(elems[b], elems[a], sets[b], sets[a], horizon) or n
+            raise ChainError(f"incomparable pair: witness {n} in one set only, {m} in the other")
         if counts[a] == counts[b]:
             raise ChainError(
                 f"duplicate denoted sets on prefix 1..{horizon}: "
@@ -267,31 +263,48 @@ def dense_extension(chain: Chain, k: int, check_horizon: int = 10**4) -> Chain:
     Pass j splits every gap of width >= 2^-j between adjacent densities,
     widest gaps first (ties broken by lower endpoint).  Endpoints Empty
     and All are added first if absent.
+
+    Each entry holds its set on the checking prefix as ``verify_chain``
+    holds it (``_table_or_mask``): a midpoint's is the one evaluation step
+    of ``Midpoint`` on its neighbours' sets, and the final ordering check
+    reads these.  Containment of each gap is checked as ``midpoint_set``
+    checks it; every entry's limit is exact (the inputs' by
+    ``_exact_nus``, a midpoint's as the mean of its neighbours'), so the
+    endpoint checks of ``midpoint_set`` have nothing to reject.
     """
     if k < 1:
         raise ChainError("resolution exponent must be >= 1")
-    entries = list(zip(_exact_nus(chain.elements), chain.elements))
-    if not any(nu == 0 for nu, _ in entries):
-        entries.append((Fraction(0), Empty()))
-    if not any(nu == 1 for nu, _ in entries):
-        entries.append((Fraction(1), All()))
+    H = check_horizon
+    nus = _exact_nus(chain.elements)
+    # every density of every pass is a multiple of 1/D: entries hold D·nu
+    D = math.lcm(*(nu.denominator for nu in nus)) << k
+    entries = [(nu.numerator * (D // nu.denominator), e) for nu, e in zip(nus, chain.elements)]
+    if not any(x == 0 for x, _ in entries):
+        entries.append((0, Empty()))
+    if not any(x == D for x, _ in entries):
+        entries.append((D, All()))
     entries.sort(key=lambda t: t[0])
+    if max(b[0] - a[0] for a, b in zip(entries, entries[1:])) < D >> k:
+        return verify_chain([e for _, e in entries], H)  # no gap to split
+    _check_mask(H)  # as the masks of the first gap's midpoint_set do
+    entries = [(x, e, _table_or_mask(e, H)) for x, e in entries]
     for j in range(1, k + 1):
-        threshold = Fraction(1, 2**j)
-        gaps = [
-            (entries[i + 1][0] - entries[i][0], i)
-            for i in range(len(entries) - 1)
-            if entries[i + 1][0] - entries[i][0] >= threshold
-        ]
-        gaps.sort(key=lambda t: (-t[0], entries[t[1]][0]))
-        inserted = []
-        for _, i in gaps:
-            (lo_nu, lo), (hi_nu, hi) = entries[i], entries[i + 1]
-            mid = midpoint_set(lo, hi, check_horizon)
-            inserted.append(((lo_nu + hi_nu) / 2, mid))
-        entries.extend(inserted)
-        entries.sort(key=lambda t: t[0])
-    return verify_chain([e for _, e in entries], check_horizon)
+        widths = [b[0] - a[0] for a, b in zip(entries, entries[1:])]
+        gaps = [i for i, w in enumerate(widths) if w >= D >> j]
+        gaps.sort(key=lambda i: (-widths[i], entries[i][0]))
+        mids = {}
+        for i in gaps:
+            (lo_x, lo, lo_set), (hi_x, hi, hi_set) = entries[i], entries[i + 1]
+            _check_contained(lo, hi, lo_set, hi_set, H)
+            mid = Midpoint(lo, hi)
+            parts = [(r if isinstance(r, _Table) else r.copy(), H) for r in (lo_set, hi_set)]
+            # as _table_or_mask(mid, H) would hold it: over = H, as there,
+            # and below TABLE_BASE the parts are masks, so the step is the
+            # mask kernel as in indicator
+            mids[i] = ((lo_x + hi_x) // 2, mid, _step(mid, H, parts, H))
+        # a midpoint's density lies strictly between its neighbours'
+        entries = [x for i, t in enumerate(entries) for x in (t, mids.get(i)) if x]
+    return _verify([e for _, e, _ in entries], [r for _, _, r in entries], H)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +362,9 @@ def maximal_extension(chain: Chain, universe_horizon: int) -> Chain:
     by adding the gap's points one at a time in increasing order.  The
     result has one element per cardinality 0..universe, which certifies
     maximality in the finite power set.  Each step inserts one point into
-    a sorted member list, so the Python work is O(universe) steps.
+    a sorted member list and copies it into the next rung, built without
+    re-checking its order, so the Python work is O(universe) steps; the
+    copies are the output, O(universe^2) integers in all.
     """
     u = universe_horizon
     if not (1 <= u <= 10**4):
@@ -365,11 +380,8 @@ def maximal_extension(chain: Chain, universe_horizon: int) -> Chain:
             low = diff & -diff
             diff ^= low
             insort(members, low.bit_length())
-            elements.append(Explicit(tuple(members)))
+            elements.append(Explicit._increasing(tuple(members)))
     if len(elements) != u + 1:
         raise ChainError("saturation failed: cardinality ladder incomplete")
-    evidence = tuple(
-        OrderEvidence("structural", u, "explicit containment")
-        for _ in range(len(elements) - 1)
-    )
+    evidence = (OrderEvidence("structural", u, "explicit containment"),) * u
     return Chain(tuple(elements), evidence, u)

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .exprs import (
     CesaroError,
     Dilate,
@@ -19,9 +17,10 @@ from .exprs import (
     Residue,
     SetExpr,
     Shift,
-    indicator,
+    _check_mask,
 )
 from .limits import NotExactlySolvable, Verdict, exact_limits
+from .nullmod import _first_outside, _table_or_mask
 
 
 class ConstructionError(CesaroError):
@@ -49,6 +48,14 @@ def counterexample_pair() -> tuple[SetExpr, SetExpr]:
     return Residue(2, frozenset({0})), Predicate("paired")
 
 
+def _check_contained(lower: SetExpr, upper: SetExpr, lo, hi, check_horizon: int) -> None:
+    """Reject ``lower`` not contained in ``upper`` on the checking prefix,
+    naming the least witness, from their sets there (``_table_or_mask``)."""
+    n = _first_outside(lower, upper, lo, hi, check_horizon)
+    if n is not None:
+        raise ConstructionError(f"lower is not contained in upper: witness {n}")
+
+
 def midpoint_set(lower: SetExpr, upper: SetExpr, check_horizon: int = 10**4) -> SetExpr:
     """lower plus every second element of upper \\ lower, starting with the
     first element of the difference.
@@ -57,13 +64,9 @@ def midpoint_set(lower: SetExpr, upper: SetExpr, check_horizon: int = 10**4) -> 
     densities.  Containment is verified on a checking prefix; divergent
     endpoints (exactly known) are rejected.
     """
-    lo = indicator(lower, check_horizon)
-    hi = indicator(upper, check_horizon)
-    bad = np.flatnonzero(lo & ~hi)
-    if bad.size:
-        raise ConstructionError(
-            f"lower is not contained in upper: witness {int(bad[0]) + 1}"
-        )
+    _check_mask(check_horizon)
+    sets = [_table_or_mask(side, check_horizon) for side in (lower, upper)]
+    _check_contained(lower, upper, *sets, check_horizon)
     for side in (lower, upper):
         try:
             rep = exact_limits(side)
@@ -71,9 +74,7 @@ def midpoint_set(lower: SetExpr, upper: SetExpr, check_horizon: int = 10**4) -> 
             continue
         if rep.verdict is not Verdict.IN_F:
             raise ConstructionError("midpoint endpoints must have convergent averages")
-    if np.array_equal(lo, hi) and lower == upper:
-        return lower
-    return Midpoint(lower, upper)
+    return lower if lower == upper else Midpoint(lower, upper)
 
 
 def dyadic_partition(kmax: int) -> list[SetExpr]:

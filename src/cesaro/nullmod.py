@@ -198,6 +198,20 @@ def _members(r: _Table | np.ndarray) -> int:
     return int(r.counts(r.bounds[-1:])[0]) if isinstance(r, _Table) else int(np.count_nonzero(r))
 
 
+def _first_outside(lower: SetExpr, upper: SetExpr, lo, hi, horizon: int) -> int | None:
+    """The least n in [1, horizon] in ``lower`` but not in ``upper``, or
+    None, from their sets ``lo`` and ``hi`` there (``_table_or_mask``,
+    left unchanged).  The difference is counted from its phase table where
+    both sets are tables; masks are built only to name n."""
+    if isinstance(lo, _Table) and isinstance(hi, _Table):
+        diff = Diff(lower, upper)._table(horizon, lo, hi)
+        if diff is not None and not _members(diff):
+            return None
+    lo, hi = (r.fill(0, horizon) if isinstance(r, _Table) else r for r in (lo, hi))
+    extra = np.greater(lo, hi)  # lo & ~hi
+    return int(extra.argmax()) + 1 if extra.any() else None
+
+
 def _modified(e: SetExpr, added, removed) -> SetExpr:
     """e with the points ``added`` joined and the points ``removed`` taken out."""
     if added:

@@ -3,6 +3,7 @@ certificates, dense/skeleton/maximal extensions."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
+from cesaro.chains import _exact_nus
+from cesaro.exprs import _Table
 from cesaro.limits import _CHUNK
+from cesaro.nullmod import _table_or_mask
 
 
 def residue_chain(js):
@@ -338,13 +342,37 @@ def test_maximal_extension_matches_bitmask_construction(u, seed):
     assert c.maximal_extension(chain, u) == bitmask_maximal_extension(chain, u)
 
 
+@pytest.mark.parametrize("u", [1, 64, 500])
+def test_maximal_extension_rungs_are_public_explicit_sets(u):
+    chain = c.verify_chain(residue_chain([1, 3, 5]), 1024)
+    rungs = c.maximal_extension(chain, u).elements[1:]
+    assert len(rungs) == u
+    for rung in rungs:
+        public = c.Explicit(tuple(rung.elements))
+        assert type(rung) is c.Explicit
+        assert rung == public and hash(rung) == hash(public)
+
+
 @pytest.mark.parametrize(
     "elements, message",
-    [((0,), ">= 1"), ((2, 1), "strictly increasing"), ((3, 0), ">= 1")],
+    [
+        ((0,), ">= 1"),
+        ((2, 1), "strictly increasing"),
+        ((3, 0), ">= 1"),
+        ((1, 4, 4), "strictly increasing"),
+        ((-2, 5), ">= 1"),
+    ],
 )
 def test_explicit_rejections(elements, message):
     with pytest.raises(ValueError, match=f"^explicit elements must be {message}$"):
         c.Explicit(elements)
+
+
+def test_explicit_rejects_more_than_max_explicit(monkeypatch):
+    monkeypatch.setattr("cesaro.exprs.MAX_EXPLICIT", 3)
+    assert c.Explicit((1, 2, 3)).elements == (1, 2, 3)
+    with pytest.raises(ValueError, match="^explicit set larger than 3 elements$"):
+        c.Explicit((1, 2, 3, 4))
 
 
 
@@ -470,3 +498,116 @@ def test_element_without_exact_limit_is_a_chain_error(call):
     assert chain.elements[1] == fuzzy
     with pytest.raises(c.ChainError, match="^element 1 has no exact limit: Union is not exactly solvable here$"):
         call(chain)
+
+
+# ---------------------------------------------------------------------------
+# dense extension against a midpoint_set per gap
+
+
+def reference_dense_extension(chain, k, check_horizon):
+    """dense_extension built from the public calls: ``midpoint_set`` per
+    gap, in the same pass and gap order, then ``verify_chain``."""
+    if k < 1:
+        raise c.ChainError("resolution exponent must be >= 1")
+    entries = list(zip(_exact_nus(chain.elements), chain.elements))
+    if not any(nu == 0 for nu, _ in entries):
+        entries.append((Fraction(0), c.Empty()))
+    if not any(nu == 1 for nu, _ in entries):
+        entries.append((Fraction(1), c.All()))
+    entries.sort(key=lambda t: t[0])
+    for j in range(1, k + 1):
+        pairs = list(zip(entries, entries[1:]))
+        gaps = [(b[0] - a[0], a[0], i) for i, (a, b) in enumerate(pairs)]
+        wide = [g for g in gaps if g[0] >= Fraction(1, 2**j)]
+        for _, _, i in sorted(wide, key=lambda t: (-t[0], t[1])):
+            (lo_nu, lo), (hi_nu, hi) = pairs[i]
+            entries.append(((lo_nu + hi_nu) / 2, c.midpoint_set(lo, hi, check_horizon)))
+        entries.sort(key=lambda t: t[0])
+    return c.verify_chain([e for _, e in entries], check_horizon)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except c.CesaroError as exc:
+        return type(exc), str(exc)
+
+
+def _held_sets(monkeypatch):
+    """The (elements, sets, horizon) of each ``_verify`` call, recorded."""
+    calls = []
+    verify = c.chains._verify
+
+    def recording(elems, sets, horizon):
+        calls.append((elems, sets, horizon))
+        return verify(elems, sets, horizon)
+
+    monkeypatch.setattr("cesaro.chains._verify", recording)
+    return calls
+
+
+def _same_set(held, e, horizon):
+    want = _table_or_mask(e, horizon)
+    assert isinstance(held, _Table) == isinstance(want, _Table)
+    held, want = (r.fill(0, horizon) if isinstance(r, _Table) else r for r in (held, want))
+    assert np.array_equal(held, want)
+
+
+#: a union that leaves residue 2 {0} at 5001, past a check horizon of 1000
+ESCAPES_AT_5001 = c.Union(c.Residue(4, frozenset({0})), c.Explicit((5001,)))
+
+
+@st.composite
+def dense_chains(draw):
+    bits = draw(st.integers(0, 2**9 - 1))
+    dyadic = st.integers(1, 9).map(lambda j: c.Residue(2**j, frozenset({bits % 2**j})))
+    leaf = st.one_of(
+        dyadic,
+        dyadic,  # twice as likely: chains of them nest
+        st.integers(2, 24).flatmap(
+            lambda q: st.integers(1, q - 1).map(lambda p: c.Greedy(Fraction(p, q)))
+        ),
+        st.just(ESCAPES_AT_5001),
+    )
+    return draw(st.lists(leaf, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_chains(), st.integers(1, 4), st.sampled_from([10**3, 10**4, 2**16 + 1]))
+@example([c.Residue(2, frozenset({0})), c.Residue(8, frozenset({0}))], 4, 2**16 + 1)
+@example([c.Greedy(Fraction(1, 3)), c.Greedy(Fraction(2, 3))], 3, 10**4)
+def test_dense_extension_matches_midpoint_set_per_gap(elements, k, horizon):
+    chain = c.Chain(tuple(elements), (), 1000)
+    want = _outcome(lambda: reference_dense_extension(chain, k, horizon))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _held_sets(mp)
+        got = _outcome(lambda: c.dense_extension(chain, k, horizon))
+    assert got == want
+    for elems, sets, h in calls:
+        for e, held in zip(elems, sets):
+            _same_set(held, e, h)
+
+
+@pytest.mark.parametrize("horizon", [10**4, 2**16 + 1])
+def test_dense_extension_names_the_witness_past_the_verified_prefix(horizon):
+    chain = c.verify_chain([ESCAPES_AT_5001, c.Residue(2, frozenset({0}))], 1000)
+    message = "^lower is not contained in upper: witness 5001$"
+    with pytest.raises(c.ConstructionError, match=message):
+        c.dense_extension(chain, 4, horizon)
+    with pytest.raises(c.ConstructionError, match=message):
+        reference_dense_extension(chain, 4, horizon)
+
+
+def test_dense_extension_holds_tables_in_little_memory(monkeypatch):
+    chain = c.verify_chain(residue_chain(range(1, 11)))
+    calls = _held_sets(monkeypatch)
+    want = c.dense_extension(chain, 4, 2**20)
+    (elems, sets, _), = calls
+    assert len(elems) == 38 and all(isinstance(r, _Table) for r in sets)
+    tracemalloc.start()
+    try:
+        assert c.dense_extension(chain, 4, 2**20) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # less than one mask at this horizon
