@@ -236,14 +236,6 @@ def _tile(out: np.ndarray, period: np.ndarray) -> None:
         done += step
 
 
-#: a form with at most this many residues is written one residue class at
-#: a time, a strided write each, rather than tiled, unless it is dense and
-#: long: a strided write costs about 0.44 ns per member, tiling about
-#: 0.045 ns per position plus about 1.2 µs per doubling, so tiling pays
-#: once (|R|/L - 1/10)·k passes about 5·10^4, taken as 2^19/10
-_STRIDED = 8
-
-
 def _fill_form(out: np.ndarray, s: int, f: _Form) -> None:
     """Set out[i], all False on entry, for each n = s + 1 + i with n mod L
     in f's residues."""
@@ -258,7 +250,15 @@ def _fill_form(out: np.ndarray, s: int, f: _Form) -> None:
         if first + k > L:
             out[res[: res.searchsorted(first + k - L)] + (L - first)] = True
         return
-    if res.size <= _STRIDED and (10 * res.size - L) * k <= L << 19:
+    # up to 8 residues, by cache lines, in units of 1.8 ns: one strided
+    # write per residue costs 278 plus one per line it touches, a line per
+    # L positions, or per 64 when L < 64, but at least 0.33 ns per member;
+    # tiling costs 2222, 333 per doubling and one per 51.4 positions.
+    # Below 2^14 positions that is always strided; more residues are tiled
+    g, per = res.size, L if L > 64 else 64 if L > 11 else 5.5 * L
+    if g <= 8 and (
+        k < 1 << 14 or g * (k / per + 278) <= k / 51.4 + 2222 + 333 * (k // L).bit_length()
+    ):
         for r in res.tolist():
             out[(r - first) % L :: L] = True  # n = s + 1 + (r - first) % L has residue r
         return
@@ -1289,6 +1289,30 @@ class Shift(SetExpr):
         return f"shift {self.offset} {self.inner._format()}"
 
 
+def _every_second(gap: np.ndarray) -> np.ndarray:
+    """The first, third, fifth, ... members of a mask, as a mask.
+
+    Bit-parallel over 64 positions a word: a prefix XOR within each word,
+    flipped after each word holding an odd count, is the parity of the
+    count so far; about 0.4 ns per position at any density, plus about
+    15 µs of numpy calls, so below 2^15 positions the serial parity pass
+    (about 1.5 ns per position) is cheaper.
+    """
+    if gap.size < 1 << 15:
+        odd = np.logical_xor.accumulate(gap)
+        odd &= gap
+        return odd
+    words = np.packbits(gap, bitorder="little")
+    words = np.concatenate((words, np.zeros(-words.size % 8, dtype=np.uint8))).view("<u8")
+    odd = words.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        odd ^= odd << np.uint64(s)
+    flips = np.bitwise_xor.accumulate(odd >> np.uint64(63))  # bit 63 is the word's parity
+    odd[1:] ^= np.uint64(0) - flips[:-1]
+    odd &= words
+    return np.unpackbits(odd.view(np.uint8), count=gap.size, bitorder="little").view(bool)
+
+
 @dataclass(frozen=True)
 class Midpoint(SetExpr):
     """``lower`` plus every second element of ``upper \\ lower``.
@@ -1319,9 +1343,7 @@ class Midpoint(SetExpr):
 
     def _indicator(self, N, lo, gap):
         np.greater(gap, lo, out=gap)  # upper \\ lower
-        odd = np.logical_xor.accumulate(gap)  # parity of the gap count so far
-        odd &= gap
-        lo |= odd
+        lo |= _every_second(gap)
         return lo
 
     def _counts(self, xs):

@@ -11,7 +11,8 @@ form retries once on its ``canonicalize``d expression.  Everything else
 falls back to a windowed streaming estimate with an explicit Unknown
 verdict when the evidence is inconclusive.  The estimate reads the set's
 phase table where it has one, with no mask and so no mask limit, and
-otherwise one mask; both give the same floats (``_window_extremes``).
+otherwise one mask, only in the blocks that can hold an extreme; both
+give the same floats (``_window_extremes``).
 """
 
 from __future__ import annotations
@@ -128,18 +129,19 @@ def _running_averages(seg: np.ndarray, first: int, carry: int):
 _STEPS = np.arange(_CHUNK // 2, dtype=np.float64)
 
 
-def _piece_extremes(seg: np.ndarray, a: int, carry: int, buf: np.ndarray):
-    """(max, min) of c_n/n over n in (a, a + k], and the piece's count, for
-    ``seg`` = mask[a : a + k] with 0 < k <= ``_CHUNK``, c_a = carry and a
-    float64 work array ``buf`` of shape (3, ``_CHUNK // 2``).
+def _piece_extremes(seg: np.ndarray, a: int, carry: int, total: int, buf: np.ndarray):
+    """(max, min) of c_n/n over n in (a, a + k] for ``seg`` = mask[a : a + k]
+    with 0 < k <= ``_CHUNK``, c_a = carry, ``total`` members and a float64
+    work array ``buf`` of shape (3, ``_CHUNK // 2``).
 
     c_n/n rises at each member, as (c + 1)/n >= c/(n - 1), and falls at each
-    non-member, so its extremes lie at a + 1, at a + k, or at or just before
-    a position of the rarer bit, where the count is closed-form in the
-    position.  Rounding is monotone: the float extremes are the dense ones.
+    non-member, so its maximum lies at a + 1, at a + k, at a member or just
+    before a non-member, and its minimum at a + 1, at a + k, at a non-member
+    or just before a member.  Those next to the rarer bit are read, where
+    the count is closed-form in the position.  Rounding is monotone: the
+    float extremes are the dense ones.
     """
     k = seg.size
-    total = int(np.count_nonzero(seg))
     ends = ((carry + int(seg[0])) / (a + 1), (carry + total) / (a + k))
     members = 2 * total <= k
     r = np.flatnonzero(seg if members else ~seg)
@@ -153,26 +155,30 @@ def _piece_extremes(seg: np.ndarray, a: int, carry: int, buf: np.ndarray):
     else:
         np.subtract(n, _STEPS[:m], out=c)
         c += carry - a - 1
-    at = np.divide(c, n, out=q)
-    top, bottom = at.max(initial=max(ends)), at.min(initial=min(ends))
+    np.divide(c, n, out=q)
+    at = float(q.max(initial=max(ends)) if members else q.min(initial=min(ends)))
     # one point earlier the count drops by one after a member; a rarer bit
     # at a + 1 has no such point inside the piece
     s = 1 if m and r[0] == 0 else 0
     c -= members
     n -= 1
     before = np.divide(c[s:], n[s:], out=q[s:])
-    return float(before.max(initial=top)), float(before.min(initial=bottom)), total
+    if members:
+        return at, float(before.min(initial=min(ends)))
+    return float(before.max(initial=max(ends))), at
 
 
 def _dense_extremes(fill, a: int, b: int, carry: int, buf: np.ndarray):
-    """(max, min) of c_n/n over n in (a, b], and c_b, for c_a = carry, from
-    the mask ``fill(x, y)`` of n = x + 1, ..., y, one ``_CHUNK`` at a time
+    """(max, min) of c_n/n over n in (a, b] for c_a = carry, from the mask
+    ``fill(x, y)`` of n = x + 1, ..., y, one ``_CHUNK`` at a time
     (``_piece_extremes``)."""
     top, bottom = -math.inf, math.inf
     for x in range(a, b, _CHUNK):
-        t, m, total = _piece_extremes(fill(x, min(b, x + _CHUNK)), x, carry, buf)
+        seg = fill(x, min(b, x + _CHUNK))
+        total = int(np.count_nonzero(seg))
+        t, m = _piece_extremes(seg, x, carry, total, buf)
         top, bottom, carry = max(top, t), min(bottom, m), carry + total
-    return top, bottom, carry
+    return top, bottom
 
 
 def _form_extremes(f: _Form, a: np.ndarray, b: np.ndarray, ca: np.ndarray):
@@ -236,9 +242,158 @@ def _table_extremes(t: _Table, cuts: np.ndarray):
             tops[i] = np.maximum(tops[i], top)
             bottoms[i] = np.minimum(bottoms[i], bottom)
         for i in np.flatnonzero(on & ~long).tolist():
-            top, bottom, _ = _dense_extremes(t.fill, int(a[i]), int(b[i]), int(ca[i]), buf)
+            top, bottom = _dense_extremes(t.fill, int(a[i]), int(b[i]), int(ca[i]), buf)
             tops[i], bottoms[i] = max(tops[i], top), min(bottoms[i], bottom)
     return tops, bottoms
+
+
+#: Positions per block of the block-count pass over a mask; a byte lane
+#: of its uint64 lane sums holds at most _BLOCK // 8 of them.
+_BLOCK = 256
+#: Spans shorter than this are scanned whole: below it the block-count
+#: pass and its bookkeeping cost more than the scan they save.  At least
+#: 2 * _BLOCK, so a counted span holds a whole block.
+_PRUNE_FROM = 1 << 17
+_LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
+_SUM_SHORTS = np.uint64(0x0001000100010001)
+
+
+def _block_extremes(rows: np.ndarray, a, o, k, ca, t):
+    """(max, min) of c_n/n over n in (a, a + k] per piece, each piece at
+    columns [o, o + k) of its row of ``rows`` (the mask from n = a - o + 1
+    on), with c_a = ca and t members.
+
+    ``_piece_extremes`` for many short pieces at once: the candidates are
+    the positions of the bit rarer over all the pieces, the counts there
+    are closed-form in each piece's carry, and each piece's extremes are a
+    segmented reduction over its candidates.
+    """
+    m, width = rows.shape
+    members = 2 * int(t.sum()) <= int(k.sum())
+    bits = rows if members else ~rows
+    for i in np.flatnonzero((o > 0) | (k < width)).tolist():
+        bits[i, : o[i]] = bits[i, o[i] + k[i] :] = False  # outside the piece
+    first = (ca + rows[np.arange(m), o]) / (a + 1)
+    last = (ca + t) / (a + k)
+    top, bottom = np.maximum(first, last), np.minimum(first, last)
+    f = np.flatnonzero(bits)
+    if not f.size:
+        return top, bottom
+    cnt = t if members else k - t
+    off = np.cumsum(cnt) - cnt
+    # the j-th candidate, in row i at column f - i * width, is n = a - o +
+    # f - i * width + 1, where c_n is c_a + j - off + 1 for a member and
+    # c_a + (n - a - 1) - (j - off) for a non-member
+    n = f + np.repeat(a - o - np.arange(m) * width + 1, cnt)
+    j = np.arange(f.size)
+    c = j + np.repeat(ca + 1 - off, cnt) if members else n - j + np.repeat(ca - a - 1 + off, cnt)
+    has = cnt > 0
+    starts = off[has]
+    at = (np.maximum if members else np.minimum).reduceat(c / n, starts)
+    # one point earlier the count drops by one after a member; a candidate
+    # at a + 1 has no such point inside its piece, so it stands for itself
+    c -= members
+    n -= 1
+    firsts = starts[n[starts] == a[has]]
+    c[firsts] += members
+    n[firsts] += 1
+    before = (np.minimum if members else np.maximum).reduceat(c / n, starts)
+    top[has] = np.maximum(top[has], at if members else before)
+    bottom[has] = np.minimum(bottom[has], before if members else at)
+    return top, bottom
+
+
+def _scan(mask: np.ndarray, cuts: list[int], counts: list[int]):
+    """(max, min) of c_n/n on each piece between consecutive ``cuts``, none
+    longer than ``_CHUNK``, from the mask and the prefix counts at the cuts."""
+    buf = np.empty((3, _CHUNK // 2))
+    tops, bottoms = np.empty((2, len(cuts) - 1))
+    for i, (a, b, ca, cb) in enumerate(zip(cuts, cuts[1:], counts, counts[1:])):
+        tops[i], bottoms[i] = _piece_extremes(mask[a:b], a, ca, cb - ca, buf)
+    return np.array(cuts), tops, bottoms
+
+
+def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, segments):
+    """The cuts of (first, last] and the (max, min) of c_n/n on each piece
+    between them, from a mask; see ``_window_extremes``."""
+    B, N = _BLOCK, mask.size
+    bounds = edges.tolist()
+    # pieces of at most _CHUNK from each window bound, cut on the block grid
+    chunks = []
+    for a, b in zip(bounds, bounds[1:]):
+        chunks += [a, *range(a - a % B + _CHUNK, b, _CHUNK)]
+    chunks.append(last)
+    if last - first < _PRUNE_FROM:
+        counts = [np.count_nonzero(mask[a:b]) for a, b in zip([0, *chunks], chunks)]
+        return _scan(mask, chunks, np.cumsum(counts).tolist())
+    mask = np.ascontiguousarray(mask)
+    base, top = first - first % B, last - last % B
+    # the count of every aligned block: byte lanes of a uint64 lane sum,
+    # folded to 16-bit lanes (a full block's 256 overflows a byte), summed
+    lanes = np.add.reduceat(mask[base:top].view(np.uint64), np.arange(0, (top - base) // 8, B // 8))
+    lanes = (lanes & _LOW_BYTES) + (lanes >> np.uint64(8) & _LOW_BYTES)
+    grid = np.empty(lanes.size + 1, dtype=np.int64)
+    grid[0] = np.count_nonzero(mask[:base])
+    np.cumsum((lanes * _SUM_SHORTS >> np.uint64(48)).view(np.int64), out=grid[1:])
+    grid[1:] += grid[0]
+    points = np.arange(base, top + 1, B)
+
+    # c at every cut: from the grid, plus the members before a bound off it
+    off_grid = {
+        x: int(grid[(x - base) // B]) + np.count_nonzero(mask[x - x % B : x]) for x in bounds if x % B
+    }
+
+    def counted(xs):
+        return [off_grid[x] if x % B else int(grid[(x - base) // B]) for x in xs]
+
+    # a flat mask: c_n/n spreads over the span less than a piece's bound
+    # exceeds its end value (up to about B/4n), so nearly every piece would
+    # be scanned; scan it whole, counted from the blocks
+    at_points = grid[1:] / points[1:]
+    if first and at_points.max() - at_points.min() < B / (4 * first):
+        return _scan(mask, chunks, counted(chunks))
+    # the grid cut at every window bound off it
+    cuts, counts, done = [], [], 0
+    for x in bounds:
+        if x % B:
+            j = (x - base) // B + 1
+            cuts += [points[done:j], [x]]
+            counts += [grid[done:j], [off_grid[x]]]
+            done = j
+    cuts, counts = np.concatenate([*cuts, points[done:]]), np.concatenate([*counts, grid[done:]])
+    ends = cuts.searchsorted(edges)
+    cuts, counts = cuts[ends[0] : ends[-1] + 1], counts[ends[0] : ends[-1] + 1]
+    ends -= ends[0]
+    a, b, ca, cb = cuts[:-1], cuts[1:], counts[:-1], counts[1:]
+    t = cb - ca
+    # the attained c_b/b, and each piece's bounds on its max and min
+    tops = cb / b
+    hi = cb / (a + np.maximum(t, 1))
+    n_lo = np.maximum(b - t, a + 1)
+    lo = (cb - b + n_lo) / n_lo
+    # per stretch between consecutive window bounds: its largest and
+    # smallest c_b/b, then the lowest largest and the highest smallest of
+    # the windows holding it
+    most = np.maximum.reduceat(tops, ends[:-1]).tolist()
+    least = np.minimum.reduceat(tops, ends[:-1]).tolist()
+    index = {x: i for i, x in enumerate(bounds)}
+    cap, floor = [math.inf] * len(most), [-math.inf] * len(most)
+    for lo_w, hi_w in segments:
+        i, j = index[lo_w], index[hi_w]
+        top_w, bottom_w = max(most[i:j]), min(least[i:j])
+        for s in range(i, j):
+            cap[s], floor[s] = min(cap[s], top_w), max(floor[s], bottom_w)
+    sizes = np.diff(ends)
+    scan = np.flatnonzero((hi > np.repeat(cap, sizes)) | (lo < np.repeat(floor, sizes)))
+    if 2 * scan.size > a.size:
+        return _scan(mask, chunks, counted(chunks))
+    bottoms = tops.copy()
+    rows = np.ndarray((N - B + 1, B), dtype=bool, buffer=mask, strides=(1, 1))
+    for s in range(0, scan.size, _CHUNK // B):
+        i = scan[s : s + _CHUNK // B]
+        r = np.minimum(a[i], N - B)
+        tops[i], bottoms[i] = _block_extremes(rows[r], a[i], a[i] - r, b[i] - a[i], ca[i], t[i])
+    return cuts, tops, bottoms
 
 
 def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, float]]:
@@ -248,6 +403,19 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
     windows, cut at every window bound, and every bound of a table, so each
     piece lies wholly inside or outside each window and windows share the
     pieces they overlap.  Windows must be nonempty.
+
+    A mask spanning ``_PRUNE_FROM`` or more is first counted by aligned
+    blocks of ``_BLOCK`` positions, one uint64 lane-sum pass, so c is
+    exact at every block end and every window bound.  c_b/b at a piece's
+    end is attained; with t members and 0 < t < b - a, c_n <= min(c_b,
+    c_a + n - a) bounds the piece's max by c_b/(a + t) and c_n >= max(c_a,
+    c_b - b + n) its min by c_a/(b - t).  A piece is read for candidates
+    (``_block_extremes``) only if its bound beats the largest or smallest
+    c_b/b of a window holding it.  The skipped pieces cannot hold a
+    window's extreme, and as float rounding is monotone, a bound that does
+    not beat it in floats does not in reals: the floats are those of a
+    dense scan.  A flat mask, or one where more than half the pieces would
+    be read, is scanned whole, counted from the blocks (``_mask_extremes``).
     """
     first = min(lo for lo, _ in segments)
     last = max(hi for _, hi in segments)
@@ -256,12 +424,7 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
         cuts = _union(src.bounds[(src.bounds > first) & (src.bounds < last)], edges)
         tops, bottoms = _table_extremes(src, cuts)
     else:
-        cuts = edges
-        buf = np.empty((3, _CHUNK // 2))
-        carry = int(np.count_nonzero(src[:first]))
-        tops, bottoms = np.empty((2, cuts.size - 1))
-        for i, (a, b) in enumerate(zip(cuts.tolist(), cuts[1:].tolist())):
-            tops[i], bottoms[i], carry = _dense_extremes(lambda x, y: src[x:y], a, b, carry, buf)
+        cuts, tops, bottoms = _mask_extremes(src, first, last, edges, segments)
     out = []
     for lo, hi in segments:
         i, j = cuts.searchsorted((lo, hi))
@@ -308,6 +471,11 @@ def estimate_limits(
     one pass over the windows, which reads c_n/n only at the positions of
     each piece's rarer bit and just before them; a tree with a phase table
     builds no mask, and no running count or N-long count array is built.
+    On a mask, a block-count pass first bounds c_n/n in every block of 256
+    positions, and only the blocks whose bound can beat a window's max or
+    min, from the exact c_b/b at the block ends, are read that way; float
+    rounding is monotone, so the estimate is the dense scan's to the bit
+    (``_window_extremes``).
     """
     return _estimate(e, horizon, window, tolerance)[0]
 

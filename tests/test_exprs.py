@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.exprs import MAX_MASK, PREDICATES, _farey_neighbours, _icbrt
+from cesaro.exprs import MAX_MASK, PREDICATES, _every_second, _farey_neighbours, _icbrt
 from conftest import brute_set, random_fragment
 
 SPECIALS = [
@@ -383,6 +383,22 @@ def test_midpoint_xor_parity_matches_cumsum_parity(lower, upper, nested):
     gap = c.indicator(upper, N) & ~lo
     want = lo | (gap & (np.cumsum(gap) % 2 == 1))
     assert np.array_equal(c.indicator(c.Midpoint(lower, upper), N), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 63, 1000, (1 << 15) - 1, 1 << 15, (1 << 15) + 13, (1 << 17) + 5]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.integers(0, 7),
+)
+def test_every_second_member_matches_cumsum_parity(n, p, seed, offset):
+    # both sides of the serial / bit-parallel switch, on views at byte offsets
+    buf = np.zeros(n + 8, dtype=bool)
+    gap = buf[offset : offset + n]
+    gap[:] = np.random.default_rng(seed).random(n) < p
+    want = gap & (np.cumsum(gap) % 2 == 1)
+    assert np.array_equal(_every_second(gap), want)
 
 
 @pytest.mark.parametrize("e", NODE_KINDS, ids=lambda e: type(e).__name__)

@@ -269,6 +269,97 @@ def test_window_extremes_at_piece_edges(kind):
         assert _window_extremes(mask, [window]) == [extremes]
 
 
+# ---------------------------------------------------------------------------
+# block counts: c_n/n read only in the blocks that can hold an extreme
+
+BLOCK = limits._BLOCK
+
+
+def _block_mask(kind, n, seed, p):
+    rng = np.random.default_rng(seed)
+    if kind == "empty":
+        return np.zeros(n, dtype=bool)
+    if kind == "full":
+        return np.ones(n, dtype=bool)
+    if kind == "bernoulli":
+        return rng.random(n) < p
+    if kind == "flat":  # periodic: c_n/n settles at once
+        L = int(rng.integers(2, 40))
+        return np.isin(np.arange(n) % L, rng.choice(L, int(rng.integers(1, L)), replace=False))
+    if kind == "whole-blocks":  # aligned blocks all members or none, with a few flips
+        mask = np.repeat(rng.random(-(-n // BLOCK)) < p, BLOCK)[:n]
+        mask[rng.integers(0, n, 3)] ^= True
+        return mask
+    # oscillating: runs of growing length
+    runs = rng.integers(1, 1 + np.geomspace(2, n, 30).astype(np.int64))
+    return np.resize(np.repeat(np.arange(runs.size) % 2 == 1, runs), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["flat", "oscillating", "empty", "full", "whole-blocks", "bernoulli"]),
+    n=st.integers(2 * BLOCK, 64 * BLOCK),
+    offset=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.0, 1.0),
+    bounds=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+)
+@example(kind="full", n=8 * BLOCK + 3, offset=3, seed=0, p=0.0, bounds=[0.1, 0.9])
+@example(kind="whole-blocks", n=20 * BLOCK, offset=5, seed=1, p=0.5, bounds=[0.3, 0.5])
+@example(kind="oscillating", n=64 * BLOCK, offset=1, seed=2, p=0.0, bounds=[0.0, 1.0])
+def test_block_pruned_window_extremes_match_full_count_array(kind, n, offset, seed, p, bounds):
+    # a view at a byte offset, as a uint64 lane sum reads it unaligned
+    buf = np.zeros(n + 8, dtype=bool)
+    mask = buf[offset : offset + n]
+    mask[:] = _block_mask(kind, n, seed, p)
+    xs = sorted(int(u * (n - 1)) for u in bounds)
+    segments = [*_estimate_windows(n, 0.5), (xs[0], xs[-1] + 1)]
+    # windows that start and end inside blocks, and shorter than one
+    segments += [(lo, hi) for lo, hi in zip(xs, xs[1:]) if lo < hi]
+    segments += [(x, min(n, x + 1 + BLOCK // 3)) for x in xs]
+    want = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
+    # every span of two blocks or more takes the block-count pass
+    with mock.patch.object(limits, "_PRUNE_FROM", 2 * BLOCK):
+        assert _window_extremes(mask, segments) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(BLOCK, 20 * BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0.0, 0.02, 0.3, 0.5, 0.9, 1.0]),
+    pieces=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, BLOCK)), min_size=1, max_size=12),
+)
+def test_block_kernel_matches_full_count_array(n, seed, p, pieces):
+    mask = np.random.default_rng(seed).random(n) < p
+    counts = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+    a = np.array([int(u * (n - 1)) for u, _ in pieces])
+    k = np.minimum([k for _, k in pieces], n - a)
+    # rows start at the piece, or B before the end of the mask
+    r = np.minimum(a, n - BLOCK)
+    rows = np.lib.stride_tricks.sliding_window_view(mask, BLOCK)[r]
+    tops, bottoms = limits._block_extremes(rows, a, a - r, k, counts[a], counts[a + k] - counts[a])
+    for i in range(a.size):
+        assert (tops[i], bottoms[i]) == _seg_extremes_oracle(mask, a[i], a[i] + k[i])
+
+
+def test_block_counts_prune_the_primes_union_scan():
+    e, H = c.parse_expr("union(predicate primes, blocks geometric 2)"), 2**20
+    mask = c.indicator(e, H)
+    segments = _estimate_windows(H, 0.5)
+    read = []
+    kernel = limits._block_extremes
+
+    def counted(rows, a, o, k, ca, t):
+        read.append(int(k.sum()))
+        return kernel(rows, a, o, k, ca, t)
+
+    with mock.patch.object(limits, "_block_extremes", counted):
+        got = _window_extremes(mask, segments)
+    assert got == [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
+    assert 0 < sum(read) <= 0.05 * (H - H // 8)
+
+
 def _estimate_limits_oracle(e, horizon, window, tolerance):
     """The streamed estimate from an N-long int64 cumsum, window by window."""
     mask = c.indicator(e, horizon)
