@@ -236,6 +236,21 @@ def _tile(out: np.ndarray, period: np.ndarray) -> None:
         done += step
 
 
+#: a form with at most this many residues is written one residue class at
+#: a time, a strided write each, rather than tiled, unless it is dense and
+#: long: a strided write costs about 0.44 ns per member, tiling about
+#: 0.045 ns per position plus about 1.2 µs per doubling, so tiling pays
+#: once (|R|/L - 1/10)·k passes about 5·10^4, taken as 2^19/10.  From
+#: 2^18 positions a sparser form with L >= 16 is tiled too if its strided
+#: writes touch a cache line per 16 positions or more, 16·|R| >= max(L,
+#: 64): each residue's write touches a line per L positions, or every line
+#: when L < 64, at about 1.8 ns a line.  Sparser forms stay strided: from
+#: 1/32 to 1/16 of a line per position, tiling measured up to 1.3 times
+#: faster on some (L = 256 with 8 residues) and 1.5 times slower on others
+#: (L = 16 or 64 with 2) between 2^18 and 5·10^5 positions
+_STRIDED = 8
+
+
 def _fill_form(out: np.ndarray, s: int, f: _Form) -> None:
     """Set out[i], all False on entry, for each n = s + 1 + i with n mod L
     in f's residues."""
@@ -250,15 +265,9 @@ def _fill_form(out: np.ndarray, s: int, f: _Form) -> None:
         if first + k > L:
             out[res[: res.searchsorted(first + k - L)] + (L - first)] = True
         return
-    # up to 8 residues, by cache lines, in units of 1.8 ns: one strided
-    # write per residue costs 278 plus one per line it touches, a line per
-    # L positions, or per 64 when L < 64, but at least 0.33 ns per member;
-    # tiling costs 2222, 333 per doubling and one per 51.4 positions.
-    # Below 2^14 positions that is always strided; more residues are tiled
-    g, per = res.size, L if L > 64 else 64 if L > 11 else 5.5 * L
-    if g <= 8 and (
-        k < 1 << 14 or g * (k / per + 278) <= k / 51.4 + 2222 + 333 * (k // L).bit_length()
-    ):
+    g = res.size
+    sparse_lines = L >= 16 and k >= 1 << 18 and 16 * g >= max(L, 64)
+    if g <= _STRIDED and (10 * g - L) * k <= L << 19 and not sparse_lines:
         for r in res.tolist():
             out[(r - first) % L :: L] = True  # n = s + 1 + (r - first) % L has residue r
         return

@@ -258,17 +258,21 @@ _LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
 _SUM_SHORTS = np.uint64(0x0001000100010001)
 
 
-def _block_extremes(rows: np.ndarray, a, o, k, ca, t):
-    """(max, min) of c_n/n over n in (a, a + k] per piece, each piece at
-    columns [o, o + k) of its row of ``rows`` (the mask from n = a - o + 1
-    on), with c_a = ca and t members.
+def _block_extremes(mask: np.ndarray, a, k, ca, t):
+    """(max, min) of c_n/n over n in (a, a + k] per piece, 0 < k <=
+    ``_BLOCK``, from the mask of n = 1, ..., N, N >= ``_BLOCK``, with c_a
+    = ca and t members.
 
     ``_piece_extremes`` for many short pieces at once: the candidates are
     the positions of the bit rarer over all the pieces, the counts there
     are closed-form in each piece's carry, and each piece's extremes are a
     segmented reduction over its candidates.
     """
-    m, width = rows.shape
+    m, width = a.size, _BLOCK
+    # each piece's row of the mask, from the piece on or the last B positions
+    r = np.minimum(a, mask.size - width)
+    o = a - r
+    rows = np.lib.stride_tricks.sliding_window_view(mask, width)[r]  # a copy
     members = 2 * int(t.sum()) <= int(k.sum())
     bits = rows if members else ~rows
     for i in np.flatnonzero((o > 0) | (k < width)).tolist():
@@ -316,43 +320,50 @@ def _scan(mask: np.ndarray, cuts: list[int], counts: list[int]):
 def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, segments):
     """The cuts of (first, last] and the (max, min) of c_n/n on each piece
     between them, from a mask; see ``_window_extremes``."""
-    B, N = _BLOCK, mask.size
+    B = _BLOCK
     bounds = edges.tolist()
     # pieces of at most _CHUNK from each window bound, cut on the block grid
     chunks = []
     for a, b in zip(bounds, bounds[1:]):
         chunks += [a, *range(a - a % B + _CHUNK, b, _CHUNK)]
     chunks.append(last)
-    if last - first < _PRUNE_FROM:
-        counts = [np.count_nonzero(mask[a:b]) for a, b in zip([0, *chunks], chunks)]
+    carry = int(np.count_nonzero(mask[:first]))
+    # a short span, or a rarer bit under one position per block before it,
+    # is scanned whole: counting blocks costs more than reading it
+    if last - first < _PRUNE_FROM or min(carry, first - carry) * B < first:
+        counts = [carry, *(np.count_nonzero(mask[a:b]) for a, b in zip(chunks, chunks[1:]))]
         return _scan(mask, chunks, np.cumsum(counts).tolist())
     mask = np.ascontiguousarray(mask)
     base, top = first - first % B, last - last % B
     # the count of every aligned block: byte lanes of a uint64 lane sum,
     # folded to 16-bit lanes (a full block's 256 overflows a byte), summed
     lanes = np.add.reduceat(mask[base:top].view(np.uint64), np.arange(0, (top - base) // 8, B // 8))
-    lanes = (lanes & _LOW_BYTES) + (lanes >> np.uint64(8) & _LOW_BYTES)
+    low = lanes & _LOW_BYTES
+    lanes >>= np.uint64(8)
+    lanes &= _LOW_BYTES
+    lanes += low
+    lanes *= _SUM_SHORTS
+    lanes >>= np.uint64(48)
     grid = np.empty(lanes.size + 1, dtype=np.int64)
-    grid[0] = np.count_nonzero(mask[:base])
-    np.cumsum((lanes * _SUM_SHORTS >> np.uint64(48)).view(np.int64), out=grid[1:])
+    grid[0] = carry - np.count_nonzero(mask[base:first])
+    np.cumsum(lanes.view(np.int64), out=grid[1:])
     grid[1:] += grid[0]
-    points = np.arange(base, top + 1, B)
-
-    # c at every cut: from the grid, plus the members before a bound off it
-    off_grid = {
-        x: int(grid[(x - base) // B]) + np.count_nonzero(mask[x - x % B : x]) for x in bounds if x % B
-    }
-
-    def counted(xs):
-        return [off_grid[x] if x % B else int(grid[(x - base) // B]) for x in xs]
-
-    # a flat mask: c_n/n spreads over the span less than a piece's bound
-    # exceeds its end value (up to about B/4n), so nearly every piece would
-    # be scanned; scan it whole, counted from the blocks
-    at_points = grid[1:] / points[1:]
-    if first and at_points.max() - at_points.min() < B / (4 * first):
-        return _scan(mask, chunks, counted(chunks))
+    # c at every chunk cut: from the grid, plus the members before a cut
+    # off it (a window bound)
+    at_chunks = np.array(chunks)
+    chunk_counts = grid[(at_chunks - base) // B]
+    off_grid = {}
+    for i in np.flatnonzero(at_chunks % B).tolist():
+        x = chunks[i]
+        chunk_counts[i] = off_grid[x] = chunk_counts[i] + np.count_nonzero(mask[x - x % B : x])
+    # a flat mask: c_n/n at the chunk cuts spreads less than a block's
+    # bound exceeds its end value (up to about B/4n), so nearly every block
+    # would be read; scan it whole
+    at = chunk_counts[1:] / at_chunks[1:]
+    if (at.max() - at.min()) * 4 * first < B:
+        return _scan(mask, chunks, chunk_counts.tolist())
     # the grid cut at every window bound off it
+    points = np.arange(base, top + 1, B)
     cuts, counts, done = [], [], 0
     for x in bounds:
         if x % B:
@@ -385,14 +396,10 @@ def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, s
             cap[s], floor[s] = min(cap[s], top_w), max(floor[s], bottom_w)
     sizes = np.diff(ends)
     scan = np.flatnonzero((hi > np.repeat(cap, sizes)) | (lo < np.repeat(floor, sizes)))
-    if 2 * scan.size > a.size:
-        return _scan(mask, chunks, counted(chunks))
     bottoms = tops.copy()
-    rows = np.ndarray((N - B + 1, B), dtype=bool, buffer=mask, strides=(1, 1))
     for s in range(0, scan.size, _CHUNK // B):
         i = scan[s : s + _CHUNK // B]
-        r = np.minimum(a[i], N - B)
-        tops[i], bottoms[i] = _block_extremes(rows[r], a[i], a[i] - r, b[i] - a[i], ca[i], t[i])
+        tops[i], bottoms[i] = _block_extremes(mask, a[i], b[i] - a[i], ca[i], t[i])
     return cuts, tops, bottoms
 
 
@@ -404,9 +411,10 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
     piece lies wholly inside or outside each window and windows share the
     pieces they overlap.  Windows must be nonempty.
 
-    A mask spanning ``_PRUNE_FROM`` or more is first counted by aligned
-    blocks of ``_BLOCK`` positions, one uint64 lane-sum pass, so c is
-    exact at every block end and every window bound.  c_b/b at a piece's
+    A mask spanning ``_PRUNE_FROM`` or more, whose rarer bit has at least
+    as many positions before the span as there are blocks there, is first
+    counted by aligned blocks of ``_BLOCK`` positions, one uint64 lane-sum
+    pass, so c is exact at every block end and every window bound.  c_b/b at a piece's
     end is attained; with t members and 0 < t < b - a, c_n <= min(c_b,
     c_a + n - a) bounds the piece's max by c_b/(a + t) and c_n >= max(c_a,
     c_b - b + n) its min by c_a/(b - t).  A piece is read for candidates
@@ -414,8 +422,10 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
     c_b/b of a window holding it.  The skipped pieces cannot hold a
     window's extreme, and as float rounding is monotone, a bound that does
     not beat it in floats does not in reals: the floats are those of a
-    dense scan.  A flat mask, or one where more than half the pieces would
-    be read, is scanned whole, counted from the blocks (``_mask_extremes``).
+    dense scan.  A flat mask, whose c_n/n at the ``_CHUNK`` cuts spreads
+    less than ``_BLOCK``/(4 first), would have nearly every block read; it
+    is scanned whole, counted from the blocks (``_mask_extremes``), as is
+    any other mask, counted by chunks.
     """
     first = min(lo for lo, _ in segments)
     last = max(hi for _, hi in segments)

@@ -335,10 +335,9 @@ def test_block_kernel_matches_full_count_array(n, seed, p, pieces):
     counts = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
     a = np.array([int(u * (n - 1)) for u, _ in pieces])
     k = np.minimum([k for _, k in pieces], n - a)
-    # rows start at the piece, or B before the end of the mask
-    r = np.minimum(a, n - BLOCK)
-    rows = np.lib.stride_tricks.sliding_window_view(mask, BLOCK)[r]
-    tops, bottoms = limits._block_extremes(rows, a, a - r, k, counts[a], counts[a + k] - counts[a])
+    before = mask.copy()
+    tops, bottoms = limits._block_extremes(mask, a, k, counts[a], counts[a + k] - counts[a])
+    assert np.array_equal(mask, before)  # the kernel clears its own copy of the rows
     for i in range(a.size):
         assert (tops[i], bottoms[i]) == _seg_extremes_oracle(mask, a[i], a[i] + k[i])
 
@@ -350,9 +349,9 @@ def test_block_counts_prune_the_primes_union_scan():
     read = []
     kernel = limits._block_extremes
 
-    def counted(rows, a, o, k, ca, t):
+    def counted(mask, a, k, ca, t):
         read.append(int(k.sum()))
-        return kernel(rows, a, o, k, ca, t)
+        return kernel(mask, a, k, ca, t)
 
     with mock.patch.object(limits, "_block_extremes", counted):
         got = _window_extremes(mask, segments)
