@@ -245,9 +245,9 @@ def _tile(out: np.ndarray, period: np.ndarray) -> None:
 #: writes touch a cache line per 16 positions or more, 16·|R| >= max(L,
 #: 64): each residue's write touches a line per L positions, or every line
 #: when L < 64, at about 1.8 ns a line.  Sparser forms stay strided: from
-#: 1/32 to 1/16 of a line per position, tiling measured up to 1.3 times
-#: faster on some (L = 256 with 8 residues) and 1.5 times slower on others
-#: (L = 16 or 64 with 2) between 2^18 and 5·10^5 positions
+#: 1/32 to 1/16 of a line per position, tiling measured up to 1.4 times
+#: faster on some (L = 256 with 8 residues) and up to 1.6 times slower on
+#: others (L = 16, 32 or 64 with 2) between 2^18 and 5·10^5 positions
 _STRIDED = 8
 
 

@@ -483,8 +483,9 @@ def estimate_limits(
     builds no mask, and no running count or N-long count array is built.
     On a mask, a block-count pass first bounds c_n/n in every block of 256
     positions, and only the blocks whose bound can beat a window's max or
-    min, from the exact c_b/b at the block ends, are read that way; float
-    rounding is monotone, so the estimate is the dense scan's to the bit
+    min, from the exact c_b/b at the block ends, are read that way (a short
+    span, a sparse mask and a flat one are read whole); float rounding is
+    monotone, so the estimate is the dense scan's to the bit
     (``_window_extremes``).
     """
     return _estimate(e, horizon, window, tolerance)[0]
