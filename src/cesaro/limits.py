@@ -427,19 +427,26 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
     is scanned whole, counted from the blocks (``_mask_extremes``), as is
     any other mask, counted by chunks.
     """
+    cuts, tops, bottoms = _window_pieces(src, segments)
+    # windows overlap, so each gets its own (start, end) pair of indices;
+    # the reductions between one window's end and the next one's start are
+    # dropped, and a sentinel piece keeps an end at the last cut in range
+    ends = cuts.searchsorted(np.ravel(segments))
+    top = np.maximum.reduceat(np.append(tops, -math.inf), ends)[::2]
+    bottom = np.minimum.reduceat(np.append(bottoms, math.inf), ends)[::2]
+    return list(zip(top.tolist(), bottom.tolist()))
+
+
+def _window_pieces(src, segments: list[tuple[int, int]]):
+    """The cuts of ``_window_extremes`` and the (max, min) of c_n/n on each
+    piece between consecutive cuts."""
     first = min(lo for lo, _ in segments)
     last = max(hi for _, hi in segments)
     edges = np.unique([b for seg in segments for b in seg])
     if isinstance(src, _Table):
         cuts = _union(src.bounds[(src.bounds > first) & (src.bounds < last)], edges)
-        tops, bottoms = _table_extremes(src, cuts)
-    else:
-        cuts, tops, bottoms = _mask_extremes(src, first, last, edges, segments)
-    out = []
-    for lo, hi in segments:
-        i, j = cuts.searchsorted((lo, hi))
-        out.append((float(tops[i:j].max()), float(bottoms[i:j].min())))
-    return out
+        return (cuts, *_table_extremes(src, cuts))
+    return _mask_extremes(src, first, last, edges, segments)
 
 
 def _estimate(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import cesaro as c
 from cesaro import exprs, limits
 from cesaro.exprs import _eval, _Table
-from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes
+from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes, _window_pieces
 from conftest import PERIOD, WINDOW_START, brute_set, random_fragment, window_density
 from test_grammar import _leaves, _nodes
 
@@ -267,6 +267,50 @@ def test_window_extremes_at_piece_edges(kind):
     # one window at a time: each is then cut into pieces from its own start
     for window, extremes in zip(EDGE_WINDOWS, want):
         assert _window_extremes(mask, [window]) == [extremes]
+
+
+def _windows(draw, n):
+    """Windows in (0, n]: random ones, a nested pair, an overlapping pair,
+    one piece of one position and the last piece."""
+    cut = lambda lo, hi: draw(st.integers(lo, hi))  # noqa: E731
+    a = cut(0, n - 2)
+    b = cut(a + 2, n)
+    inner = cut(a, b - 1)
+    windows = [(a, b), (inner, cut(inner + 1, b)), (cut(0, a), cut(a + 1, n)), (a, a + 1), (n - 1, n)]
+    for _ in range(draw(st.integers(0, 6))):
+        lo = cut(0, n - 1)
+        windows.append((lo, cut(lo + 1, n)))
+    return draw(st.permutations(windows))
+
+
+@st.composite
+def window_sources(draw):
+    """A mask or a phase table on [1, n] and windows over it."""
+    n = draw(st.sampled_from([1000, _CHUNK + 5, limits._PRUNE_FROM + 2 * limits._BLOCK + 3]))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["bernoulli", "runs"]))
+        src = _test_mask(kind, n, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.01, 0.99)))
+    else:
+        e = draw(st.sampled_from(["blocks geometric 2", "union(residue 3 {1}, blocks poly 2)", "greedy 3/7"]))
+        with mock.patch.multiple(exprs, TABLE_SHARE=1, TABLE_BASE=0):
+            src = _eval(c.parse_expr(e), n)
+        assert isinstance(src, _Table)
+    return src, _windows(draw, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=window_sources())
+def test_window_extremes_match_a_loop_over_the_windows(source):
+    src, windows = source
+    cuts, tops, bottoms = _window_pieces(src, windows)
+    want = []
+    for lo, hi in windows:
+        i, j = cuts.searchsorted((lo, hi))
+        want.append((float(tops[i:j].max()), float(bottoms[i:j].min())))
+    got = _window_extremes(src, windows)
+    assert got == want
+    if not isinstance(src, _Table):
+        assert got == [_seg_extremes_oracle(src, lo, hi) for lo, hi in windows]
 
 
 # ---------------------------------------------------------------------------

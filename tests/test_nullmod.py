@@ -21,12 +21,11 @@ from cesaro.cli import main
 from cesaro.limits import _CHUNK
 from cesaro.nullmod import (
     _AUDIT_CHUNK,
-    _AUDIT_ROW,
     MAX_MASK,
+    _AuditWriter,
     _chain_nus,
     _null_modify_mask,
     _removed_points,
-    _render_nu,
     _table_or_mask,
     _Table,
 )
@@ -248,12 +247,12 @@ def test_export_audit_matches_per_row_loop_at_chunk_edges(expr, horizon):
 
 def _rendered_nu(x):
     """running_nu of each x as the audit writer renders it, a chunk at a time."""
-    out = []
+    out = io.StringIO()
+    writer = _AuditWriter(min(x.size, _AUDIT_CHUNK))
     for a in range(0, x.size, _AUDIT_CHUNK):
-        rows = np.zeros(min(_AUDIT_CHUNK, x.size - a), _AUDIT_ROW)
-        _render_nu(x[a : a + _AUDIT_CHUNK], rows)
-        out += rows.tobytes().translate(None, b"\0").decode("ascii").splitlines()
-    return out
+        part = x[a : a + _AUDIT_CHUNK]
+        writer.write(out, a, np.zeros(part.size, bool), part, np.empty(0, np.int64))
+    return [row.rsplit(",", 1)[1] for row in out.getvalue().splitlines()]
 
 
 def test_running_nu_matches_percent_format():
@@ -269,6 +268,111 @@ def test_running_nu_matches_percent_format():
     x = np.concatenate([cnt / n, near, ties, [0.0, 1e-10, 2**-33]])
     assert np.all((x == 0) | ((x >= 1e-10) & (x <= 1)))
     assert _rendered_nu(x) == ["%.12g" % v for v in x.tolist()]
+
+
+def percent_rows(lo, kept, x, gone):
+    """Reference text of the audit rows N = lo + 1, ...: one % format per row."""
+    out = set(gone.tolist())
+    rows = []
+    for i, (k, v) in enumerate(zip(kept.tolist(), x.tolist())):
+        status = "removed" if i in out else "kept" if k else ""
+        rows.append("%d,%d,%s,%.12g\n" % (lo + 1 + i, bool(status), status, v))
+    return "".join(rows)
+
+
+def written_rows(chunks, size=_AUDIT_CHUNK):
+    """The text of chunks (lo, kept, x, gone) written in turn by one writer."""
+    buf = io.StringIO()
+    writer = _AuditWriter(size)
+    for chunk in chunks:
+        writer.write(buf, *chunk)
+    return buf.getvalue()
+
+
+def audit_chunk(rng, lo, x, removed=(), share=0.3):
+    """Rows N = lo + 1, ... with running_nu x, random kept bits and the
+    given rows removed."""
+    kept = rng.random(x.size) < share
+    gone = np.array(sorted(set(removed)), dtype=np.int64)
+    kept[gone] = False
+    return lo, kept, np.asarray(x, dtype=np.float64), gone
+
+
+@pytest.mark.parametrize("boundary", [10**4, 10**5, 10**6, 10**8, 10**9])
+def test_audit_rows_across_a_digit_boundary(boundary):
+    # N gains a digit inside the chunk; the first and last rows are removed
+    rng = np.random.default_rng(boundary)
+    lo, k = boundary - 1500, 4000
+    kept = rng.random(k) < 0.3
+    x = (int(0.3 * lo) + np.cumsum(kept)) / np.arange(lo + 1, lo + k + 1)
+    chunk = audit_chunk(rng, lo, x, removed=(0, 1499, 1500, k - 1))
+    assert written_rows([chunk]) == percent_rows(*chunk)
+
+
+def test_export_audit_across_the_sixth_digit():
+    e = c.parse_expr("union(residue 7 {3}, explicit {1,2})")
+    res = c.null_modify(e, Fraction(1, 7), 100_100)
+    assert res.removed
+    buf = io.StringIO()
+    res.export_audit(buf)
+    assert buf.getvalue() == per_row_audit(res)
+
+
+@pytest.mark.parametrize("k", [100, 3000, _AUDIT_CHUNK])
+def test_audit_rows_across_decades(k):
+    # running_nu falls through seven decades within the chunk, in runs
+    # shorter and longer than a chunk of their own, past 0 and 1
+    rng = np.random.default_rng(k)
+    x = 0.9 * (2e-6 / 0.9) ** (np.arange(k) / (k - 1))
+    x[[0, 1, k // 2]] = 0.0, 1.0, 0.0
+    ties = np.arange(1, 2**13, 2)[: k // 7] / 2**13  # exact ties of the 13th digit
+    x[3 : 3 + 7 * ties.size : 7] = ties
+    chunk = audit_chunk(rng, 10**5 - k // 2, x, removed=(0, 2, k - 1))
+    assert written_rows([chunk]) == percent_rows(*chunk)
+
+
+@pytest.mark.parametrize("edge", [0.1, 1e-4, 1e-9])
+def test_audit_rows_oscillating_across_a_decade(edge):
+    rng = np.random.default_rng(7)
+    k = 5000
+    x = edge * np.where(np.arange(k) % 3 == 0, 1.0, 1 - rng.random(k) * 0.01)
+    chunk = audit_chunk(rng, 31_234, x, removed=(1, k - 2))
+    assert written_rows([chunk]) == percent_rows(*chunk)
+
+
+def test_audit_writer_chunks_in_turn():
+    # the fields shared by one decade are kept from chunk to chunk: removed
+    # rows and rows Python formats must leave none behind
+    rng = np.random.default_rng(11)
+    size = 2048
+    tie = 4097 / 2**13  # 0.5001220703125 exactly, a tie of the 13th digit
+    chunks = []
+    for j, (removed, ties, k, nu) in enumerate(
+        [
+            ((0, 5, size - 1), (1, 7, 100), size, 0.5),
+            ((3,), (), size, 0.5),
+            ((), (9,), size, 0.5),
+            ((), (), size, 0.5),
+            ((0, 1), (), 1000, 0.5),
+            ((), (2,), size, 0.05),
+            ((), (), 1000, 0.5),
+            ((), (), size, 0.5),
+            ((size - 1,), (size - 2,), size, 0.5),
+        ]
+    ):
+        x = nu + rng.random(k) * 0.01 - 0.005
+        x[list(ties)] = tie
+        chunks.append(audit_chunk(rng, 45_000 + j * size, x, removed))
+    expected = "".join(percent_rows(*chunk) for chunk in chunks)
+    assert written_rows(chunks, size) == expected
+
+
+def test_export_audit_oscillating_across_a_decade():
+    e = c.parse_expr("residue 10 {0}")  # running_nu 0.1 at every tenth N, below it between
+    res = c.null_modify(e, Fraction(1, 10), 20_000)
+    buf = io.StringIO()
+    res.export_audit(buf)
+    assert buf.getvalue() == per_row_audit(res)
 
 
 def test_cli_audit_file_matches_per_row_loop(capsys, tmp_path):
