@@ -505,10 +505,10 @@ class NullModResult:
         for lo in range(0, self.horizon, size):
             part = self.kept_mask[lo : lo + size]
             k = part.size
-            np.cumsum(part, dtype=np.int64, out=cnt[:k])
-            cnt += kept
-            kept = int(cnt[k - 1])
-            np.divide(cnt[:k], n[:k], out=x[:k])
+            c = np.cumsum(part, dtype=np.int64, out=cnt[:k])
+            c += kept
+            kept = int(c[-1])
+            np.divide(c, n[:k], out=x[:k])
             n += size
             out = gone[gone.searchsorted(lo) : gone.searchsorted(lo + k)] - lo
             writer.write(stream, lo, part, x[:k], out)
