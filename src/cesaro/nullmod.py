@@ -422,11 +422,7 @@ class _AuditWriter:
         np.floor_divide(mid, 10**4, out=lead)
         np.multiply(lead, -(10**4), out=tmp)
         mid += tmp
-        # the lead group has "." after its first digit in exponent notation
-        if isinstance(s, int):
-            lead += 20000 * (1 <= s <= 6)
-        else:
-            lead += ((1 <= s) & (s <= 6)) * 20000
+        lead += 20000 * ((1 <= s) & (s <= 6))  # "." after the first digit in exponent notation
         self._put(rows, "lead", _LEAD, lead)
         self._put(rows, "mid", _GROUPS, mid)
         self._put(rows, "low", _GROUPS[10**4 :], low)
