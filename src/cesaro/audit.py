@@ -226,13 +226,13 @@ def write_audit(stream, kept_mask: np.ndarray, removed) -> None:
     n = np.arange(1, size + 1, dtype=np.float64)
     cnt, x = np.empty(size, np.int64), np.empty(size)
     kept = 0
-    for lo in range(0, kept_mask.size, size):
-        part = kept_mask[lo : lo + size]
+    for lo in range(0, kept_mask.size, _AUDIT_CHUNK):
+        part = kept_mask[lo : lo + _AUDIT_CHUNK]
         k = part.size
         c = np.cumsum(part, dtype=np.int64, out=cnt[:k])
         c += kept
         kept = int(c[-1])
         np.divide(c, n[:k], out=x[:k])
-        n += size
+        n += _AUDIT_CHUNK
         out = gone[gone.searchsorted(lo) : gone.searchsorted(lo + k)] - lo
         writer.write(stream, lo, part, x[:k], out)

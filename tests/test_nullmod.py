@@ -206,6 +206,7 @@ def per_row_audit(res):
 @pytest.mark.parametrize(
     "expr, bound, horizon",
     [
+        ("residue 2 {1}", "1/2", 0),  # the header alone
         ("residue 2 {1}", "1/2", 1),
         ("greedy 17/199", "17/199", 2**14 + 1),  # one row past a chunk
         ("blocks poly 1", "1/2", 40_000),  # 71 removals, 3 chunks
