@@ -11,7 +11,9 @@ unmodified.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,6 +231,209 @@ def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.
     return kept, removed
 
 
+# The audit is rendered a chunk of rows at a time into fixed-width records of
+# NUL-padded fields filled from lookup tables; the records' bytes without the
+# NULs are its text.  Each chunk's record is only as wide as its rows need.
+_AUDIT_CHUNK = 2**13  # rows per chunk; their arrays are made once per audit
+_AUDIT_PIECE = 2**17 - 2**10  # record bytes per write: each text piece stays below 128 KB
+_AUDIT_RUN = 2**10  # a run of rows in one decade this long is written as a chunk of its own
+_AUDIT_SHORT = 64  # fewer rows are formatted by Python, which then costs less than numpy
+_digits = list(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48)  # digit i of k
+_nonzero = [d > 48 for d in _digits]
+_more = list(itertools.accumulate(_nonzero[::-1], np.logical_or))[::-1]  # a nonzero from i on
+_bare = [d * m for d, m in zip(_digits, itertools.accumulate(_nonzero, np.logical_or))]
+_cut = [d * m for d, m in zip(_digits, _more)]
+# group k at k + j·10^4: "%04d" % k (j = 0), less trailing (1) or leading zeros (2)
+_GROUPS = np.stack([np.concatenate(c) for c in zip(_digits, _cut, _bare)], 1).view("u4").ravel()
+# digits 1-4 the same (j = 0, 1), then with "." after the first unless nothing follows
+_none, _dot = np.zeros(10**4, np.uint8), np.full(10**4, 46, np.uint8)
+_lead = [[*_digits, _none], [*_cut, _none], [_digits[0], _dot, *_digits[1:]]]
+_lead += [[_cut[0], _dot * _more[1], *_cut[1:]]]
+_LEAD = np.stack([np.concatenate(c) for c in zip(*_lead)] + [_none.repeat(4)] * 3, 1)
+_LEAD = _LEAD.view("u8").ravel()
+# ",member,status," of a non-member, a kept member, and the start of a removed
+# member's, whose "ed," goes in the field ``slot``
+_LABELS = np.array([b",0,,", b",1,kept,", b",1,remov"], "S8").view("u8")
+_REMOVED_END = np.frombuffer(b"ed,\0", np.uint32)[0]
+# by s = #{10^-10, ..., 10^0 <= running_nu}: "0" at s = 0, exponent notation
+# at 1..6, a "0.000" prefix cut to 12 - s bytes at 7..10, and "1" at 11; at
+# 1..10 the 12 digits of running_nu·10^(22 - s) follow the prefix
+_DECADES = [float(f"1e{j}") for j in range(-10, 1)]
+_BOUNDS = [-math.inf, *_DECADES, math.inf]  # decade s is [_BOUNDS[s], _BOUNDS[s + 1])
+_SCALE = np.array([float(10 ** (22 - s)) * (1 <= s <= 10) for s in range(12)])
+_prefix = [b"0", *[b""] * 6, *(b"0.000"[: 12 - s] for s in range(7, 11)), b"1"]
+# the fields the rows of one decade share, by s, left-aligned in 8 bytes
+_SHARED = {
+    "slot": [b""] * 12,
+    "pre": _prefix,
+    "exp": [b"e-%02d" % (11 - s) * (1 <= s <= 6) for s in range(12)],
+    "tail": [b"\n"] * 12,
+}
+_SHARED = {f: np.array(v, "S8").view("u8") for f, v in _SHARED.items()}
+
+
+@functools.lru_cache(maxsize=256)
+def _audit_record(digits: int, label: int, decades: tuple[int, ...]):
+    """The record of a chunk whose N has at most ``digits`` digits (at
+    least 4), whose ",member,status," takes ``label`` bytes (4 with no
+    member, 8, or 11 with a removed one) and whose running_nu has its s
+    among ``decades``; with the ``_SHARED`` tables read as its fields'
+    types, and the offset of running_nu.
+
+    Every field is one unsigned integer, as numpy writes subarray fields
+    slowly.  ``nh``, ``slot``, ``pre`` and ``lead`` are wider than their
+    text: the fields after them, written later, overwrite the rest."""
+    exp = any(1 <= s <= 6 for s in decades)  # some running_nu in exponent notation
+    groups = any(1 <= s <= 10 for s in decades)  # some running_nu in (0, 1) has digits
+    widths = {"nh": digits - 4, "nl": 4, "label": min(label, 8), "slot": label - 8}
+    widths["pre"] = max(len(_prefix[s]) for s in decades)
+    if groups:
+        widths.update(lead=4 + exp, mid=4, low=4)
+    widths.update(exp=4 * exp, tail=1)
+    sizes = {"nh": 8, "label": 4 + 4 * (label > 4), "pre": 8 if groups else 1, "lead": 8, "tail": 1}
+    names = [f for f, w in widths.items() if w > 0]
+    offsets = list(itertools.accumulate((widths[f] for f in names), initial=0))
+    formats = [f"u{sizes.get(f, 4)}" for f in names]
+    dt = np.dtype({"names": names, "formats": formats, "offsets": offsets[:-1], "itemsize": offsets[-1]})
+    shared = {f: t.view(dt[f])[:: 8 // dt[f].itemsize] for f, t in _SHARED.items() if f in names}
+    return dt, shared, digits + label
+
+
+class _AuditWriter:
+    """Writes audit rows a chunk of at most ``size`` rows at a time, into
+    arrays made once.  The fields the rows of one decade share are written
+    again only when the record or the decade changes."""
+
+    def __init__(self, size: int):
+        widest = _audit_record(len(str(MAX_MASK)), 11, tuple(range(12)))[0].itemsize
+        self.raw = np.empty(size * widest, np.uint8)  # the records
+        self.floats = np.empty((2, size))
+        self.ints = np.empty((4, size), np.int64)  # digit groups and a lookup's result
+        self.held = (None, None, 0)  # record and s the shared fields hold, on how many rows
+        self.stale = np.empty(0, np.intp)  # rows whose shared fields were overwritten since
+
+    def write(self, stream, lo: int, kept: np.ndarray, x: np.ndarray, gone: np.ndarray) -> None:
+        """Write the rows N = lo + 1, ..., lo + k of the audit: ``kept`` is
+        each row's kept bit, ``x`` its running_nu (0 or in [10^-10, 1]) and
+        ``gone`` the offsets of the removed rows, which ``kept`` marks 0."""
+        k = x.size
+        if k < _AUDIT_SHORT:
+            out = set(gone.tolist())
+            text = [
+                "%d,%d,%s,%.12g\n" % (lo + 1 + i, m or i in out, "removed" if i in out else "kept" * m, v)
+                for i, (m, v) in enumerate(zip(kept.tolist(), x.tolist()))
+            ]
+            stream.write("".join(text))
+            return
+        first, last = bisect_right(_DECADES, x.min()), bisect_right(_DECADES, x.max())
+        if first == last:
+            return self._write(stream, lo, kept, x, gone, first)
+        # a long run of rows in the decade of the last or the first row is written apart
+        for end in (k - 1, 0):
+            s = bisect_right(_DECADES, x[end])
+            other = np.flatnonzero((x < _BOUNDS[s]) | (x >= _BOUNDS[s + 1]))
+            p = int(other[-1]) + 1 if end else int(other[0])
+            if (k - p if end else p) >= _AUDIT_RUN:
+                g = int(gone.searchsorted(p))
+                self.write(stream, lo, kept[:p], x[:p], gone[:g])
+                self.write(stream, lo + p, kept[p:], x[p:], gone[g:] - p)
+                return
+        self._write(stream, lo, kept, x, gone, first + sum(x >= d for d in _DECADES[first:last]))
+
+    def _write(self, stream, lo: int, kept, x, gone, s) -> None:
+        """``write``, given s per row or one s for all."""
+        k = x.size
+        decades = (s,) if isinstance(s, int) else tuple(np.flatnonzero(np.bincount(s)).tolist())
+        s = decades[0] if len(decades) == 1 else s
+        label = 11 if gone.size else 8 if kept.any() else 4
+        digits = max(4, len(str(lo + k)))
+        dt, shared, start = _audit_record(digits, label, decades)
+        rows = np.ndarray(k, dt, self.raw)
+        i = 0  # N: its digits above the last 4 hold for up to 10^4 rows
+        while i < k:
+            q, r = divmod(lo + 1 + i, 10**4)
+            j = min(k, i + 10**4 - r)
+            if digits > 4:
+                high = (b"%d" % q if q else b"").rjust(digits - 4, b"\0").ljust(8, b"\0")
+                self._put(rows[i:j], "nh", np.frombuffer(high, np.uint64))
+            rows["nl"][i:j] = _GROUPS[r + (q == 0) * 20000 :][: j - i]
+            i = j
+        self._put(rows, "label", _LABELS.view(dt["label"]), kept.view(np.uint8))
+        if len(decades) > 1:
+            for f, t in shared.items():
+                self._put(rows, f, t, s)
+            self.held = (None, None, 0)
+        elif self.held[:2] == (dt, s) and k <= self.held[2]:
+            stale = self.stale[self.stale < k]
+            for f, t in shared.items():
+                rows[f][stale] = t[s]
+        else:
+            for f, t in shared.items():
+                self._put(rows, f, t[s : s + 1])
+            self.held = (dt, s, k)
+        if gone.size:  # "slot" spills a NUL into the prefix, written again
+            rows["label"][gone], rows["slot"][gone] = _LABELS[2], _REMOVED_END
+            if "pre" in shared:
+                rows["pre"][gone] = shared["pre"][s if len(decades) == 1 else s[gone]]
+        slow = self._digits(rows, x, s) if "lead" in dt.names else gone[:0]
+        if slow.size:  # "%.12g" from Python, over running_nu's fields
+            text = self.raw[: k * dt.itemsize].reshape(k, dt.itemsize)[:, start:]
+            for i in slow.tolist():
+                text[i] = np.frombuffer((b"%.12g\n" % x[i]).ljust(text.shape[1], b"\0"), np.uint8)
+        self.stale = np.union1d(slow, gone) if gone.size else slow
+        flat = self.raw[: k * dt.itemsize]
+        step = _AUDIT_PIECE // dt.itemsize * dt.itemsize
+        for a in range(0, flat.size, step):
+            stream.write(flat[a : a + step].tobytes().translate(None, b"\0").decode("ascii"))
+
+    def _put(self, rows: np.ndarray, field: str, table: np.ndarray, idx=None) -> None:
+        """rows[field] = table[idx], or table[0] in every row, through a
+        reused array: numpy writes a scalar to an unaligned field slowly."""
+        out = self.ints[3].view(table.dtype)[: rows.size]
+        if idx is None:
+            out.fill(table[0])
+        else:
+            np.take(table, idx, out=out, mode="wrap")
+        rows[field] = out
+
+    def _digits(self, rows: np.ndarray, x: np.ndarray, s) -> np.ndarray:
+        """Write the 12 significant digits of each running_nu x in (0, 1),
+        trailing zeros dropped, into ``rows``; none for 0 and 1.  Returns the
+        rows it could not decide, for Python to format.
+
+        x·10^(22 - s) lies in [10^11, 10^12) and is exact to 2^-14 in
+        float64, so it rounds to the 12 digits unless it lies within 2^-12
+        of a half or rounds up to 10^12."""
+        k = x.size
+        y, m = self.floats[:, :k]
+        np.multiply(x, _SCALE[s], out=y)
+        np.rint(y, out=m)
+        y -= m
+        np.abs(y, out=y)
+        slow = np.flatnonzero(y > 0.5 - 2**-12)
+        if m.max() >= 1e12:
+            slow = np.union1d(slow, np.flatnonzero(m >= 1e12))
+        m[slow] = 0  # keeps the lookups below in range
+        lead, mid, low, tmp = self.ints[:, :k]
+        np.copyto(lead, m, casting="unsafe")
+        np.floor_divide(lead, 10**4, out=mid)
+        np.multiply(mid, -(10**4), out=low)
+        low += lead
+        np.floor_divide(mid, 10**4, out=lead)
+        np.multiply(lead, -(10**4), out=tmp)
+        mid += tmp
+        lead += 20000 * ((1 <= s) & (s <= 6))  # "." after the first digit in exponent notation
+        self._put(rows, "lead", _LEAD, lead)
+        self._put(rows, "mid", _GROUPS, mid)
+        self._put(rows, "low", _GROUPS[10**4 :], low)
+        # the groups before the last nonzero one lose their trailing zeros too
+        z = np.flatnonzero(low == 0)
+        rows["mid"][z] = _GROUPS[mid[z] + 10**4]
+        z = z[mid[z] == 0]
+        rows["lead"][z] = _LEAD[lead[z] + 10**4]
+        return slow
+
+
 @dataclass(frozen=True)
 class NullModResult:
     source: SetExpr
@@ -283,12 +488,26 @@ class NullModResult:
         is byte for byte that of ``"%d,%d,%s,%.12g\\n" % (N, member, status,
         kept_N / N)`` for N = 1, ..., horizon, with status "kept",
         "removed" or empty and kept_N / N in float64.  The rows are
-        rendered a chunk at a time into fixed-width records as wide as the
-        chunk needs, from arrays made once per call, and written to
-        ``stream`` in pieces below 128 KB (``audit``)."""
-        from .audit import write_audit
-
-        write_audit(stream, self.kept_mask, self.removed)
+        rendered ``_AUDIT_CHUNK`` at a time into fixed-width records as
+        wide as the chunk needs (``_audit_record``), from arrays made once
+        per call, and written to ``stream`` in pieces below 128 KB."""
+        stream.write("N,member,kept_or_removed,running_nu\n")
+        gone = np.asarray(self.removed, dtype=np.int64) - 1
+        size = min(self.horizon, _AUDIT_CHUNK)
+        writer = _AuditWriter(size)
+        n = np.arange(1, size + 1, dtype=np.float64)
+        cnt, x = np.empty(size, np.int64), np.empty(size)
+        kept = 0
+        for lo in range(0, self.horizon, _AUDIT_CHUNK):
+            part = self.kept_mask[lo : lo + _AUDIT_CHUNK]
+            k = part.size
+            c = np.cumsum(part, dtype=np.int64, out=cnt[:k])
+            c += kept
+            kept = int(c[-1])
+            np.divide(c, n[:k], out=x[:k])
+            n += _AUDIT_CHUNK
+            out = gone[gone.searchsorted(lo) : gone.searchsorted(lo + k)] - lo
+            writer.write(stream, lo, part, x[:k], out)
 
 
 def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModResult:

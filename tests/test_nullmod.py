@@ -17,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.audit import _AUDIT_CHUNK, _AuditWriter
 from cesaro.cli import main
 from cesaro.limits import _CHUNK
 from cesaro.nullmod import (
+    _AUDIT_CHUNK,
     MAX_MASK,
+    _AuditWriter,
     _chain_nus,
     _null_modify_mask,
     _removed_points,
