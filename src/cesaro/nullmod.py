@@ -294,7 +294,8 @@ def _audit_record(digits: int, label: int, decades: tuple[int, ...]):
     names = [f for f, w in widths.items() if w > 0]
     offsets = list(itertools.accumulate((widths[f] for f in names), initial=0))
     formats = [f"u{sizes.get(f, 4)}" for f in names]
-    dt = np.dtype({"names": names, "formats": formats, "offsets": offsets[:-1], "itemsize": offsets[-1]})
+    fields = {"names": names, "formats": formats, "offsets": offsets[:-1], "itemsize": offsets[-1]}
+    dt = np.dtype(fields)
     shared = {f: t.view(dt[f])[:: 8 // dt[f].itemsize] for f, t in _SHARED.items() if f in names}
     return dt, shared, digits + label
 
@@ -319,11 +320,11 @@ class _AuditWriter:
         k = x.size
         if k < _AUDIT_SHORT:
             out = set(gone.tolist())
-            text = [
-                "%d,%d,%s,%.12g\n" % (lo + 1 + i, m or i in out, "removed" if i in out else "kept" * m, v)
-                for i, (m, v) in enumerate(zip(kept.tolist(), x.tolist()))
-            ]
-            stream.write("".join(text))
+            rows = []
+            for i, (m, v) in enumerate(zip(kept.tolist(), x.tolist())):
+                status = "removed" if i in out else "kept" * m
+                rows.append("%d,%d,%s,%.12g\n" % (lo + 1 + i, bool(status), status, v))
+            stream.write("".join(rows))
             return
         first, last = bisect_right(_DECADES, x.min()), bisect_right(_DECADES, x.max())
         if first == last:

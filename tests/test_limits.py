@@ -291,7 +291,8 @@ def window_sources(draw):
         kind = draw(st.sampled_from(["bernoulli", "runs"]))
         src = _test_mask(kind, n, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.01, 0.99)))
     else:
-        e = draw(st.sampled_from(["blocks geometric 2", "union(residue 3 {1}, blocks poly 2)", "greedy 3/7"]))
+        trees = ["blocks geometric 2", "union(residue 3 {1}, blocks poly 2)", "greedy 3/7"]
+        e = draw(st.sampled_from(trees))
         with mock.patch.multiple(exprs, TABLE_SHARE=1, TABLE_BASE=0):
             src = _eval(c.parse_expr(e), n)
         assert isinstance(src, _Table)
