@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,8 +235,6 @@ def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.
 # NULs are its text.  Each chunk's record is only as wide as its rows need.
 _AUDIT_CHUNK = 2**13  # rows per chunk; their arrays are made once per audit
 _AUDIT_PIECE = 2**17 - 2**10  # record bytes per write: each text piece stays below 128 KB
-_AUDIT_RUN = 2**10  # a run of rows in one decade this long is written as a chunk of its own
-_AUDIT_SHORT = 64  # fewer rows are formatted by Python, which then costs less than numpy
 _digits = list(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1) + 48)  # digit i of k
 _nonzero = [d > 48 for d in _digits]
 _more = list(itertools.accumulate(_nonzero[::-1], np.logical_or))[::-1]  # a nonzero from i on
@@ -259,7 +256,7 @@ _REMOVED_END = np.frombuffer(b"ed,\0", np.uint32)[0]
 # at 1..6, a "0.000" prefix cut to 12 - s bytes at 7..10, and "1" at 11; at
 # 1..10 the 12 digits of running_nu·10^(22 - s) follow the prefix
 _DECADES = [float(f"1e{j}") for j in range(-10, 1)]
-_BOUNDS = [-math.inf, *_DECADES, math.inf]  # decade s is [_BOUNDS[s], _BOUNDS[s + 1])
+_BOUNDS = [-np.inf, *_DECADES, np.inf]  # decade s is [_BOUNDS[s], _BOUNDS[s + 1])
 _SCALE = np.array([float(10 ** (22 - s)) * (1 <= s <= 10) for s in range(12)])
 _prefix = [b"0", *[b""] * 6, *(b"0.000"[: 12 - s] for s in range(7, 11)), b"1"]
 # the fields the rows of one decade share, by s, left-aligned in 8 bytes
@@ -302,50 +299,29 @@ def _audit_record(digits: int, label: int, decades: tuple[int, ...]):
 
 class _AuditWriter:
     """Writes audit rows a chunk of at most ``size`` rows at a time, into
-    arrays made once.  The fields the rows of one decade share are written
-    again only when the record or the decade changes."""
+    arrays made once."""
 
     def __init__(self, size: int):
         widest = _audit_record(len(str(MAX_MASK)), 11, tuple(range(12)))[0].itemsize
         self.raw = np.empty(size * widest, np.uint8)  # the records
         self.floats = np.empty((2, size))
         self.ints = np.empty((4, size), np.int64)  # digit groups and a lookup's result
-        self.held = (None, None, 0)  # record and s the shared fields hold, on how many rows
-        self.stale = np.empty(0, np.intp)  # rows whose shared fields were overwritten since
 
     def write(self, stream, lo: int, kept: np.ndarray, x: np.ndarray, gone: np.ndarray) -> None:
         """Write the rows N = lo + 1, ..., lo + k of the audit: ``kept`` is
         each row's kept bit, ``x`` its running_nu (0 or in [10^-10, 1]) and
         ``gone`` the offsets of the removed rows, which ``kept`` marks 0."""
         k = x.size
-        if k < _AUDIT_SHORT:
-            out = set(gone.tolist())
-            rows = []
-            for i, (m, v) in enumerate(zip(kept.tolist(), x.tolist())):
-                status = "removed" if i in out else "kept" * m
-                rows.append("%d,%d,%s,%.12g\n" % (lo + 1 + i, bool(status), status, v))
-            stream.write("".join(rows))
-            return
+        # a running average rarely leaves its decade within a chunk: s is then
+        # a scalar, and otherwise the same as the last row's on most rows
         first, last = bisect_right(_DECADES, x.min()), bisect_right(_DECADES, x.max())
-        if first == last:
-            return self._write(stream, lo, kept, x, gone, first)
-        # a long run of rows in the decade of the last or the first row is written apart
-        for end in (k - 1, 0):
-            s = bisect_right(_DECADES, x[end])
+        s = bisect_right(_DECADES, x[-1])
+        decades = (s,)
+        if first != last:
             other = np.flatnonzero((x < _BOUNDS[s]) | (x >= _BOUNDS[s + 1]))
-            p = int(other[-1]) + 1 if end else int(other[0])
-            if (k - p if end else p) >= _AUDIT_RUN:
-                g = int(gone.searchsorted(p))
-                self.write(stream, lo, kept[:p], x[:p], gone[:g])
-                self.write(stream, lo + p, kept[p:], x[p:], gone[g:] - p)
-                return
-        self._write(stream, lo, kept, x, gone, first + sum(x >= d for d in _DECADES[first:last]))
-
-    def _write(self, stream, lo: int, kept, x, gone, s) -> None:
-        """``write``, given s per row or one s for all."""
-        k = x.size
-        decades = (s,) if isinstance(s, int) else tuple(np.flatnonzero(np.bincount(s)).tolist())
-        s = decades[0] if len(decades) == 1 else s
+            s = np.full(k, s)
+            s[other] = np.searchsorted(_DECADES, x[other], side="right")
+            decades = tuple(sorted({*s[other].tolist(), s[-1]}))
         label = 11 if gone.size else 8 if kept.any() else 4
         digits = max(4, len(str(lo + k)))
         dt, shared, start = _audit_record(digits, label, decades)
@@ -356,43 +332,32 @@ class _AuditWriter:
             j = min(k, i + 10**4 - r)
             if digits > 4:
                 high = (b"%d" % q if q else b"").rjust(digits - 4, b"\0").ljust(8, b"\0")
-                self._put(rows[i:j], "nh", np.frombuffer(high, np.uint64))
+                self._put(rows[i:j], "nh", np.frombuffer(high, np.uint64), 0)
             rows["nl"][i:j] = _GROUPS[r + (q == 0) * 20000 :][: j - i]
             i = j
         self._put(rows, "label", _LABELS.view(dt["label"]), kept.view(np.uint8))
-        if len(decades) > 1:
-            for f, t in shared.items():
-                self._put(rows, f, t, s)
-            self.held = (None, None, 0)
-        elif self.held[:2] == (dt, s) and k <= self.held[2]:
-            stale = self.stale[self.stale < k]
-            for f, t in shared.items():
-                rows[f][stale] = t[s]
-        else:
-            for f, t in shared.items():
-                self._put(rows, f, t[s : s + 1])
-            self.held = (dt, s, k)
+        for f, t in shared.items():
+            self._put(rows, f, t, s)
         if gone.size:  # "slot" spills a NUL into the prefix, written again
             rows["label"][gone], rows["slot"][gone] = _LABELS[2], _REMOVED_END
             if "pre" in shared:
                 rows["pre"][gone] = shared["pre"][s if len(decades) == 1 else s[gone]]
-        slow = self._digits(rows, x, s) if "lead" in dt.names else gone[:0]
-        if slow.size:  # "%.12g" from Python, over running_nu's fields
-            text = self.raw[: k * dt.itemsize].reshape(k, dt.itemsize)[:, start:]
-            for i in slow.tolist():
-                text[i] = np.frombuffer((b"%.12g\n" % x[i]).ljust(text.shape[1], b"\0"), np.uint8)
-        self.stale = np.union1d(slow, gone) if gone.size else slow
+        if "lead" in dt.names:
+            for i in self._digits(rows, x, s).tolist():  # "%.12g" from Python
+                text = self.raw[i * dt.itemsize + start : (i + 1) * dt.itemsize]
+                text[:] = np.frombuffer((b"%.12g\n" % x[i]).ljust(text.size, b"\0"), np.uint8)
         flat = self.raw[: k * dt.itemsize]
         step = _AUDIT_PIECE // dt.itemsize * dt.itemsize
         for a in range(0, flat.size, step):
             stream.write(flat[a : a + step].tobytes().translate(None, b"\0").decode("ascii"))
 
-    def _put(self, rows: np.ndarray, field: str, table: np.ndarray, idx=None) -> None:
-        """rows[field] = table[idx], or table[0] in every row, through a
-        reused array: numpy writes a scalar to an unaligned field slowly."""
+    def _put(self, rows: np.ndarray, field: str, table: np.ndarray, idx) -> None:
+        """rows[field] = table[idx], idx an index array or one index for
+        every row, through a reused array: numpy writes a scalar to an
+        unaligned field slowly."""
         out = self.ints[3].view(table.dtype)[: rows.size]
-        if idx is None:
-            out.fill(table[0])
+        if isinstance(idx, int):
+            out.fill(table[idx])
         else:
             np.take(table, idx, out=out, mode="wrap")
         rows[field] = out

@@ -342,11 +342,12 @@ def test_audit_rows_oscillating_across_a_decade(edge):
 
 
 def test_audit_writer_chunks_in_turn():
-    # the fields shared by one decade are kept from chunk to chunk: removed
-    # rows and rows Python formats must leave none behind
+    # one writer's chunks in turn, shorter and longer, in one decade or two:
+    # removed rows and rows Python formats must leave nothing in the next
     rng = np.random.default_rng(11)
     size = 2048
     tie = 4097 / 2**13  # 0.5001220703125 exactly, a tie of the 13th digit
+    split = np.where(np.arange(size) < size - 40, 0.5, 0.05)  # 40 rows in the next decade down
     chunks = []
     for j, (removed, ties, k, nu) in enumerate(
         [
@@ -359,6 +360,12 @@ def test_audit_writer_chunks_in_turn():
             ((), (), 1000, 0.5),
             ((), (), size, 0.5),
             ((size - 1,), (size - 2,), size, 0.5),
+            ((size - 30,), (size - 20,), size, 0.5),
+            ((5,), (), size, split),
+            ((6,), (), size, 0.5),
+            ((size - 35,), (size - 25,), size, 0.5),
+            ((7,), (), size, split[::-1]),
+            ((8,), (), size, 0.5),
         ]
     ):
         x = nu + rng.random(k) * 0.01 - 0.005
