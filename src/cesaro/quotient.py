@@ -9,7 +9,7 @@ set algebras use bitmasks as labels.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,11 @@ class QuotientError(CesaroError):
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """Boolean algebra on handles 0..size-1, its operations given by tables."""
+    """Boolean algebra on handles 0..size-1, its operations given by tables.
+
+    The tuples are the algebra.  ``_tables`` holds its join, meet and
+    complement tables as read-only intp arrays, derived from the tuples once
+    at construction, for the checks below to read as lookups."""
 
     labels: tuple  # label per handle, for printing
     joins: tuple[tuple[int, ...], ...]
@@ -43,6 +47,13 @@ class FiniteAlgebra:
     compls: tuple[int, ...]
     zero: int
     one: int
+    _tables: tuple[np.ndarray, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        tables = tuple(np.array(t, dtype=np.intp) for t in (self.joins, self.meets, self.compls))
+        for t in tables:
+            t.flags.writeable = False
+        object.__setattr__(self, "_tables", tables)
 
     @property
     def size(self) -> int:
@@ -69,19 +80,19 @@ class FiniteAlgebra:
         above MAX_EXHAUSTIVE_CARRIER) at once.  The failure raised is the one
         a loop over them in that order, trying the laws below in turn, meets first."""
         n = self.size
-        join, meet = np.array(self.joins, dtype=np.intp), np.array(self.meets, dtype=np.intp)
-        a, c = np.arange(n), np.array(self.compls, dtype=np.intp)
+        join, meet, c = self._tables
+        a = np.arange(n)
         _first_failure(
             (a,),
-            ("identity law", (join[a, self.zero] != a) | (meet[a, self.one] != a)),
-            ("complement join law", join[a, c] != self.one),
-            ("complement meet law", meet[a, c] != self.zero),
+            ("identity law fails", (join[a, self.zero] != a) | (meet[a, self.one] != a)),
+            ("complement join law fails", join[a, c] != self.one),
+            ("complement meet law fails", meet[a, c] != self.zero),
         )
         a, b = a[:, None], a
         _first_failure(
             (a, b),
-            ("join commutativity", join[a, b] != join[b, a]),
-            ("meet commutativity", meet[a, b] != meet[b, a]),
+            ("join commutativity fails", join[a, b] != join[b, a]),
+            ("meet commutativity fails", meet[a, b] != meet[b, a]),
         )
         if n <= MAX_EXHAUSTIVE_CARRIER:
             a, b, c = a[:, None], b[:, None], b
@@ -91,22 +102,36 @@ class FiniteAlgebra:
             a, b, c = np.array(draws, dtype=np.intp).reshape(-1, 3).T
         _first_failure(
             (a, b, c),
-            ("distributivity", meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]),
-            ("dual distributivity", join[a, meet[b, c]] != meet[join[a, b], join[a, c]]),
-            ("join associativity", join[a, join[b, c]] != join[join[a, b], c]),
-            ("meet associativity", meet[a, meet[b, c]] != meet[meet[a, b], c]),
+            ("distributivity fails", meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]),
+            ("dual distributivity fails", join[a, meet[b, c]] != meet[join[a, b], join[a, c]]),
+            ("join associativity fails", join[a, join[b, c]] != join[join[a, b], c]),
+            ("meet associativity fails", meet[a, meet[b, c]] != meet[meet[a, b], c]),
         )
 
 
 def _first_failure(at: tuple[np.ndarray, ...], *laws: tuple[str, np.ndarray]) -> None:
     """Raise for the first position, in C order, where a law fails, naming
     the first law failing there and the handles ``at`` holds there."""
+    if not any(bad.any() for _, bad in laws):
+        return
     fails = np.stack([bad for _, bad in laws])
-    hit = np.flatnonzero(fails.any(axis=0))
-    if hit.size:
-        name = laws[int(fails.reshape(len(laws), -1)[:, hit[0]].argmax())][0]
-        where = ",".join(str(h.flat[hit[0]]) for h in np.broadcast_arrays(*at))
-        raise QuotientError(f"{name} fails at {where}")
+    hit = np.flatnonzero(fails.any(axis=0))[0]
+    name = laws[int(fails.reshape(len(laws), -1)[:, hit].argmax())][0]
+    where = ",".join(str(h.flat[hit]) for h in np.broadcast_arrays(*at))
+    raise QuotientError(f"{name} at {where}")
+
+
+def _subset(alg: FiniteAlgebra, handles) -> tuple[np.ndarray, np.ndarray]:
+    """The handles as an array, in iteration order, and the carrier's
+    membership vector of them; a handle outside the carrier raises."""
+    handles = list(handles)
+    for h in handles:
+        if not 0 <= h < alg.size:
+            raise QuotientError(f"handle {h} outside the carrier")
+    at = np.array(handles, dtype=np.intp)
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[at] = True
+    return at, inside
 
 
 def _algebra(labels, joins, meets, compls, zero, one) -> FiniteAlgebra:
@@ -132,17 +157,11 @@ class Ideal:
     def validate(self, alg: FiniteAlgebra) -> None:
         if not self.members:
             raise QuotientError("ideal must be nonempty")
-        for p in self.members:
-            if not (0 <= p < alg.size):
-                raise QuotientError(f"handle {p} outside the carrier")
-        for p in self.members:
-            for q in self.members:
-                if alg.join(p, q) not in self.members:
-                    raise QuotientError(f"ideal not join-closed at {p},{q}")
-        for p in self.members:
-            for x in range(alg.size):
-                if alg.meet(p, x) not in self.members:
-                    raise QuotientError(f"ideal not meet-absorbing at {p},{x}")
+        m, inside = _subset(alg, self.members)
+        join, meet, _ = alg._tables
+        p = m[:, None]
+        _first_failure((p, m), ("ideal not join-closed", ~inside[join[p, m]]))
+        _first_failure((p, np.arange(alg.size)), ("ideal not meet-absorbing", ~inside[meet[m]]))
 
 
 @dataclass(frozen=True)
@@ -162,44 +181,34 @@ def build_quotient(alg: FiniteAlgebra, ideal: Ideal) -> QuotientResult:
     """Quotient by an ideal: p ~ q when their symmetric difference lies in
     the ideal.  Induced operations are checked well-defined exhaustively."""
     ideal.validate(alg)
-    members = ideal.members
-    reps: list[int] = []
-    class_of = [-1] * alg.size
-    classes: list[set[int]] = []
+    join, meet, compl = alg._tables
+    inside = _subset(alg, ideal.members)[1]
+    near = inside[join[meet.take(compl, 1), meet[compl]]]  # p + q lies in the ideal
+    # p joins the class of the first representative near it; near need not
+    # be an equivalence, as the input's axioms are not checked
+    reps, cls, is_rep = [], np.empty(alg.size, dtype=np.intp), np.zeros(alg.size, dtype=bool)
     for p in range(alg.size):
-        for ci, r in enumerate(reps):
-            if alg.sym_add(p, r) in members:
-                class_of[p] = ci
-                classes[ci].add(p)
-                break
-        else:
-            class_of[p] = len(reps)
+        hits = near[p, is_rep]
+        cls[p] = hits.argmax() if hits.any() else len(reps)
+        if cls[p] == len(reps):
             reps.append(p)
-            classes.append({p})
-    # well-definedness: the operation of classes is the class of the
-    # operation, whatever the representatives
-    for p in range(alg.size):
-        for q in range(alg.size):
-            if class_of[alg.join(p, q)] != class_of[alg.join(reps[class_of[p]], reps[class_of[q]])]:
-                raise QuotientError(f"join not well-defined at {p},{q}")
-            if class_of[alg.meet(p, q)] != class_of[alg.meet(reps[class_of[p]], reps[class_of[q]])]:
-                raise QuotientError(f"meet not well-defined at {p},{q}")
-        if class_of[alg.compl(p)] != class_of[alg.compl(reps[class_of[p]])]:
-            raise QuotientError(f"complement not well-defined at {p}")
-    cls, at = np.array(class_of), np.array(reps)
-    qalg = _algebra(
-        reps,
-        cls[np.array(alg.joins)[np.ix_(at, at)]],
-        cls[np.array(alg.meets)[np.ix_(at, at)]],
-        cls[np.array(alg.compls)[at]],
-        class_of[alg.zero],
-        class_of[alg.one],
+            is_rep[p] = True
+    ix = np.ix_(reps, reps)
+    qjoin, qmeet, qcompl = cls[join[ix]], cls[meet[ix]], cls[compl[reps]]
+    # well-definedness: the operation of classes is the class of the operation,
+    # whatever the representatives; p's complement is checked after its pairs
+    bad_compl = cls[compl] != qcompl[cls]
+    rows = bad_compl.argmax() + 1 if bad_compl.any() else alg.size
+    _first_failure(
+        (np.arange(rows)[:, None], np.arange(alg.size)),
+        ("join not well-defined", cls[join[:rows]] != qjoin[cls[:rows, None], cls]),
+        ("meet not well-defined", cls[meet[:rows]] != qmeet[cls[:rows, None], cls]),
     )
+    _first_failure((np.arange(alg.size),), ("complement not well-defined", bad_compl))
+    qalg = _algebra(reps, qjoin, qmeet, qcompl, *cls[[alg.zero, alg.one]])
     qalg.check_axioms()
-    out_classes = tuple(
-        QuotientClass(reps[i], frozenset(classes[i])) for i in range(len(reps))
-    )
-    return QuotientResult(qalg, out_classes, tuple(class_of))
+    members = (frozenset(np.flatnonzero(cls == i).tolist()) for i in range(len(reps)))
+    return QuotientResult(qalg, tuple(map(QuotientClass, reps, members)), tuple(cls.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +217,23 @@ def build_quotient(alg: FiniteAlgebra, ideal: Ideal) -> QuotientResult:
 
 def generate_subalgebra(alg: FiniteAlgebra, generators) -> frozenset[int]:
     """Closure of the generators under join, meet, and complement."""
-    cur = set(generators) | {alg.zero, alg.one}
+    join, meet, compl = alg._tables
+    inside = _subset(alg, [*generators, alg.zero, alg.one])[1]
     while True:
-        new = set()
-        for a in cur:
-            c = alg.compl(a)
-            if c not in cur:
-                new.add(c)
-            for b in cur:
-                for x in (alg.join(a, b), alg.meet(a, b)):
-                    if x not in cur:
-                        new.add(x)
-        if not new:
-            return frozenset(cur)
-        cur |= new
+        s = inside.nonzero()[0]
+        inside[compl[s]] = True
+        inside[join[s[:, None], s]] = True
+        inside[meet[s[:, None], s]] = True
+        if np.count_nonzero(inside) == s.size:
+            return frozenset(s.tolist())
 
 
 def is_subalgebra(alg: FiniteAlgebra, subset) -> bool:
-    s = set(subset)
-    if alg.zero not in s or alg.one not in s:
-        return False
-    for a in s:
-        if alg.compl(a) not in s:
-            return False
-        for b in s:
-            if alg.join(a, b) not in s or alg.meet(a, b) not in s:
-                return False
-    return True
+    join, meet, compl = alg._tables
+    s, inside = _subset(alg, subset)
+    a = s[:, None]
+    closed = inside[alg.zero] and inside[alg.one] and inside[compl[s]].all()
+    return bool(closed and inside[join[a, s]].all() and inside[meet[a, s]].all())
 
 
 def monotone_closure(alg: FiniteAlgebra, seed) -> frozenset[int]:

@@ -74,12 +74,12 @@ def loop_check_axioms(alg, sample_triples=10**4, seed=0):
             raise c.QuotientError(f"meet associativity fails at {a},{b},{x}")
 
 
-def _first_failure_message(check, alg):
+def _outcome(f, *args):
+    """f's result, or the message of the QuotientError it raises."""
     try:
-        check(alg)
+        return f(*args)
     except c.QuotientError as exc:
         return str(exc)
-    return None
 
 
 def _edited(alg, table, x, y, value, mirror):
@@ -129,9 +129,9 @@ def _edited(alg, table, x, y, value, mirror):
 )
 def test_check_axioms_raises_the_first_failure_of_the_loop(universe, table, x, y, value, mirror, law):
     broken = _edited(c.build_algebra(universe), table, x, y, value, mirror)
-    want = _first_failure_message(loop_check_axioms, broken)
+    want = _outcome(loop_check_axioms, broken)
     assert want.startswith(f"{law} fails at ")
-    assert _first_failure_message(lambda a: a.check_axioms(), broken) == want
+    assert _outcome(broken.check_axioms) == want
 
 
 @pytest.mark.parametrize("universe", [2, 3])
@@ -148,8 +148,186 @@ def test_check_axioms_matches_the_loop_on_random_edits(universe):
         else:
             x, y = rng.randrange(n), rng.randrange(n)
             broken = _edited(alg, table, x, y, rng.randrange(n), rng.random() < 0.5)
-        want = _first_failure_message(loop_check_axioms, broken)
-        assert _first_failure_message(lambda a: a.check_axioms(), broken) == want
+        want = _outcome(loop_check_axioms, broken)
+        assert _outcome(broken.check_axioms) == want
+
+
+def loop_validate(ideal, alg):
+    """Reference: the per-pair loop that Ideal.validate replaced."""
+    if not ideal.members:
+        raise c.QuotientError("ideal must be nonempty")
+    for p in ideal.members:
+        if not (0 <= p < alg.size):
+            raise c.QuotientError(f"handle {p} outside the carrier")
+    for p in ideal.members:
+        for q in ideal.members:
+            if alg.join(p, q) not in ideal.members:
+                raise c.QuotientError(f"ideal not join-closed at {p},{q}")
+    for p in ideal.members:
+        for x in range(alg.size):
+            if alg.meet(p, x) not in ideal.members:
+                raise c.QuotientError(f"ideal not meet-absorbing at {p},{x}")
+
+
+def loop_build_quotient(alg, ideal):
+    """Reference: the per-pair loops that build_quotient replaced."""
+    loop_validate(ideal, alg)
+    reps, class_of, classes = [], [-1] * alg.size, []
+    for p in range(alg.size):
+        for ci, r in enumerate(reps):
+            if alg.sym_add(p, r) in ideal.members:
+                class_of[p] = ci
+                classes[ci].add(p)
+                break
+        else:
+            class_of[p] = len(reps)
+            reps.append(p)
+            classes.append({p})
+    for p in range(alg.size):
+        for q in range(alg.size):
+            if class_of[alg.join(p, q)] != class_of[alg.join(reps[class_of[p]], reps[class_of[q]])]:
+                raise c.QuotientError(f"join not well-defined at {p},{q}")
+            if class_of[alg.meet(p, q)] != class_of[alg.meet(reps[class_of[p]], reps[class_of[q]])]:
+                raise c.QuotientError(f"meet not well-defined at {p},{q}")
+        if class_of[alg.compl(p)] != class_of[alg.compl(reps[class_of[p]])]:
+            raise c.QuotientError(f"complement not well-defined at {p}")
+    qalg = c.FiniteAlgebra(
+        tuple(reps),
+        tuple(tuple(class_of[alg.join(r, s)] for s in reps) for r in reps),
+        tuple(tuple(class_of[alg.meet(r, s)] for s in reps) for r in reps),
+        tuple(class_of[alg.compl(r)] for r in reps),
+        class_of[alg.zero],
+        class_of[alg.one],
+    )
+    qalg.check_axioms()
+    out = tuple(c.QuotientClass(r, frozenset(m)) for r, m in zip(reps, classes))
+    return c.QuotientResult(qalg, out, tuple(class_of))
+
+
+def loop_generate_subalgebra(alg, generators):
+    """Reference: the per-pair fixpoint loop that generate_subalgebra replaced."""
+    cur = set(generators) | {alg.zero, alg.one}
+    while True:
+        new = set()
+        for a in cur:
+            if alg.compl(a) not in cur:
+                new.add(alg.compl(a))
+            for b in cur:
+                new.update(x for x in (alg.join(a, b), alg.meet(a, b)) if x not in cur)
+        if not new:
+            return frozenset(cur)
+        cur |= new
+
+
+def loop_is_subalgebra(alg, subset):
+    """Reference: the per-pair loop that is_subalgebra replaced."""
+    s = set(subset)
+    if alg.zero not in s or alg.one not in s:
+        return False
+    for a in s:
+        if alg.compl(a) not in s:
+            return False
+        for b in s:
+            if alg.join(a, b) not in s or alg.meet(a, b) not in s:
+                return False
+    return True
+
+
+def generated_ideal(alg, gens):
+    """The least join-closed, meet-absorbing set holding the handles and zero."""
+    members = set(gens) | {alg.zero}
+    while True:
+        new = {alg.join(p, q) for p in members for q in members}
+        new |= {alg.meet(p, x) for p in members for x in range(alg.size)}
+        if new <= members:
+            return Ideal(frozenset(members))
+        members |= new
+
+
+def _differential_cases(n, rng):
+    """(algebra, ideal, subset, generators) tuples on build_algebra(n) and on
+    copies of it with one complement entry, or one join or meet entry, or
+    the same entry of both, edited."""
+    alg = c.build_algebra(n)
+    size = alg.size
+    algebras = [alg]
+    for _ in range(5):
+        table = rng.choice(("joins", "meets", "compls", "both"))
+        x, y, value = rng.randrange(size), rng.randrange(size), rng.randrange(size)
+        if table == "compls":
+            compls = list(alg.compls)
+            compls[x] = value
+            algebras.append(replace(alg, compls=tuple(compls)))
+        elif table == "both":
+            mirror = rng.random() < 0.5
+            broken = _edited(alg, "joins", x, y, value, mirror)
+            algebras.append(_edited(broken, "meets", x, y, rng.randrange(size), mirror))
+        else:
+            algebras.append(_edited(alg, table, x, y, value, rng.random() < 0.5))
+    for broken in algebras:
+        for _ in range(20):
+            kind = rng.randrange(3)
+            if kind == 0:  # principal
+                ideal = principal_ideal(alg, rng.randrange(size))
+            elif kind == 1:  # generated by several handles, under the edited tables
+                tops = rng.sample(range(size), rng.randint(1, min(3, size)))
+                ideal = generated_ideal(broken, tops)
+            else:  # random members, most of them not an ideal
+                ideal = Ideal(frozenset(rng.sample(range(size), rng.randint(0, size))))
+            subset = rng.sample(range(size), rng.randint(0, size))
+            if rng.random() < 0.3:
+                subset = sorted(loop_generate_subalgebra(broken, subset[:2]))
+            gens = [rng.randrange(size) for _ in range(rng.randint(0, 3))]
+            yield broken, ideal, subset, gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quotient_path_matches_the_loops(n):
+    rng = random.Random(1000 + n)
+    for alg, ideal, subset, gens in _differential_cases(n, rng):
+        assert _outcome(ideal.validate, alg) == _outcome(loop_validate, ideal, alg)
+        assert _outcome(c.build_quotient, alg, ideal) == _outcome(loop_build_quotient, alg, ideal)
+        assert c.is_subalgebra(alg, subset) == loop_is_subalgebra(alg, subset)
+        assert c.generate_subalgebra(alg, gens) == loop_generate_subalgebra(alg, gens)
+
+
+def test_build_quotient_checks_a_complement_before_the_next_row():
+    # the loop checks p's complement after p's joins and meets, so the
+    # complement failure at 1 comes before the join failure at 2,4
+    alg = c.build_algebra(3)
+    broken = replace(alg, compls=(2, *alg.compls[1:]))
+    ideal = principal_ideal(alg, 1)
+    want = "complement not well-defined at 1"
+    assert _outcome(loop_build_quotient, broken, ideal) == want
+    assert _outcome(c.build_quotient, broken, ideal) == want
+
+
+@pytest.mark.parametrize("handle", [-1, -8, 8, 9, 2**70])
+def test_handles_outside_the_carrier_are_refused(handle):
+    alg = c.build_algebra(3)
+    message = f"handle {handle} outside the carrier"
+    calls = [
+        lambda: c.is_subalgebra(alg, [0, 7, handle]),
+        lambda: c.generate_subalgebra(alg, [handle]),
+        lambda: c.monotone_closure(alg, [0, 7, handle]),
+        lambda: Ideal(frozenset({0, handle})).validate(alg),
+        lambda: c.build_quotient(alg, Ideal(frozenset({0, handle}))),
+    ]
+    for call in calls:
+        with pytest.raises(c.QuotientError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_algebra_tables_are_read_only_arrays_kept_out_of_equality():
+    alg = c.build_algebra(2)
+    for table, source in zip(alg._tables, (alg.joins, alg.meets, alg.compls)):
+        assert table.dtype == np.intp and not table.flags.writeable
+        assert np.array_equal(table, source)
+    rebuilt = replace(alg, compls=alg.compls)
+    assert rebuilt == alg and hash(rebuilt) == hash(alg) and rebuilt._tables is not alg._tables
+    broken = _edited(alg, "joins", 1, 2, 0, True)
+    assert broken._tables[0][1, 2] == 0 and alg._tables[0][1, 2] == 3
 
 
 def test_algebra_tables_hold_python_ints():
