@@ -25,9 +25,13 @@ from .exprs import (
     NotExactlySolvable,
     SetExpr,
     SymDiff,
+    _as_fraction,
     _check_mask,
+    _first_outside,
+    _members,
     _step,
     _Table,
+    _table_or_mask,
     indicator,
 )
 from .limits import (
@@ -39,7 +43,6 @@ from .limits import (
     classify,
     exact_limits,
 )
-from .nullmod import _as_fraction, _check_horizon, _first_outside, _members, _table_or_mask
 
 
 class ChainError(CesaroError):
@@ -96,7 +99,7 @@ def verify_chain(elements, horizon: int = 10**4) -> Chain:
     elems = list(elements)
     if not elems:
         raise ChainError("empty chain")
-    _check_horizon(horizon, ChainError)
+    _check_mask(horizon, ChainError)
     return _verify(elems, [_table_or_mask(e, horizon) for e in elems], horizon)
 
 
@@ -203,7 +206,7 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         raise ChainError("epsilon must be positive")
     if horizon < 1:
         raise ChainError("horizon must be >= 1")
-    _check_horizon(horizon, ChainError)
+    _check_mask(horizon, ChainError)
     nus = _exact_nus(chain.elements)
     cutoff = float(eps) - 1e-12
     windows = _windows(horizon)
@@ -298,9 +301,6 @@ def dense_extension(chain: Chain, k: int, check_horizon: int = 10**4) -> Chain:
             _check_contained(lo, hi, lo_set, hi_set, H)
             mid = Midpoint(lo, hi)
             parts = [(r if isinstance(r, _Table) else r.copy(), H) for r in (lo_set, hi_set)]
-            # as _table_or_mask(mid, H) would hold it: over = H, as there,
-            # and below TABLE_BASE the parts are masks, so the step is the
-            # mask kernel as in indicator
             mids[i] = ((lo_x + hi_x) // 2, mid, _step(mid, H, parts, H))
         # a midpoint's density lies strictly between its neighbours'
         entries = [x for i, t in enumerate(entries) for x in (t, mids.get(i)) if x]

@@ -18,9 +18,10 @@ from .exprs import (
     SetExpr,
     Shift,
     _check_mask,
+    _first_outside,
+    _table_or_mask,
 )
 from .limits import NotExactlySolvable, Verdict, exact_limits
-from .nullmod import _first_outside, _table_or_mask
 
 
 class ConstructionError(CesaroError):

@@ -21,18 +21,24 @@ engine and ``canonicalize`` lift and combine them with the same numpy
 operations (``_lift``, ``_union``, ``_inter``, ``_symdiff``, ``_diff``).
 
 A set on [1, N] is evaluated once per call, bottom up (``_eval``), as a
-phase table where it has one and as a 0/1 mask otherwise.  A phase table
-(``_Table``) cuts [1, N] at a few breakpoints into pieces that are each
-one fuzz-free form: residue classes and constants are one piece, a
-greedy set with target p/q is periodic with period q from n = 3 on,
-block sets are one All or Empty piece per run (a ``RunList`` set adds
-one periodic piece once its listed runs are spent), and the combinators
-combine their operands' tables piece by piece.  Counts and the streamed
-window scan read a table in closed form, and ``indicator`` fills it out
-to a mask.  Explicit sets, the sparse predicates and primes, and every
-node above one of them, keep mask kernels, as does a combinator whose
-table would cost more than its mask (``_affordable``).  Nothing is
-cached between calls but the primes sieve.
+phase table where it has one and as a 0/1 mask otherwise; ``_eval`` is
+the only route from an expression to either, and its one policy picks
+between them.  A phase table (``_Table``) cuts [1, N] at a few
+breakpoints into pieces that are each one fuzz-free form: residue
+classes and constants are one piece, a greedy set with target p/q is
+periodic with period q from n = 3 on, block sets are one All or Empty
+piece per run (a ``RunList`` set adds one periodic piece once its listed
+runs are spent), and the combinators combine their operands' tables
+piece by piece.  Counts and the streamed window scan read a table in
+closed form, and ``indicator`` fills it out to a mask.  The policy: a
+leaf takes its table where it has one; a combinator takes its table
+only in a tree whose root covers ``TABLE_BASE`` positions or more, and
+only where its table costs less than its mask (``_affordable``).
+Explicit sets, the sparse predicates and primes, and every node above
+one of them, keep mask kernels.  Masks stop below ``MAX_MASK`` and
+tables below ``MAX_TABLE``; block sets and ``paired``, whose counts come
+from their tables, count below ``MAX_TABLE`` only.  Nothing is cached
+between calls but the primes sieve.
 """
 
 from __future__ import annotations
@@ -40,10 +46,9 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, cycle, takewhile
+from itertools import accumulate, count, takewhile
 from operator import and_, lt, or_, sub, xor
 from typing import NamedTuple
 
@@ -492,34 +497,17 @@ class ZSpec(_Keyed):
     __slots__ = ()
     #: DSL keyword after ``blocks`` -> spec class
     KINDS: dict[str, type] = {}
-    WALK_FROM = 0  #: a lone block set counts by ``_walk`` from here on, by its table below
 
     def run(self, k: int) -> int:
         """Length of the k-th run (k >= 1; run 1 is zeroes, run 2 ones, ...)."""
         raise NotImplementedError
 
-    def _run_ends(self, N: int) -> Iterator[int]:
-        """The positions where runs 1, 2, ... end, as Python ints, on to N
-        and past it."""
-        raise NotImplementedError
-
     def _ends(self, N: int) -> np.ndarray:
         """The positions where runs 1, 2, ... end, those below N."""
-        return np.array(list(takewhile(lambda e: e < N, self._run_ends(N))), dtype=np.int64)
+        raise NotImplementedError
 
     def _table(self, N: int) -> _Table:
         return _run_table(self._ends(N), N)
-
-    def _walk(self, x: int) -> tuple[int, bool]:
-        """c_x, and whether x >= 1 is a member, from the run ends as Python
-        ints: the counts of a lone block set from ``WALK_FROM`` on."""
-        c = prev = 0
-        ones = False  # run 1 is zeroes
-        for end in self._run_ends(x):
-            if end >= x:  # x lies in (prev, end]
-                return c + (x - prev) * ones, ones
-            c += (end - prev) * ones
-            prev, ones = end, not ones
 
     def _limits(self) -> tuple[Fraction, Fraction, str]:
         raise NotExactlySolvable(f"blocks {self._format()} has no block formula")
@@ -543,9 +531,10 @@ class Geometric(ZSpec):
     def run(self, k: int) -> int:
         return self.ratio ** (k - 1)
 
-    def _run_ends(self, N):
+    def _ends(self, N):
         # (r**k - 1)/(r - 1), k >= 1: O(log N) of them below N
-        return accumulate(self.ratio**k for k in count())
+        ends = takewhile(lambda e: e < N, accumulate(self.ratio**k for k in count()))
+        return np.array(list(ends), dtype=np.int64)
 
     def _limits(self):
         r = self.ratio
@@ -563,7 +552,6 @@ class Poly(ZSpec):
 
     exponent: int
     keyword = "poly"
-    WALK_FROM = MAX_TABLE  # the walk is O(N^(1/(e+1))) Python steps
 
     def __post_init__(self):
         if self.exponent < 1:
@@ -572,22 +560,13 @@ class Poly(ZSpec):
     def run(self, k: int) -> int:
         return k**self.exponent
 
-    def _runs_upto(self, N: int) -> int:
-        """K, a number of runs that reach N: at most 2**26 of them, else a
-        typed error before anything is built."""
+    def _ends(self, N):
         e = self.exponent
-        # the first K runs hold at least K**(e + 1)/(e + 1) >= N positions
+        # the first K runs hold at least K**(e + 1)/(e + 1) >= N positions;
+        # at most 2**26 of them, else a typed error before anything is built
         K = int(((e + 1) * N) ** (1 / (e + 1))) + 2
         if K > MAX_MASK >> 5:
             raise CesaroError(f"blocks poly {e} has {K} runs up to {N}, past the table limit")
-        return K
-
-    def _run_ends(self, N):
-        self._runs_upto(N)
-        return accumulate(k**self.exponent for k in count(1))
-
-    def _ends(self, N):
-        e, K = self.exponent, self._runs_upto(N)
         if K**e < 1 << 62:
             runs = np.arange(1, K + 1, dtype=np.int64) ** e
         else:  # a few runs, each cut to N so that their sum fits int64
@@ -641,17 +620,6 @@ class RunList(ZSpec):
         if self.tail == "repeat-last":
             return np.array([self.runs[-1]] * 2)
         return np.array(self.runs * (1 + len(self.runs) % 2))
-
-    def _run_ends(self, N):
-        return accumulate(chain((self.head,), self.runs, cycle(self._tail().tolist())))
-
-    def _walk(self, x):
-        # x less whole periods of the tail, each holding the same members
-        start, tail = self.head + sum(self.runs), self._tail()
-        period, ones = int(tail.sum()), int(tail[len(self.runs) % 2 :: 2].sum())
-        skip = max(0, (x - start - 1) // period)
-        c, member = super()._walk(x - skip * period)
-        return c + skip * ones, member
 
     def _table(self, N):
         listed = np.cumsum([self.head, *self.runs])
@@ -908,15 +876,10 @@ class Blocks(SetExpr):
     keyword = "blocks"
 
     def _member(self, n):
-        return _eval(self, n).member(n) if n < self.z.WALK_FROM else self.z._walk(n)[1]
+        return _eval(self, n).member(n)
 
     def _table(self, N):
         return self.z._table(N)
-
-    def _counts(self, xs):
-        if xs[-1] < self.z.WALK_FROM:
-            return super()._counts(xs)
-        return [self.z._walk(x)[0] for x in xs]
 
     def _rule(self):
         return self.z._limits()
@@ -989,7 +952,8 @@ class Predicate(SetExpr):
     keyword = "predicate"
 
     def _member(self, n):
-        return bool(predicate_spec(self.name).member(n))
+        spec = predicate_spec(self.name)
+        return _eval(self, n).member(n) if spec.table else bool(spec.member(n))
 
     def _indicator(self, N):
         return predicate_spec(self.name).indicator(N)
@@ -999,7 +963,10 @@ class Predicate(SetExpr):
         return table and table(N)
 
     def _counts(self, xs):
-        return [int(predicate_spec(self.name).count_upto(x)) for x in xs]
+        spec = predicate_spec(self.name)
+        if spec.table:
+            return super()._counts(xs)
+        return [int(spec.count_upto(x)) for x in xs]
 
     def _rule(self):
         spec = predicate_spec(self.name)
@@ -1445,21 +1412,12 @@ def _primes_indicator(N: int) -> np.ndarray:
     return _prime_sieve(N)[1 : N + 1].copy()
 
 
-# The alternating counterpart set from the divergent block example: even n
-# belongs iff n/2 lies in the geometric block set, odd n iff (n+1)/2 does not.
-_PAIRED_BLOCKS = Blocks(Geometric(2))
-
-
-def _paired_member(n: int) -> bool:
-    if n % 2 == 0:
-        return member(_PAIRED_BLOCKS, n // 2)
-    return not member(_PAIRED_BLOCKS, (n + 1) // 2)
-
-
 def _paired_table(N: int) -> _Table:
-    # the runs of the block set up to ceil(N/2), doubled: on its member runs
-    # the even n belong, on the others the odd ones
-    base = _PAIRED_BLOCKS._table((N + 1) // 2)
+    # the alternating counterpart set from the divergent block example: even
+    # n belongs iff n/2 lies in the geometric block set, odd n iff (n+1)/2
+    # does not.  So the runs of the block set up to ceil(N/2), doubled: on
+    # its member runs the even n belong, on the others the odd ones
+    base = Geometric(2)._table((N + 1) // 2)
     bounds = base.bounds * 2
     bounds[-1] = N
     odd, even = _Form(2, np.array([1]), False), _Form(2, np.array([0]), False)
@@ -1468,11 +1426,15 @@ def _paired_table(N: int) -> _Table:
 
 @dataclass(frozen=True)
 class PredicateSpec:
-    member: object  # n -> bool
-    count_upto: object  # N -> int, exactly
-    indicator: object  # N -> np.ndarray
+    """A named set: its exact limits, and either its phase table, from
+    which ``Predicate`` reads membership and counts as for any tree, or
+    its membership, exact count and mask kernels."""
+
     exact_upper: Fraction  # the upper Cesàro limit
     exact_lower: Fraction
+    member: object = None  # n -> bool
+    count_upto: object = None  # N -> int, exactly
+    indicator: object = None  # N -> np.ndarray
     table: object = None  # N -> _Table, for a piecewise-periodic set
 
 
@@ -1506,11 +1468,7 @@ PREDICATES: dict[str, PredicateSpec] = {
         exact_lower=Fraction(0),
     ),
     "paired": PredicateSpec(
-        member=_paired_member,
-        # exactly one of {2k-1, 2k} belongs for every k: N // 2 members in
-        # full pairs up to N, and the limit is exactly 1/2
-        count_upto=lambda N: N // 2 + (N % 2 == 1 and _paired_member(N)),
-        indicator=lambda N: _paired_table(N).fill(0, N),
+        # exactly one of {2k-1, 2k} belongs for every k: the limit is 1/2
         exact_upper=Fraction(1, 2),
         exact_lower=Fraction(1, 2),
         table=_paired_table,
@@ -1552,10 +1510,12 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
     return r.fill(0, N) if isinstance(r, _Table) else r
 
 
-def _check_mask(N: int) -> None:
+def _check_mask(N: int, error: type[CesaroError] = CesaroError) -> None:
+    """Reject a mask of ``MAX_MASK`` elements or more before it is allocated."""
     if N >= MAX_MASK:
-        raise CesaroError(
-            f"prefix length {N} not below the mask limit {MAX_MASK}, past which counts need int64"
+        raise error(
+            f"horizon {N} not below the mask limit 2^{MAX_MASK.bit_length() - 1},"
+            " past which counts need int64"
         )
 
 
@@ -1563,14 +1523,21 @@ def _eval(e: SetExpr, N: int, over: int = 0, kernel=None) -> _Table | np.ndarray
     """e on [1, N]: its phase table, else its mask, from its operands'
     results; each node is evaluated once.  ``kernel`` stands for e's mask
     kernel ``_indicator``.  A mask is fresh, owned by the caller, and
-    refused from ``MAX_MASK`` elements on.  ``over`` is the length of an
-    ancestor that needs tables, or 0: below it every node takes its table
-    where it has one, at any size, and when ``over`` is ``MAX_MASK`` or
-    more a node without one is refused before its operands' masks are
-    built."""
+    refused from ``MAX_MASK`` elements on; a table from ``MAX_TABLE`` on.
+
+    The one table-or-mask policy: a leaf takes its table where it has
+    one.  ``over`` is the length of the root, when that is ``TABLE_BASE``
+    or more, else 0 (a root below ``TABLE_BASE`` takes masks above its
+    leaves, where the fixed cost of a table exceeds the mask's).  Under
+    such a root every node takes its table where it has one and it is
+    affordable, at any length of its own; and when the root covers
+    ``MAX_MASK`` positions or more, a node without one is refused before
+    its operands' masks are built."""
+    if N >= MAX_TABLE:
+        raise CesaroError(f"horizon {N} not below the table limit 2^{MAX_TABLE.bit_length() - 1}")
     if not N:
         return np.zeros(0, dtype=bool)
-    over = over or (N if N >= MAX_MASK else 0)
+    over = over or (N if N >= TABLE_BASE else 0)
     return _step(e, N, [(_eval(x, M, over), M) for x, M in e._operands(N)], over, kernel)
 
 
@@ -1579,18 +1546,46 @@ def _step(e: SetExpr, N: int, parts, over: int = 0, kernel=None) -> _Table | np.
     each operand's table or mask with the prefix it covers, and a mask
     among them may be changed in place.  ``over`` and ``kernel`` are as in
     ``_eval``, which runs this step for every node."""
-    # a leaf's table is its kernel; above the leaves a table has to pay
-    # for itself: from TABLE_BASE on, unless no mask can stand in for it,
-    # and by its size (``_affordable``)
-    if N < MAX_TABLE and (
-        not parts or ((over or N >= TABLE_BASE) and all(isinstance(p, _Table) for p, _ in parts))
-    ):
+    if not parts or (over and all(isinstance(p, _Table) for p, _ in parts)):
         t = e._table(N, *(p for p, _ in parts))
         if t is not None:
             return t
     _check_mask(over or N)
     masks = (p.fill(0, M) if isinstance(p, _Table) else p for p, M in parts)
     return (kernel or e._indicator)(N, *masks)
+
+
+def _table_or_mask(e: SetExpr, N: int) -> _Table | np.ndarray:
+    """e on [1, N] for the chain layer: below ``TABLE_BASE``, where a
+    table's fixed cost exceeds a scan of the mask, its mask, fresh; from
+    there on ``_eval``'s table or mask."""
+    return indicator(e, N) if N < TABLE_BASE else _eval(e, N)
+
+
+def _members(r: _Table | np.ndarray) -> int:
+    """The members of a set on [1, N], from its phase table or its mask."""
+    return int(r.counts(r.bounds[-1:])[0]) if isinstance(r, _Table) else int(np.count_nonzero(r))
+
+
+def _first_outside(lower: SetExpr, upper: SetExpr, lo, hi, N: int) -> int | None:
+    """The least n in [1, N] in ``lower`` but not in ``upper``, or None,
+    from their sets ``lo`` and ``hi`` there (``_table_or_mask``, left
+    unchanged).  The difference is counted from its phase table where
+    both sets are tables; masks are built only to name n."""
+    if isinstance(lo, _Table) and isinstance(hi, _Table):
+        diff = Diff(lower, upper)._table(N, lo, hi)
+        if diff is not None and not _members(diff):
+            return None
+    lo, hi = (r.fill(0, N) if isinstance(r, _Table) else r for r in (lo, hi))
+    extra = np.greater(lo, hi)  # lo & ~hi
+    return int(extra.argmax()) + 1 if extra.any() else None
+
+
+def _as_fraction(x) -> Fraction:
+    """x as an exact fraction; a float by its shortest decimal form."""
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
 
 
 def count_upto(e: SetExpr, N: int) -> int:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .exprs import (
     MAX_MASK,
-    TABLE_BASE,
     CesaroError,
     Compl,
     Diff,
@@ -30,10 +29,12 @@ from .exprs import (
     Inter,
     SetExpr,
     Union,
-    _eval,
+    _as_fraction,
+    _check_mask,
     _farey_neighbours,
+    _members,
     _Table,
-    indicator,
+    _table_or_mask,
 )
 from .limits import (
     _CHUNK,
@@ -46,18 +47,6 @@ from .limits import (
 
 class NullModError(CesaroError):
     pass
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
-
-
-def _check_horizon(horizon: int, error: type[CesaroError]) -> None:
-    """Reject a mask of ``MAX_MASK`` elements or more before it is allocated."""
-    if horizon >= MAX_MASK:
-        raise error(f"horizon {horizon} not below the mask limit {MAX_MASK}")
 
 
 _RANK = np.arange(1, _CHUNK + 1, dtype=np.int64)  # a member's rank in its chunk
@@ -164,15 +153,6 @@ def _removed_points(
     return np.concatenate(found) if found else np.empty(0, dtype=np.intp)
 
 
-def _table_or_mask(e: SetExpr, horizon: int) -> _Table | np.ndarray:
-    """e on [1, horizon]: from ``TABLE_BASE`` on, where tables pay for
-    themselves (as in ``_eval``), its phase table where it has one, each
-    node taking its own; else its mask, fresh."""
-    if horizon < TABLE_BASE:
-        return indicator(e, horizon)
-    return _eval(e, horizon, horizon)
-
-
 def _mask_and_table(e: SetExpr, horizon: int) -> tuple[np.ndarray, _Table | None]:
     """e's mask on [1, horizon], fresh, and its phase table or None
     (``_table_or_mask``)."""
@@ -194,25 +174,6 @@ def _combined(node: SetExpr, horizon: int, *tables: _Table | None) -> _Table | N
     return node._table(horizon, *tables)
 
 
-def _members(r: _Table | np.ndarray) -> int:
-    """The members of a set on [1, N], from its phase table or its mask."""
-    return int(r.counts(r.bounds[-1:])[0]) if isinstance(r, _Table) else int(np.count_nonzero(r))
-
-
-def _first_outside(lower: SetExpr, upper: SetExpr, lo, hi, horizon: int) -> int | None:
-    """The least n in [1, horizon] in ``lower`` but not in ``upper``, or
-    None, from their sets ``lo`` and ``hi`` there (``_table_or_mask``,
-    left unchanged).  The difference is counted from its phase table where
-    both sets are tables; masks are built only to name n."""
-    if isinstance(lo, _Table) and isinstance(hi, _Table):
-        diff = Diff(lower, upper)._table(horizon, lo, hi)
-        if diff is not None and not _members(diff):
-            return None
-    lo, hi = (r.fill(0, horizon) if isinstance(r, _Table) else r for r in (lo, hi))
-    extra = np.greater(lo, hi)  # lo & ~hi
-    return int(extra.argmax()) + 1 if extra.any() else None
-
-
 def _modified(e: SetExpr, added, removed) -> SetExpr:
     """e with the points ``added`` joined and the points ``removed`` taken out."""
     if added:
@@ -220,14 +181,6 @@ def _modified(e: SetExpr, added, removed) -> SetExpr:
     if removed:
         e = Diff(e, Explicit(tuple(removed)))
     return e
-
-
-def _null_modify_mask(mask: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kept mask and removed indices of the trimming pass on a prefix."""
-    removed = _removed_points(mask, p, q)
-    kept = mask.copy()
-    kept[removed] = False
-    return kept, removed
 
 
 # The audit is rendered a chunk of rows at a time into fixed-width records of
@@ -483,7 +436,7 @@ def null_modify(a: SetExpr, bound, horizon: int = DEFAULT_HORIZON) -> NullModRes
     estimated bound is accepted otherwise and flags the result
     approximate.
     """
-    _check_horizon(horizon, NullModError)
+    _check_mask(horizon, NullModError)
     b = _as_fraction(bound)
     if not (0 <= b <= 1):
         raise NullModError("bound must lie in [0, 1]")
@@ -603,7 +556,7 @@ def chain_psi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     prefix, every partial average of an output stays at or below its
     density, and comparable inputs stay comparable.
     """
-    _check_horizon(horizon, NullModError)
+    _check_mask(horizon, NullModError)
     elements = list(elements)
     nus, approximate = _chain_nus(elements, horizon)
     masks, tables = _masks_and_tables(elements, horizon)
@@ -621,7 +574,7 @@ def disjoint_modify(parts, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     Null parts collapse to the empty set; the rest are cleaned through
     the chain map on the cumulative unions.
     """
-    _check_horizon(horizon, NullModError)
+    _check_mask(horizon, NullModError)
     parts = list(parts)
     masks, tables = _masks_and_tables(parts, horizon)
     tmp = np.empty(horizon, dtype=bool)
@@ -670,7 +623,7 @@ def chain_phi(elements, horizon: int = DEFAULT_HORIZON) -> ChainMapResult:
     points added back to the element, so both maps run in place on one
     set of masks.
     """
-    _check_horizon(horizon, NullModError)
+    _check_mask(horizon, NullModError)
     elements = list(elements)
     nus, approximate = _chain_nus(elements, horizon)
     masks, tables = _masks_and_tables(elements, horizon)

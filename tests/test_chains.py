@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.chains import _exact_nus
-from cesaro.exprs import _Table
+from cesaro.exprs import _Table, _table_or_mask
 from cesaro.limits import _CHUNK
-from cesaro.nullmod import _table_or_mask
 
 
 def residue_chain(js):

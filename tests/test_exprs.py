@@ -575,34 +575,48 @@ def test_table_counts_past_the_mask_limit():
 
 
 @pytest.mark.parametrize(
-    "text, n, is_member, count",
+    "text, n",
     [
-        ("blocks geometric 2", 10**20, False, 49191317529892137642),
-        ("blocks geometric 3", 10**20 + 7, False, 41032120924317134703),
-        ("blocks poly 3", 10**20, False, 49999496201269072200),
-        ("blocks list [3;2,5,7] cycle", 10**20 + 13, False, 50000000000000000006),
-        ("blocks list [0;4,1] repeat-last", 10**20 + 2, True, 50000000000000000003),
-        ("predicate paired", 10**20, True, 5 * 10**19),
-        ("predicate paired", 10**20 + 1, False, 5 * 10**19),
+        ("blocks geometric 2", 10**20),
+        ("blocks geometric 3", 10**20 + 7),
+        ("blocks poly 3", 10**20),
+        ("blocks list [3;2,5,7] cycle", 10**20 + 13),
+        ("blocks list [0;4,1] repeat-last", 10**20 + 2),
+        ("predicate paired", 10**20),
+        ("predicate paired", 10**20 + 1),
     ],
 )
-def test_block_sets_past_the_table_limit_count_with_python_ints(text, n, is_member, count):
+def test_block_sets_past_the_table_limit_count_with_python_ints(text, n):
+    """Past the table limit no count is made, with Python ints or
+    otherwise: block sets and paired are refused before anything is
+    allocated."""
     e = c.parse_expr(text)
-    assert c.member(e, n) is is_member
-    assert c.count_upto(e, n) == count
-    assert c.count_upto(e, n - 1) == count - is_member
+    tracemalloc.start()
+    try:
+        for call in (c.member, c.count_upto, lambda e, n: c.prefix_scan(e, n - 10, n)):
+            with pytest.raises(c.CesaroError, match="table limit"):
+                call(e, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["blocks geometric 3", "blocks poly 2", "blocks list [3;2,5,7] cycle", "blocks list [0;4,1]"],
+    "text, is_member, count, scan",
+    [
+        ("blocks geometric 2", False, 3002399751580330, 0),
+        ("blocks list [3;2,5,7] cycle", False, 4503599627370494, 499998),
+        ("predicate paired", True, 4503599627370496, 500001),
+    ],
 )
-def test_block_run_walk_matches_the_table(text):
-    z = c.parse_expr(text).z
-    N = 5000
-    table = z._table(N)
-    for x in range(1, N + 1):
-        assert z._walk(x) == (int(table.counts(np.array([x]))[0]), table.member(x))
+def test_block_sets_count_up_to_the_table_limit(text, is_member, count, scan):
+    # n = 2^53 - 1, the last horizon below the table limit
+    e, n = c.parse_expr(text), 2**53 - 1
+    assert c.member(e, n) is is_member
+    assert c.count_upto(e, n) == count
+    assert c.count_upto(e, n - 1) == count - is_member
+    assert c.prefix_scan(e, n - 10**6, n).count == scan
 
 
 def test_farey_neighbours_keep_floors_and_ceilings():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro import exprs, limits
-from cesaro.exprs import _eval, _Table
+from cesaro.exprs import _eval, _Table, _table_or_mask
 from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes, _window_pieces
 from conftest import PERIOD, WINDOW_START, brute_set, random_fragment, window_density
 from test_grammar import _leaves, _nodes
@@ -570,6 +570,9 @@ def test_streamed_estimate_at_1e9_from_a_phase_table():
         # n = 0 (divide by zero) or 0 with a zero count (0/0)
         ("inter(residue 1000 {0,1},blocks geometric 2)", 0.0013427734375, 0.00067138671875),
         ("inter(residue 64 {0},blocks geometric 2)", 0.010406494140625, 0.005203286768240114),
+        # an operand on 2^15 positions, below TABLE_BASE, under a root on
+        # 2^17: the root decides, so the operand takes its table too
+        ("dilate 4 union(residue 3 {1},blocks geometric 2)", 0.19451904296875, 0.1389213150526067),
     ],
 )
 def test_short_table_pieces_scan_without_numpy_warnings(text, upper, lower):
@@ -579,6 +582,9 @@ def test_short_table_pieces_scan_without_numpy_warnings(text, upper, lower):
         warnings.simplefilter("error")
         rep = c.estimate_limits(e, H)
         got = _window_extremes(_eval(e, H), segments)
+    assert isinstance(_eval(e, H), _Table) and isinstance(_table_or_mask(e, H), _Table)
     assert (rep.upper, rep.lower) == (upper, lower)
     with mock.patch.object(exprs, "TABLE_BASE", exprs.MAX_TABLE):
         assert got == _window_extremes(c.indicator(e, H), segments)
+        masked = c.estimate_limits(e, H)
+    assert (masked.upper, masked.lower) == (upper, lower)

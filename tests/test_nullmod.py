@@ -18,18 +18,25 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.cli import main
+from cesaro.exprs import _table_or_mask
 from cesaro.limits import _CHUNK
 from cesaro.nullmod import (
     _AUDIT_CHUNK,
     MAX_MASK,
     _AuditWriter,
     _chain_nus,
-    _null_modify_mask,
     _removed_points,
-    _table_or_mask,
     _Table,
 )
 from conftest import random_fragment
+
+
+def _null_modify_mask(mask, p, q):
+    """Kept mask and removed indices of the trimming pass on a prefix."""
+    removed = _removed_points(mask, p, q)
+    kept = mask.copy()
+    kept[removed] = False
+    return kept, removed
 
 
 def sequential_trim(mask, p, q):
