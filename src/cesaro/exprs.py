@@ -58,7 +58,9 @@ import numpy as np
 #: they have density 0 anyway and usually signal misuse.
 MAX_EXPLICIT = 10**6
 
-#: Largest modulus produced by residue rewriting in ``canonicalize``.
+#: Largest modulus produced by residue rewriting in ``canonicalize``, and
+#: the largest period of a greedy or run-list set that the exact engine
+#: writes out as a form; a longer one keeps its limits only.
 MAX_CANON_MODULUS = 10**6
 
 #: residue refinement guard: reject common moduli beyond this
@@ -614,32 +616,41 @@ class RunList(ZSpec):
             return self.runs[-1]
         return self.runs[i % len(self.runs)]
 
-    def _tail(self) -> np.ndarray:
-        """The runs of one period once the listed runs are spent: an even
-        number of them, so that run parities repeat too."""
-        if self.tail == "repeat-last":
-            return np.array([self.runs[-1]] * 2)
-        return np.array(self.runs * (1 + len(self.runs) % 2))
+    def _tail(self) -> tuple[np.ndarray, np.ndarray]:
+        """The runs of one period once the listed runs are spent, an even
+        number of them so that run parities repeat too, and which of them
+        are members: the odd runs, counted from the head run 0."""
+        k = 1 + len(self.runs) % 2  # an odd number of cycled runs goes twice
+        tail = np.array(self.runs[-1:] * 2 if self.tail == "repeat-last" else self.runs * k)
+        return tail, (np.arange(tail.size) + len(self.runs) + 1) % 2 == 1
+
+    def _tail_form(self, tail: np.ndarray, ones: np.ndarray, start: int) -> _Form:
+        """The fuzz-free form of the runs ``tail`` repeated from ``start``
+        on, the end of the listed runs, in absolute residues."""
+        period = int(tail.sum())
+        res = np.flatnonzero(np.repeat(ones, tail))  # offset o is n = start + 1 + o
+        return _table_form(period, _rotate(res, period, (start + 1) % period))
 
     def _table(self, N):
         listed = np.cumsum([self.head, *self.runs])
         start = int(listed[-1])
         if N <= start:
             return _run_table(listed[listed < N], N)
-        # periodic once the listed runs are spent; the odd runs, counted
-        # from the head run 0, are members
-        tail = self._tail()
-        period = int(tail.sum())
-        ones = (np.arange(tail.size) + len(self.runs) + 1) % 2 == 1
-        reps = _ceil_div(N - start, period)
+        tail, ones = self._tail()  # periodic once the listed runs are spent
+        reps = _ceil_div(N - start, int(tail.sum()))
         if reps == 1 or reps * tail.size <= tail[ones].sum():  # few runs up to N
             ends = start + np.cumsum(np.tile(tail, reps))
             return _run_table(np.concatenate((listed, ends[ends < N])), N)
-        offsets = np.cumsum(tail) - tail
-        res = np.concatenate([np.arange(o, o + z) for o, z in zip(offsets[ones], tail[ones])])
-        form = _table_form(period, _rotate(res, period, (start + 1) % period))
+        form = self._tail_form(tail, ones, start)
         head = _run_table(listed[:-1], start)
         return _Table(np.append(head.bounds, N), np.append(head.phase, 2), (*head.forms, form))
+
+    def _limits(self):
+        tail, ones = self._tail()
+        if tail.sum() > MAX_CANON_MODULUS:
+            return super()._limits()
+        f = self._tail_form(tail, ones, self.head + sum(self.runs))
+        return _Form(f.modulus, f.residues, True)  # the listed runs are the fuzz
 
     @classmethod
     def _parse(cls, p):
@@ -896,7 +907,8 @@ class Blocks(SetExpr):
 # when the average over 1..n-1 is strictly below the target t = p/q.  By
 # induction (t <= 1, so ceil(t*m) steps by 0 or 1) the count up to N is
 # max(1, ceil(t*(N-1))): 2 never joins, and from 3 on n joins when
-# ceil(t*(n-1)) > ceil(t*(n-2)), which has period q in n.
+# ceil(t*(n-1)) > ceil(t*(n-2)), that is, n = floor(k*q/p) + 2 for some
+# k >= 1, which has period q in n.
 
 
 @dataclass(frozen=True)
@@ -936,7 +948,14 @@ class Greedy(SetExpr):
         return [max(1, _ceil_div(p * (x - 1), q)) if x else 0 for x in xs]
 
     def _rule(self):
-        return self.target, self.target, "exact"
+        p, q = self.target.numerator, self.target.denominator
+        if q > MAX_CANON_MODULUS:
+            return self.target, self.target, "exact"
+        # from 3 on the members are (kq + 2p) // p, k >= 1, and k + p adds q;
+        # k = -c, ..., p - c - 1 for c = [q <= 2p] + [q <= p] lists their
+        # residues in [0, q) in order.  n = 1 and 2 are the fuzz
+        c = (q <= 2 * p) + (q <= p)
+        return _Form(q, np.arange(2 * p - c * q, (p - c) * q + 2 * p, q, dtype=np.int64) // p, True)
 
     @classmethod
     def _parse(cls, p):
@@ -980,6 +999,19 @@ class Predicate(SetExpr):
 
     def _format(self):
         return f"predicate {self.name}"
+
+
+def _tried(e: SetExpr):
+    """e's rule, or None where it has none."""
+    try:
+        return e._rule()
+    except NotExactlySolvable:
+        return None
+
+
+def _null(rule) -> bool:
+    """Whether a rule result is a null form: one with no residues."""
+    return isinstance(rule, _Form) and not rule.residues.size
 
 
 def _unit(lo: bool, hi: bool, x: SetExpr) -> SetExpr:
@@ -1049,20 +1081,24 @@ class Binary(SetExpr):
         return type(self)(a, b)
 
     def _rule(self):
-        try:
-            a = self.left._rule()
-            b = self.right._rule() if isinstance(a, _Form) else None  # only forms combine
-        except NotExactlySolvable:
-            a = b = None
-        return self._joint(a, b)
+        return self._joint(_tried(self.left), _tried(self.right))
 
     def _joint(self, a, b):
-        """The rule from the operands' rules (None: no joint form to take):
-        their joint lift, else the rule of the simplified expression."""
+        """The rule from the operands' rules (None: no rule): their joint
+        lift, else a null operand's rule, else the rule of the simplified
+        expression."""
         if isinstance(a, _Form) and isinstance(b, _Form):
             L = math.lcm(a.modulus, b.modulus)
             if _fits(a, L) and _fits(b, L):
                 return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
+        elif _null(a) or _null(b):
+            # a null operand acts as Empty: it drops out, leaving the other
+            # side's limits, or the result lies within it
+            null, other = (a, b) if _null(a) else (b, a)
+            if not self._truth(other is a, other is b):  # other side's points dropped
+                return null
+            if other is not None:
+                return other
         # identities like union with Empty can hide a solvable core; retry
         # once on the simplified expression
         simplified = self._canon()

@@ -4,10 +4,12 @@ The exact engine (``exprs._exact``) evaluates each node's one exact rule
 once: a periodic normal form (residues modulo m as a sorted int64 array,
 possibly perturbed by a density-zero set), else the node's limits.  A
 null perturbation never moves the upper or lower limit, so |R|/m survives
-finite exceptions and unions with known null sets.  Block and greedy
-families have closed forms; complements, dilations, shifts and midpoints
-follow from their operands' results, and a Boolean node with no joint
-form retries once on its ``canonicalize``d expression.  Everything else
+finite exceptions and unions with known null sets.  Greedy sets and
+periodic run lists are such forms; other block families have closed
+forms; complements, dilations, shifts and midpoints follow from their
+operands' results.  A Boolean node with no joint form treats a null
+operand (no residues) as Empty, next to any operand, else retries once
+on its ``canonicalize``d expression.  Everything else
 falls back to a windowed streaming estimate with an explicit Unknown
 verdict when the evidence is inconclusive.  The estimate reads the set's
 phase table where it has one, with no mask and so no mask limit, and
@@ -93,9 +95,9 @@ def exact_limits(e: SetExpr) -> LimitReport:
     """Exact upper/lower limits, or NotExactlySolvable.
 
     Covers residue/explicit Boolean combinations (with null perturbations),
-    geometric and polynomial block sets, greedy targets, registered
-    predicates with known limits, and midpoints/complements/affine images
-    of all of these.
+    geometric, polynomial and periodic run-list block sets, greedy targets,
+    registered predicates with known limits, and midpoints/complements/
+    affine images of all of these.
     """
     upper, lower, method = _exact(e)
     verdict = Verdict.IN_F if upper == lower else Verdict.NOT_IN_F

@@ -492,11 +492,21 @@ def test_verify_chain_on_tables_matches_the_masks(monkeypatch, elements, horizon
     ids=["uniformity_check", "dense_extension", "skeleton"],
 )
 def test_element_without_exact_limit_is_a_chain_error(call):
-    fuzzy = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    fuzzy = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
     chain = c.verify_chain([c.Empty(), fuzzy, c.All()], 1000)
     assert chain.elements[1] == fuzzy
     with pytest.raises(c.ChainError, match="^element 1 has no exact limit: Union is not exactly solvable here$"):
         call(chain)
+
+
+def test_greedy_element_with_points_added_has_an_exact_limit():
+    # greedy 1/3 is periodic from n = 3 on, so with finitely many points
+    # added it is a fuzzy form of density 1/3
+    fuzzy = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    chain = c.verify_chain([c.Empty(), fuzzy, c.All()], 1000)
+    assert _exact_nus(chain.elements) == [0, Fraction(1, 3), 1]
+    cert = c.uniformity_check(chain, Fraction(1, 100), 10**4)
+    assert max(cert.per_element_max_deviation) <= 0.01
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,18 @@ def test_chain_incomparable_exit_code(capsys, tmp_path):
 
 def test_chain_certify_element_without_exact_limit_exit_code(capsys, tmp_path):
     chainfile = tmp_path / "chain.txt"
-    chainfile.write_text("union(greedy 1/3, explicit{2,5})\n")
+    chainfile.write_text("union(inter(predicate paired, residue 3 {0}), explicit{2,5})\n")
     code, out, err = run(capsys, "chain", "certify", str(chainfile), "--epsilon", "1/10")
     assert code == 5 and out == ""
     assert err == "chain error: element 0 has no exact limit: Union is not exactly solvable here\n"
+
+
+def test_chain_certify_greedy_element_exit_code(capsys, tmp_path):
+    chainfile = tmp_path / "chain.txt"
+    chainfile.write_text("union(greedy 1/3, explicit{2,5})\n")
+    code, out, _ = run(capsys, "chain", "certify", str(chainfile), "--epsilon", "1/10")
+    assert code == 0
+    assert json.loads(out)["N_epsilon"] == 11
 
 
 def test_quotient_closure(capsys, tmp_path):

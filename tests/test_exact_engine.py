@@ -29,6 +29,7 @@ from cesaro.exprs import (
     predicate_spec,
 )
 from cesaro.limits import NotExactlySolvable
+from conftest import _brute_blocks, _brute_greedy
 
 # ---------------------------------------------------------------------------
 # the frozenset engine, as the oracle
@@ -389,3 +390,121 @@ def test_midpoint_form_of_nested_midpoints():
     outer = c.Midpoint(inner, c.Residue(2, frozenset({0})))
     rep = c.exact_limits(outer)
     assert (rep.upper, rep.lower, rep.method) == (Fraction(7, 16), Fraction(7, 16), "exact")
+
+
+# ---------------------------------------------------------------------------
+# greedy and periodic run-list sets as fuzzy forms, and null operands
+
+
+@st.composite
+def _periodic_leaves(draw):
+    """A greedy set with q <= 5000, or a cycle or repeat-last run list, and
+    where its periodic part starts: after n = 2, or after the listed runs."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 5000))
+        e = c.Greedy(Fraction(draw(st.integers(0, q)), q))
+        return e, 2
+    head = draw(st.integers(0, 50))
+    runs = tuple(draw(st.lists(st.integers(1, 50), min_size=1, max_size=5)))
+    z = c.RunList(head, runs, draw(st.sampled_from(("cycle", "repeat-last"))))
+    return c.Blocks(z), head + sum(runs)
+
+
+def _oracle(e, N):
+    if isinstance(e, c.Greedy):
+        return _brute_greedy(e.target, N)
+    return _brute_blocks(e.z, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_periodic_leaves())
+def test_greedy_and_run_list_forms_predict_their_counts(leaf):
+    e, start = leaf
+    f = _form(e)
+    assert f.fuzz
+    L, R = f.modulus, f.residues
+    assert np.all(R[1:] > R[:-1]) and (not R.size or 0 <= R[0] <= R[-1] < L)
+    members = sorted(_oracle(e, start + 3 * L))
+    at = [sum(1 for n in members if n <= start + k * L) for k in range(4)]
+    for k in (1, 2, 3):
+        assert at[k] - at[0] == k * R.size, k
+        assert c.count_upto(e, start + k * L) == at[k], k
+    period = np.flatnonzero(c.indicator(e, start + L)[start:]) + start + 1
+    assert np.array_equal(np.sort(period % L), R)
+    assert f.density == c.exact_limits(e).limit
+
+
+@pytest.mark.parametrize("text", ["greedy 0.41421356", "blocks list [1;1000000000] cycle"])
+def test_periods_past_the_canon_modulus_build_no_form(text):
+    # q = 2.5·10^7 and a period of 2·10^9: neither is written out
+    e = c.parse_expr(text)
+
+    def attempt():
+        try:
+            return c.exact_limits(e)
+        except NotExactlySolvable as exc:
+            return str(exc)
+
+    out, peak = _peak(attempt)
+    if text.startswith("greedy"):
+        assert (out.upper, out.lower, out.method) == (Fraction(10355339, 25000000),) * 2 + ("exact",)
+    else:
+        assert out == "blocks list [1;1000000000] cycle has no block formula"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "text, upper, lower",
+    [
+        ("blocks list [0;1,2,4] cycle", Fraction(1, 2), Fraction(1, 2)),
+        ("union(greedy 1/2000, explicit{1})", Fraction(1, 2000), Fraction(1, 2000)),
+        (
+            "compl(union(union(predicate primes, blocks list [1;368] cycle), residue 7 {0,1,2}))",
+            Fraction(2, 7),
+            Fraction(2, 7),
+        ),
+        ("midpoint(residue 2 {1}, greedy 1/2)", Fraction(3, 4), Fraction(3, 4)),
+        # a null operand drops out next to an operand with limits only
+        ("union(blocks geometric 2, predicate squares)", Fraction(2, 3), Fraction(1, 3)),
+        ("shift 1 union(blocks poly 3, predicate squares)", Fraction(1, 2), Fraction(1, 2)),
+        ("inter(blocks poly 2, predicate primes)", Fraction(0), Fraction(0)),
+    ],
+)
+def test_exact_limits_of_greedy_run_list_and_null_operand_trees(text, upper, lower):
+    rep = c.exact_limits(c.parse_expr(text))
+    assert (rep.upper, rep.lower) == (upper, lower)
+
+
+def test_greedy_with_a_point_added_classifies_exactly():
+    # streamed at the default horizon this was Null: 1/2000 is near the
+    # tolerance
+    cls = c.classify(c.parse_expr("union(greedy 1/2000, explicit{1})"))
+    assert cls.kind == "InF" and not cls.approximate
+    assert cls.report.limit == Fraction(1, 2000)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # an intersection with a null operand, or a diff from one, is null
+        # even when the other side has no rule
+        "inter(inter(predicate paired, residue 3 {0}), predicate cubes)",
+        "diff(explicit{4,9}, inter(predicate paired, residue 3 {0}))",
+    ],
+)
+def test_null_operand_makes_an_unsolved_side_null(text):
+    rep = c.exact_limits(c.parse_expr(text))
+    assert (rep.upper, rep.lower, rep.method) == (0, 0, "exact")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "union(predicate primes, inter(predicate paired, residue 3 {0}))",
+        "symdiff(explicit{1}, inter(predicate paired, residue 3 {0}))",
+        "diff(inter(predicate paired, residue 3 {0}), predicate squares)",
+    ],
+)
+def test_null_operand_leaves_an_unsolved_side_unsolved(text):
+    with pytest.raises(NotExactlySolvable):
+        c.exact_limits(c.parse_expr(text))

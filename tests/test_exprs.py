@@ -498,6 +498,9 @@ def test_primes_beyond_the_sieve_limit_are_rejected_before_allocating(op):
 # explicit set has no phase table, so these trees walk masks
 
 _UNION = "union(explicit{1}, blocks geometric 2)"
+#: a union with an explicit set that the exact engine does not solve, so
+#: that classify streams it
+_STREAMED = "union(explicit{1}, inter(predicate paired, residue 3 {0}))"
 
 
 @pytest.mark.parametrize(
@@ -506,7 +509,7 @@ _UNION = "union(explicit{1}, blocks geometric 2)"
         lambda: c.indicator(c.parse_expr(_UNION), MAX_MASK),
         lambda: c.partial_average(c.parse_expr(_UNION), 10**12),
         lambda: c.estimate_limits(c.parse_expr(_UNION), 10**12),
-        lambda: c.classify(c.parse_expr(_UNION), 10**12),
+        lambda: c.classify(c.parse_expr(_STREAMED), 10**12),
         lambda: c.prefix_scan(c.parse_expr(_UNION), 1, 10**12),
         lambda: c.count_upto(
             c.parse_expr("midpoint(residue 4 {0}, union(residue 2 {0}, explicit{1}))"), 10**12
@@ -515,7 +518,7 @@ _UNION = "union(explicit{1}, blocks geometric 2)"
         lambda: c.estimate_limits(c.parse_expr("shift 1 explicit{1}"), 2**31),
         lambda: c.estimate_limits(c.parse_expr("dilate 2 explicit{1}"), 2**31),
         lambda: c.estimate_limits(c.parse_expr("shift 1 predicate primes"), 2**31),
-        lambda: c.classify(c.parse_expr("dilate 2 union(explicit{1}, blocks geometric 2)"), 2**31),
+        lambda: c.classify(c.parse_expr(f"dilate 2 {_STREAMED}"), 2**31),
         lambda: c.count_upto(c.parse_expr("midpoint(residue 2 {0}, shift 1 explicit{1})"), 2**31),
     ],
     ids=[
@@ -540,6 +543,26 @@ def test_prefix_walks_beyond_the_mask_limit_are_rejected_before_allocating(call)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "text, N, upper, lower",
+    [
+        (_UNION, 10**12, Fraction(2, 3), Fraction(1, 3)),
+        (f"dilate 2 {_UNION}", 2**31, Fraction(1, 3), Fraction(1, 6)),
+    ],
+)
+def test_a_null_operand_drops_out_before_any_mask(text, N, upper, lower):
+    # the explicit set is null, so the union has the block set's limits
+    tracemalloc.start()
+    try:
+        cls = c.classify(c.parse_expr(text), N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cls.kind == "NotInF" and not cls.approximate
+    assert (cls.report.upper, cls.report.lower) == (upper, lower)
     assert peak < 2**20
 
 

@@ -148,9 +148,21 @@ def test_classify_unknown_kind():
     # {501..750} is null, but at horizon 1000 its window has not settled
     late = c.Diff(c.Shift(500, c.All()), c.Shift(750, c.All()))
     assert c.estimate_limits(late, 1000).verdict is c.Verdict.UNKNOWN
-    cls = c.classify(c.Inter(c.Blocks(c.Geometric(2)), late), 1000)
+    # {512..750}, the members of blocks geometric 2 in late, from a tree the
+    # exact engine does not solve
+    geo = c.Blocks(c.Geometric(2))
+    cls = c.classify(c.Diff(c.Inter(geo, c.Shift(500, c.All())), c.Shift(750, c.All())), 1000)
     assert cls.kind == "Unknown" and cls.approximate
     assert cls.report.verdict is c.Verdict.UNKNOWN and cls.report.limit is None
+
+
+def test_intersection_with_a_null_operand_is_exactly_null():
+    # late is null, so its intersection with a block set is, whatever the
+    # block set's limits
+    late = c.Diff(c.Shift(500, c.All()), c.Shift(750, c.All()))
+    cls = c.classify(c.Inter(c.Blocks(c.Geometric(2)), late), 1000)
+    assert cls.kind == "Null" and not cls.approximate
+    assert cls.report.upper == cls.report.lower == 0
 
 
 def test_report_as_dict_rendering():
@@ -496,14 +508,24 @@ def test_midpoint_exact_limits_match_a_count_over_two_periods():
 
 
 def test_midpoint_without_a_union_rule_is_not_exact():
-    # greedy 1/2 is {1} and the evens from 4: not nested with the odds, so
-    # d(upper) cannot stand in for the union's density
-    e = c.parse_expr("midpoint(residue 2 {1}, greedy 1/2)")
+    # the dilated paired set lies in the evens, disjoint from the odds, so
+    # d(upper) = 1/4 cannot stand in for the union's density 3/4, and the
+    # union of a form with the paired set has no rule
+    e = c.parse_expr("midpoint(residue 2 {1}, dilate 2 predicate paired)")
     with pytest.raises(NotExactlySolvable):
         c.exact_limits(e)
-    assert c.partial_average(e, 10**6) == Fraction(3, 4)
+    assert c.partial_average(e, 10**6) == Fraction(5, 8)
     cls = c.classify(e, 10**6)
-    assert cls.kind == "InF" and cls.approximate and abs(cls.report.limit - 0.75) < 1e-3
+    assert cls.kind == "InF" and cls.approximate and abs(cls.report.limit - 0.625) < 1e-3
+
+
+def test_midpoint_with_a_greedy_operand_takes_the_union_form():
+    # greedy 1/2 is {1} and the evens from 4: not nested with the odds, but
+    # a fuzzy form, so the union of the two is all of N up to a null set
+    e = c.parse_expr("midpoint(residue 2 {1}, greedy 1/2)")
+    rep = c.exact_limits(e)
+    assert (rep.upper, rep.lower, rep.method) == (Fraction(3, 4), Fraction(3, 4), "exact")
+    assert c.partial_average(e, 10**6) == Fraction(3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -630,10 +630,10 @@ def test_chain_phi_memory_is_its_masks_plus_chunks():
 
 
 def test_chain_nus_take_the_streamed_estimate_where_the_exact_engine_fails():
-    e = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    e = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
     with pytest.raises(c.NotExactlySolvable):
         c.exact_limits(e)
-    assert _chain_nus([e], 10**5) == ([Fraction(8333750000000001, 25000000000000000)], True)
+    assert _chain_nus([e], 10**5) == ([Fraction(4167437494792281, 25000000000000000)], True)
     exact = [c.Residue(2, frozenset({0})), c.Dilate(2, c.Predicate("squares"))]
     assert _chain_nus(exact, 10**5) == ([Fraction(1, 2), Fraction(0)], False)
 
@@ -653,7 +653,7 @@ def test_trimming_with_long_denominators_matches_the_big_int_rule():
 
 @pytest.mark.parametrize("chain_map", [c.chain_psi, c.chain_phi])
 def test_chain_maps_take_an_estimated_density(chain_map):
-    e = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    e = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
     out = chain_map([e], 10**5)
     assert out.approximate
     (mod,) = out.modifications
@@ -661,6 +661,20 @@ def test_chain_maps_take_an_estimated_density(chain_map):
     assert nu.denominator > 10**15  # the streamed estimate, as a float's decimal
     counts = np.cumsum(mod.modified_mask).tolist()
     assert all(k * nu.denominator <= nu.numerator * n for n, k in enumerate(counts, 1))
+
+
+@pytest.mark.parametrize("chain_map", [c.chain_psi, c.chain_phi])
+def test_chain_maps_take_a_greedy_sets_exact_density(chain_map):
+    # greedy 1/3 is periodic from n = 3 on: with two points added its
+    # density is still exactly 1/3
+    e = c.parse_expr("union(greedy 1/3, explicit{2,5})")
+    assert _chain_nus([e], 10**5) == ([Fraction(1, 3)], False)
+    out = chain_map([e], 10**5)
+    assert not out.approximate
+    (mod,) = out.modifications
+    assert mod.nu == Fraction(1, 3)
+    counts = np.cumsum(mod.modified_mask).tolist()
+    assert all(3 * k <= n for n, k in enumerate(counts, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -471,10 +471,11 @@ def _streamed_verdict_oracle(a, b, horizon, tolerance):
 
 def test_null_equivalent_streamed_matches_count_array():
     geo = c.Blocks(c.Geometric(2))
-    greedy = c.Greedy(Fraction(3, 7))
+    # no exact rule: the paired set next to a residue class
+    paired = c.Inter(c.Predicate("paired"), c.Residue(3, frozenset({0})))
     pairs = [
         (c.Inter(geo, c.Residue(2, frozenset({0}))), c.Empty()),
-        (greedy, c.Union(greedy, c.Predicate("cubes"))),
+        (paired, c.Union(paired, c.Predicate("cubes"))),
         (c.Union(geo, c.Residue(3, frozenset({0}))), c.Diff(geo, c.Predicate("pow2"))),
         (c.Midpoint(c.Inter(geo, c.Residue(3, frozenset({1}))), geo), geo),
         # {n > 200}, streamed: at horizon 1000 only the lowest sub-window
@@ -485,6 +486,24 @@ def test_null_equivalent_streamed_matches_count_array():
         for horizon, tolerance in ((1000, 1e-3), (2**16 + 5, 1e-3), (200_000, 0.2)):
             want = _streamed_verdict_oracle(a, b, horizon, tolerance)
             assert c.null_equivalent(a, b, horizon, tolerance) == want, (a, b, horizon)
+
+
+@pytest.mark.parametrize(
+    "a, b, horizon",
+    [
+        ("greedy 3/7", "union(greedy 3/7, predicate cubes)", 10**6),
+        ("greedy 3/7", "union(greedy 3/7, predicate squares)", 10**5),
+        ("greedy 35/37", "union(greedy 35/37, predicate primes)", 10**6),
+    ],
+)
+def test_greedy_plus_a_null_set_is_exactly_equivalent(a, b, horizon):
+    # a greedy set is a fuzzy form, so the symmetric difference is the null
+    # predicate's points outside a periodic set: exactly null, however slowly
+    # its average decays
+    verdict = c.null_equivalent(c.parse_expr(a), c.parse_expr(b), horizon)
+    assert verdict == c.EquivalenceVerdict(
+        "Equivalent", "exact symmetric-difference density 0", Fraction(0), True
+    )
 
 
 def test_disjoint_representatives():
