@@ -58,9 +58,7 @@ import numpy as np
 #: they have density 0 anyway and usually signal misuse.
 MAX_EXPLICIT = 10**6
 
-#: Largest modulus produced by residue rewriting in ``canonicalize``, and
-#: the largest period of a greedy or run-list set that the exact engine
-#: writes out as a form; a longer one keeps its limits only.
+#: Largest modulus of residue rewriting in ``canonicalize`` and of greedy/run-list forms.
 MAX_CANON_MODULUS = 10**6
 
 #: residue refinement guard: reject common moduli beyond this
@@ -511,7 +509,7 @@ class ZSpec(_Keyed):
     def _table(self, N: int) -> _Table:
         return _run_table(self._ends(N), N)
 
-    def _limits(self) -> tuple[Fraction, Fraction, str]:
+    def _rule(self) -> _Form | tuple[Fraction, Fraction, str]:
         raise NotExactlySolvable(f"blocks {self._format()} has no block formula")
 
     @classmethod
@@ -538,7 +536,7 @@ class Geometric(ZSpec):
         ends = takewhile(lambda e: e < N, accumulate(self.ratio**k for k in count()))
         return np.array(list(ends), dtype=np.int64)
 
-    def _limits(self):
+    def _rule(self):
         r = self.ratio
         # run lengths r**(n-1): averages at block ends alternate between
         # r/(r+1) (after a one-run) and 1/(r+1) (after a zero-run)
@@ -576,7 +574,7 @@ class Poly(ZSpec):
         ends = np.cumsum(runs)
         return ends[: ends.searchsorted(N)]
 
-    def _limits(self):
+    def _rule(self):
         return Fraction(1, 2), Fraction(1, 2), "block-formula"
 
     def _format(self):
@@ -617,19 +615,20 @@ class RunList(ZSpec):
         return self.runs[i % len(self.runs)]
 
     def _tail(self) -> tuple[np.ndarray, np.ndarray]:
-        """The runs of one period once the listed runs are spent, an even
-        number of them so that run parities repeat too, and which of them
-        are members: the odd runs, counted from the head run 0."""
+        """One period of runs once the listed runs are spent (an even number,
+        so parities repeat too) and its members: the odd runs, head run 0."""
         k = 1 + len(self.runs) % 2  # an odd number of cycled runs goes twice
         tail = np.array(self.runs[-1:] * 2 if self.tail == "repeat-last" else self.runs * k)
         return tail, (np.arange(tail.size) + len(self.runs) + 1) % 2 == 1
 
-    def _tail_form(self, tail: np.ndarray, ones: np.ndarray, start: int) -> _Form:
-        """The fuzz-free form of the runs ``tail`` repeated from ``start``
-        on, the end of the listed runs, in absolute residues."""
-        period = int(tail.sum())
-        res = np.flatnonzero(np.repeat(ones, tail))  # offset o is n = start + 1 + o
-        return _table_form(period, _rotate(res, period, (start + 1) % period))
+    @staticmethod
+    def _tail_form(tail: np.ndarray, ones: np.ndarray, start: int, fuzz: bool) -> _Form:
+        """The form of ``tail`` repeated from ``start``, the end of the listed
+        runs, in absolute residues (never empty or full: runs alternate)."""
+        period, z = int(tail.sum()), tail[ones]
+        # the offsets o (n = start + 1 + o) of the members, none of the others
+        res = np.arange(z.sum()) + np.repeat((np.cumsum(tail) - tail)[ones] - (np.cumsum(z) - z), z)
+        return _Form(period, _rotate(res, period, (start + 1) % period), fuzz)
 
     def _table(self, N):
         listed = np.cumsum([self.head, *self.runs])
@@ -641,16 +640,15 @@ class RunList(ZSpec):
         if reps == 1 or reps * tail.size <= tail[ones].sum():  # few runs up to N
             ends = start + np.cumsum(np.tile(tail, reps))
             return _run_table(np.concatenate((listed, ends[ends < N])), N)
-        form = self._tail_form(tail, ones, start)
+        form = self._tail_form(tail, ones, start, False)
         head = _run_table(listed[:-1], start)
         return _Table(np.append(head.bounds, N), np.append(head.phase, 2), (*head.forms, form))
 
-    def _limits(self):
+    def _rule(self):
         tail, ones = self._tail()
         if tail.sum() > MAX_CANON_MODULUS:
-            return super()._limits()
-        f = self._tail_form(tail, ones, self.head + sum(self.runs))
-        return _Form(f.modulus, f.residues, True)  # the listed runs are the fuzz
+            return super()._rule()
+        return self._tail_form(tail, ones, self.head + sum(self.runs), True)  # listed runs: fuzz
 
     @classmethod
     def _parse(cls, p):
@@ -893,7 +891,7 @@ class Blocks(SetExpr):
         return self.z._table(N)
 
     def _rule(self):
-        return self.z._limits()
+        return self.z._rule()
 
     @classmethod
     def _parse(cls, p):
@@ -907,8 +905,7 @@ class Blocks(SetExpr):
 # when the average over 1..n-1 is strictly below the target t = p/q.  By
 # induction (t <= 1, so ceil(t*m) steps by 0 or 1) the count up to N is
 # max(1, ceil(t*(N-1))): 2 never joins, and from 3 on n joins when
-# ceil(t*(n-1)) > ceil(t*(n-2)), that is, n = floor(k*q/p) + 2 for some
-# k >= 1, which has period q in n.
+# ceil(t*(n-1)) > ceil(t*(n-2)), i.e. n = floor(k*q/p) + 2, k >= 1: period q in n.
 
 
 @dataclass(frozen=True)
@@ -951,9 +948,8 @@ class Greedy(SetExpr):
         p, q = self.target.numerator, self.target.denominator
         if q > MAX_CANON_MODULUS:
             return self.target, self.target, "exact"
-        # from 3 on the members are (kq + 2p) // p, k >= 1, and k + p adds q;
-        # k = -c, ..., p - c - 1 for c = [q <= 2p] + [q <= p] lists their
-        # residues in [0, q) in order.  n = 1 and 2 are the fuzz
+        # from 3 on the members are (kq + 2p) // p, k >= 1, and k + p adds q: k = -c,
+        # ..., p - c - 1, c = [q <= 2p] + [q <= p], gives them mod q in order (1, 2: fuzz)
         c = (q <= 2 * p) + (q <= p)
         return _Form(q, np.arange(2 * p - c * q, (p - c) * q + 2 * p, q, dtype=np.int64) // p, True)
 
@@ -1007,11 +1003,6 @@ def _tried(e: SetExpr):
         return e._rule()
     except NotExactlySolvable:
         return None
-
-
-def _null(rule) -> bool:
-    """Whether a rule result is a null form: one with no residues."""
-    return isinstance(rule, _Form) and not rule.residues.size
 
 
 def _unit(lo: bool, hi: bool, x: SetExpr) -> SetExpr:
@@ -1081,27 +1072,38 @@ class Binary(SetExpr):
         return type(self)(a, b)
 
     def _rule(self):
-        return self._joint(_tried(self.left), _tried(self.right))
+        a = _tried(self.left)
+        # with no left form only a constant right operand settles the node,
+        # so the simplified expression goes first: its rule runs the right's
+        simplified = None if isinstance(a, _Form) else self._canon()
+        if simplified is not None and simplified != self:
+            return simplified._rule()
+        return self._joint(a, _tried(self.right), simplified)
 
-    def _joint(self, a, b):
-        """The rule from the operands' rules (None: no rule): their joint
-        lift, else a null operand's rule, else the rule of the simplified
-        expression."""
+    def _joint(self, a, b, simplified=None):
+        """The rule from the operands' rules (None: no rule): a constant operand's,
+        their joint lift, or the simplified expression's (``simplified``: if taken)."""
+        # a form with no residues or all is Empty or All up to a null set: where the
+        # other side's non-members stay out (lo, hi as in _unit), it keeps or drops its members
+        for const, other, left in ((a, b, False), (b, a, True)):
+            if not isinstance(const, _Form) or 0 < const.residues.size < const.modulus:
+                continue
+            full = const.residues.size > 0
+            lo, hi = (self._truth(x, full) if left else self._truth(full, x) for x in (False, True))
+            if lo:  # All, or the other side's complement
+                continue
+            if isinstance(other, _Form):
+                if other.modulus % const.modulus == 0:  # the joint lift, unlifted
+                    return _Form(other.modulus, other.residues if hi else _NONE, a.fuzz or b.fuzz)
+            elif other is not None or not hi:
+                return other if hi else _Form(const.modulus, _NONE, const.fuzz)
         if isinstance(a, _Form) and isinstance(b, _Form):
             L = math.lcm(a.modulus, b.modulus)
             if _fits(a, L) and _fits(b, L):
                 return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
-        elif _null(a) or _null(b):
-            # a null operand acts as Empty: it drops out, leaving the other
-            # side's limits, or the result lies within it
-            null, other = (a, b) if _null(a) else (b, a)
-            if not self._truth(other is a, other is b):  # other side's points dropped
-                return null
-            if other is not None:
-                return other
         # identities like union with Empty can hide a solvable core; retry
         # once on the simplified expression
-        simplified = self._canon()
+        simplified = simplified or self._canon()
         if simplified != self:
             return simplified._rule()
         raise NotExactlySolvable(f"{type(self).__name__} is not exactly solvable here")

@@ -5,16 +5,16 @@ once: a periodic normal form (residues modulo m as a sorted int64 array,
 possibly perturbed by a density-zero set), else the node's limits.  A
 null perturbation never moves the upper or lower limit, so |R|/m survives
 finite exceptions and unions with known null sets.  Greedy sets and
-periodic run lists are such forms; other block families have closed
-forms; complements, dilations, shifts and midpoints follow from their
-operands' results.  A Boolean node with no joint form treats a null
-operand (no residues) as Empty, next to any operand, else retries once
-on its ``canonicalize``d expression.  Everything else
-falls back to a windowed streaming estimate with an explicit Unknown
-verdict when the evidence is inconclusive.  The estimate reads the set's
-phase table where it has one, with no mask and so no mask limit, and
-otherwise one mask, only in the blocks that can hold an extreme; both
-give the same floats (``_window_extremes``).
+periodic run lists are such forms, other block families have closed
+forms, and complements, dilations, shifts and midpoints follow from their
+operands' results.  In a Boolean node a null operand (no residues) acts
+as Empty next to any operand; with no joint form the node retries once on
+its ``canonicalize``d expression.  Everything else falls back to a
+windowed streaming estimate with an explicit Unknown verdict when the
+evidence is inconclusive.  The estimate reads the set's phase table where
+it has one, with no mask and so no mask limit, and otherwise one mask,
+only in the blocks that can hold an extreme; both give the same floats
+(``_window_extremes``).
 """
 
 from __future__ import annotations

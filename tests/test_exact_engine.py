@@ -468,6 +468,9 @@ def test_periods_past_the_canon_modulus_build_no_form(text):
         ("union(blocks geometric 2, predicate squares)", Fraction(2, 3), Fraction(1, 3)),
         ("shift 1 union(blocks poly 3, predicate squares)", Fraction(1, 2), Fraction(1, 2)),
         ("inter(blocks poly 2, predicate primes)", Fraction(0), Fraction(0)),
+        # All up to a null set keeps the other side's points, or drops them
+        ("inter(compl(explicit{3}), blocks geometric 2)", Fraction(2, 3), Fraction(1, 3)),
+        ("diff(blocks poly 2, residue 2 {0,1})", Fraction(0), Fraction(0)),
     ],
 )
 def test_exact_limits_of_greedy_run_list_and_null_operand_trees(text, upper, lower):
@@ -508,3 +511,82 @@ def test_null_operand_makes_an_unsolved_side_null(text):
 def test_null_operand_leaves_an_unsolved_side_unsolved(text):
     with pytest.raises(NotExactlySolvable):
         c.exact_limits(c.parse_expr(text))
+
+
+def test_run_list_table_holds_no_entry_per_non_member():
+    # one member per period of 10^9 + 1: the table's periodic piece lists
+    # its one member residue, not a flag for every point of the period
+    e = c.parse_expr("blocks list [0;1,1000000000] cycle")
+    N = 3 * 10**9
+
+    def counts():
+        return c.count_upto(e, N), c.prefix_scan(e, 10**9, N)
+
+    (upto, scan), peak = _peak(counts)
+    # the members are n = 1 + k·(10^9 + 1), k >= 0
+    assert upto == 3 and scan == c.PrefixStat(2 * 10**9 + 1, 2)
+    assert peak < 1 << 20
+
+
+_CONSTANT_LEAVES = (
+    "empty",
+    "explicit{1,8}",
+    "predicate squares",
+    "dilate 4 explicit{2}",
+    "dilate 5 predicate cubes",
+    "all",
+    "compl(explicit{3})",
+    "residue 2 {0,1}",
+)
+_FORM_LEAVES = ("residue 12 {1,5,6}", "greedy 5/12", "blocks list [2;3,1] cycle", "residue 4 {3}")
+
+
+@pytest.mark.parametrize("op", _BOOLEAN)
+@pytest.mark.parametrize("const", _CONSTANT_LEAVES)
+@pytest.mark.parametrize("other", _FORM_LEAVES)
+def test_constant_operand_next_to_a_form_gives_the_joint_lift(op, const, other, monkeypatch):
+    k, f = _form(c.parse_expr(const)), _form(c.parse_expr(other))
+    full = {0} if k.residues.size else set()
+    L = math.lcm(k.modulus, f.modulus)
+    for left, right in ((const, other), (other, const)):
+        x, y = (_form(c.parse_expr(t)) for t in (left, right))
+        lifted = (_SetForm(L, _lift_set(frozenset(g.residues.tolist()), g.modulus, L), g.fuzz) for g in (x, y))
+        want = _set_merge(*lifted, op.set_op)
+        got = _form(op(c.parse_expr(left), c.parse_expr(right)))
+        assert (got.modulus, set(got.residues.tolist()), got.fuzz) == (
+            want.modulus,
+            want.residues,
+            want.fuzz,
+        )
+        # where the other side's non-members stay out, the constant decides
+        # from the truth table alone: nothing is lifted or merged
+        if L == f.modulus and not op.set_op(*((set(), full) if left == other else (full, set()))):
+            with monkeypatch.context() as m:
+                m.setattr(op, "array_op", staticmethod(lambda *args: pytest.fail("merged")))
+                _form(op(c.parse_expr(left), c.parse_expr(right)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # no rule on the left, a form on the right that is not null
+        "inter(inter(predicate paired, residue 3 {0}), greedy 537/991)",
+        "union(inter(predicate paired, residue 3 {0}), greedy 537/991)",
+        # limits only on the left
+        "union(blocks geometric 2, greedy 537/991)",
+        # the simplified expression differs: its retry runs the right's rule
+        "symdiff(inter(predicate paired, residue 6 {0,3}), greedy 537/991)",
+    ],
+)
+def test_right_rule_runs_once_next_to_a_left_without_a_form(text, monkeypatch):
+    calls = Counter()
+    rule = c.Greedy._rule
+
+    def counted(self):
+        calls[self] += 1
+        return rule(self)
+
+    monkeypatch.setattr(c.Greedy, "_rule", counted)
+    with pytest.raises(NotExactlySolvable):
+        c.exact_limits(c.parse_expr(text))
+    assert calls == Counter({c.Greedy(Fraction(537, 991)): 1})

@@ -148,10 +148,11 @@ def test_classify_unknown_kind():
     # {501..750} is null, but at horizon 1000 its window has not settled
     late = c.Diff(c.Shift(500, c.All()), c.Shift(750, c.All()))
     assert c.estimate_limits(late, 1000).verdict is c.Verdict.UNKNOWN
-    # {512..750}, the members of blocks geometric 2 in late, from a tree the
-    # exact engine does not solve
+    # {512..750} on [1, 1000]: the members of blocks geometric 2 in late,
+    # joined with a set that has no exact rule and no point up to 1000
     geo = c.Blocks(c.Geometric(2))
-    cls = c.classify(c.Diff(c.Inter(geo, c.Shift(500, c.All())), c.Shift(750, c.All())), 1000)
+    unsolved = c.parse_expr("shift 1000 inter(predicate paired, residue 3 {0})")
+    cls = c.classify(c.Union(c.Inter(geo, late), unsolved), 1000)
     assert cls.kind == "Unknown" and cls.approximate
     assert cls.report.verdict is c.Verdict.UNKNOWN and cls.report.limit is None
 
@@ -161,6 +162,15 @@ def test_intersection_with_a_null_operand_is_exactly_null():
     # block set's limits
     late = c.Diff(c.Shift(500, c.All()), c.Shift(750, c.All()))
     cls = c.classify(c.Inter(c.Blocks(c.Geometric(2)), late), 1000)
+    assert cls.kind == "Null" and not cls.approximate
+    assert cls.report.upper == cls.report.lower == 0
+
+
+def test_diff_from_all_up_to_a_null_set_is_exactly_null():
+    # shift 750 all is all of N but {1..750}, so what a block set keeps
+    # outside it is finite
+    geo = c.Blocks(c.Geometric(2))
+    cls = c.classify(c.Diff(c.Inter(geo, c.Shift(500, c.All())), c.Shift(750, c.All())), 1000)
     assert cls.kind == "Null" and not cls.approximate
     assert cls.report.upper == cls.report.lower == 0
 
