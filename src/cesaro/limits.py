@@ -13,8 +13,8 @@ its ``canonicalize``d expression.  Everything else falls back to a
 windowed streaming estimate with an explicit Unknown verdict when the
 evidence is inconclusive.  The estimate reads the set's phase table where
 it has one, with no mask and so no mask limit, and otherwise one mask,
-only in the blocks that can hold an extreme; both give the same floats
-(``_window_extremes``).
+only in the runs of blocks that can hold an extreme; both give the same
+floats (``_window_extremes``).
 """
 
 from __future__ import annotations
@@ -171,16 +171,17 @@ def _piece_extremes(seg: np.ndarray, a: int, carry: int, total: int, buf: np.nda
 
 
 def _dense_extremes(fill, a: int, b: int, carry: int, buf: np.ndarray):
-    """(max, min) of c_n/n over n in (a, b] for c_a = carry, from the mask
-    ``fill(x, y)`` of n = x + 1, ..., y, one ``_CHUNK`` at a time
-    (``_piece_extremes``)."""
+    """(max, min) of c_n/n over n in (a, b], and c_b, for c_a = carry, from
+    the mask ``fill(x, y)`` of n = x + 1, ..., y, one ``_CHUNK`` at a time
+    (``_piece_extremes``): the one reader of a table's short pieces, of a
+    mask's runs of picked blocks and of a mask read whole."""
     top, bottom = -math.inf, math.inf
     for x in range(a, b, _CHUNK):
         seg = fill(x, min(b, x + _CHUNK))
         total = int(np.count_nonzero(seg))
         t, m = _piece_extremes(seg, x, carry, total, buf)
         top, bottom, carry = max(top, t), min(bottom, m), carry + total
-    return top, bottom
+    return top, bottom, carry
 
 
 def _form_extremes(f: _Form, a: np.ndarray, b: np.ndarray, ca: np.ndarray):
@@ -244,7 +245,7 @@ def _table_extremes(t: _Table, cuts: np.ndarray):
             tops[i] = np.maximum(tops[i], top)
             bottoms[i] = np.minimum(bottoms[i], bottom)
         for i in np.flatnonzero(on & ~long).tolist():
-            top, bottom = _dense_extremes(t.fill, int(a[i]), int(b[i]), int(ca[i]), buf)
+            top, bottom, _ = _dense_extremes(t.fill, int(a[i]), int(b[i]), int(ca[i]), buf)
             tops[i], bottoms[i] = max(tops[i], top), min(bottoms[i], bottom)
     return tops, bottoms
 
@@ -260,81 +261,24 @@ _LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
 _SUM_SHORTS = np.uint64(0x0001000100010001)
 
 
-def _block_extremes(mask: np.ndarray, a, k, ca, t):
-    """(max, min) of c_n/n over n in (a, a + k] per piece, 0 < k <=
-    ``_BLOCK``, from the mask of n = 1, ..., N, N >= ``_BLOCK``, with c_a
-    = ca and t members.
-
-    ``_piece_extremes`` for many short pieces at once: the candidates are
-    the positions of the bit rarer over all the pieces, the counts there
-    are closed-form in each piece's carry, and each piece's extremes are a
-    segmented reduction over its candidates.
-    """
-    m, width = a.size, _BLOCK
-    # each piece's row of the mask, from the piece on or the last B positions
-    r = np.minimum(a, mask.size - width)
-    o = a - r
-    rows = np.lib.stride_tricks.sliding_window_view(mask, width)[r]  # a copy
-    members = 2 * int(t.sum()) <= int(k.sum())
-    bits = rows if members else ~rows
-    for i in np.flatnonzero((o > 0) | (k < width)).tolist():
-        bits[i, : o[i]] = bits[i, o[i] + k[i] :] = False  # outside the piece
-    first = (ca + rows[np.arange(m), o]) / (a + 1)
-    last = (ca + t) / (a + k)
-    top, bottom = np.maximum(first, last), np.minimum(first, last)
-    f = np.flatnonzero(bits)
-    if not f.size:
-        return top, bottom
-    cnt = t if members else k - t
-    off = np.cumsum(cnt) - cnt
-    # the j-th candidate, in row i at column f - i * width, is n = a - o +
-    # f - i * width + 1, where c_n is c_a + j - off + 1 for a member and
-    # c_a + (n - a - 1) - (j - off) for a non-member
-    n = f + np.repeat(a - o - np.arange(m) * width + 1, cnt)
-    j = np.arange(f.size)
-    c = j + np.repeat(ca + 1 - off, cnt) if members else n - j + np.repeat(ca - a - 1 + off, cnt)
-    has = cnt > 0
-    starts = off[has]
-    at = (np.maximum if members else np.minimum).reduceat(c / n, starts)
-    # one point earlier the count drops by one after a member; a candidate
-    # at a + 1 has no such point inside its piece, so it stands for itself
-    c -= members
-    n -= 1
-    firsts = starts[n[starts] == a[has]]
-    c[firsts] += members
-    n[firsts] += 1
-    before = (np.minimum if members else np.maximum).reduceat(c / n, starts)
-    top[has] = np.maximum(top[has], at if members else before)
-    bottom[has] = np.minimum(bottom[has], before if members else at)
-    return top, bottom
-
-
-def _scan(mask: np.ndarray, cuts: list[int], counts: list[int]):
-    """(max, min) of c_n/n on each piece between consecutive ``cuts``, none
-    longer than ``_CHUNK``, from the mask and the prefix counts at the cuts."""
-    buf = np.empty((3, _CHUNK // 2))
-    tops, bottoms = np.empty((2, len(cuts) - 1))
-    for i, (a, b, ca, cb) in enumerate(zip(cuts, cuts[1:], counts, counts[1:])):
-        tops[i], bottoms[i] = _piece_extremes(mask[a:b], a, ca, cb - ca, buf)
-    return np.array(cuts), tops, bottoms
-
-
 def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, segments):
     """The cuts of (first, last] and the (max, min) of c_n/n on each piece
     between them, from a mask; see ``_window_extremes``."""
     B = _BLOCK
     bounds = edges.tolist()
-    # pieces of at most _CHUNK from each window bound, cut on the block grid
-    chunks = []
-    for a, b in zip(bounds, bounds[1:]):
-        chunks += [a, *range(a - a % B + _CHUNK, b, _CHUNK)]
-    chunks.append(last)
+    buf = np.empty((3, _CHUNK // 2))
+
+    def fill(x, y):
+        return mask[x:y]
+
     carry = int(np.count_nonzero(mask[:first]))
     # a short span, or a rarer bit under one position per block before it,
-    # is scanned whole: counting blocks costs more than reading it
+    # is read whole: counting blocks costs more than reading it
     if last - first < _PRUNE_FROM or min(carry, first - carry) * B < first:
-        counts = [carry, *(np.count_nonzero(mask[a:b]) for a, b in zip(chunks, chunks[1:]))]
-        return _scan(mask, chunks, np.cumsum(counts).tolist())
+        tops, bottoms = np.empty((2, len(bounds) - 1))
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            tops[i], bottoms[i], carry = _dense_extremes(fill, a, b, carry, buf)
+        return edges, tops, bottoms
     mask = np.ascontiguousarray(mask)
     base, top = first - first % B, last - last % B
     # the count of every aligned block: byte lanes of a uint64 lane sum,
@@ -350,28 +294,15 @@ def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, s
     grid[0] = carry - np.count_nonzero(mask[base:first])
     np.cumsum(lanes.view(np.int64), out=grid[1:])
     grid[1:] += grid[0]
-    # c at every chunk cut: from the grid, plus the members before a cut
-    # off it (a window bound)
-    at_chunks = np.array(chunks)
-    chunk_counts = grid[(at_chunks - base) // B]
-    off_grid = {}
-    for i in np.flatnonzero(at_chunks % B).tolist():
-        x = chunks[i]
-        chunk_counts[i] = off_grid[x] = chunk_counts[i] + np.count_nonzero(mask[x - x % B : x])
-    # a flat mask: c_n/n at the chunk cuts spreads less than a block's
-    # bound exceeds its end value (up to about B/4n), so nearly every block
-    # would be read; scan it whole
-    at = chunk_counts[1:] / at_chunks[1:]
-    if (at.max() - at.min()) * 4 * first < B:
-        return _scan(mask, chunks, chunk_counts.tolist())
-    # the grid cut at every window bound off it
+    # the grid cut at every window bound off it, where c is the grid's
+    # count plus the members since the block's start
     points = np.arange(base, top + 1, B)
     cuts, counts, done = [], [], 0
     for x in bounds:
         if x % B:
             j = (x - base) // B + 1
             cuts += [points[done:j], [x]]
-            counts += [grid[done:j], [off_grid[x]]]
+            counts += [grid[done:j], [grid[j - 1] + np.count_nonzero(mask[x - x % B : x])]]
             done = j
     cuts, counts = np.concatenate([*cuts, points[done:]]), np.concatenate([*counts, grid[done:]])
     ends = cuts.searchsorted(edges)
@@ -398,10 +329,20 @@ def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, s
             cap[s], floor[s] = min(cap[s], top_w), max(floor[s], bottom_w)
     sizes = np.diff(ends)
     scan = np.flatnonzero((hi > np.repeat(cap, sizes)) | (lo < np.repeat(floor, sizes)))
+    # picked pieces in one stretch and under _CHUNK // 2 positions apart
+    # join into a run, read whole with the pieces between them: a second
+    # run would cost about that many positions more (see _table_extremes).
+    # A run's (max, min) goes on its first piece; its other pieces keep
+    # their c_b/b, which lies between the two
+    stretch = ends.searchsorted(scan, side="right")
+    split = np.ones(scan.size, dtype=bool)
+    split[1:] = (stretch[1:] != stretch[:-1]) | (a[scan[1:]] - b[scan[:-1]] >= _CHUNK // 2)
+    # each run stops at the piece before the next run's start
+    starts, stops = scan[split], scan[np.roll(split, -1)] + 1
     bottoms = tops.copy()
-    for s in range(0, scan.size, _CHUNK // B):
-        i = scan[s : s + _CHUNK // B]
-        tops[i], bottoms[i] = _block_extremes(mask, a[i], b[i] - a[i], ca[i], t[i])
+    runs = zip(starts.tolist(), cuts[starts].tolist(), cuts[stops].tolist(), counts[starts].tolist())
+    for i, x, y, c in runs:
+        tops[i], bottoms[i], _ = _dense_extremes(fill, x, y, c, buf)
     return cuts, tops, bottoms
 
 
@@ -419,15 +360,16 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
     pass, so c is exact at every block end and every window bound.  c_b/b at a piece's
     end is attained; with t members and 0 < t < b - a, c_n <= min(c_b,
     c_a + n - a) bounds the piece's max by c_b/(a + t) and c_n >= max(c_a,
-    c_b - b + n) its min by c_a/(b - t).  A piece is read for candidates
-    (``_block_extremes``) only if its bound beats the largest or smallest
-    c_b/b of a window holding it.  The skipped pieces cannot hold a
-    window's extreme, and as float rounding is monotone, a bound that does
-    not beat it in floats does not in reals: the floats are those of a
-    dense scan.  A flat mask, whose c_n/n at the ``_CHUNK`` cuts spreads
-    less than ``_BLOCK``/(4 first), would have nearly every block read; it
-    is scanned whole, counted from the blocks (``_mask_extremes``), as is
-    any other mask, counted by chunks.
+    c_b - b + n) its min by c_a/(b - t).  A piece is picked only if its
+    bound beats the largest or smallest c_b/b of a window holding it;
+    picked pieces between the same two window bounds, less than
+    ``_CHUNK // 2`` positions apart, join into a run, read by
+    ``_dense_extremes``, whose (max, min) goes on the run's first piece.
+    The skipped pieces cannot hold a window's extreme, and as float
+    rounding is monotone, a bound that does not beat it in floats does not
+    in reals: the floats are those of a dense scan.  Any other mask is
+    read whole by ``_dense_extremes``, one stretch between window bounds
+    after another.
     """
     cuts, tops, bottoms = _window_pieces(src, segments)
     # windows overlap, so each gets its own (start, end) pair of indices;
@@ -491,9 +433,9 @@ def estimate_limits(
     each piece's rarer bit and just before them; a tree with a phase table
     builds no mask, and no running count or N-long count array is built.
     On a mask, a block-count pass first bounds c_n/n in every block of 256
-    positions, and only the blocks whose bound can beat a window's max or
-    min, from the exact c_b/b at the block ends, are read that way (a short
-    span, a sparse mask and a flat one are read whole); float rounding is
+    positions, and only the runs of blocks whose bound can beat a window's
+    max or min, from the exact c_b/b at the block ends, are read that way
+    (a short span and a sparse mask are read whole); float rounding is
     monotone, so the estimate is the dense scan's to the bit
     (``_window_extremes``).
     """

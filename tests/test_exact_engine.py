@@ -478,6 +478,21 @@ def test_exact_limits_of_greedy_run_list_and_null_operand_trees(text, upper, low
     assert (rep.upper, rep.lower) == (upper, lower)
 
 
+@pytest.mark.parametrize(
+    "text, upper, lower",
+    [
+        ("symdiff(blocks geometric 2,union(blocks geometric 2,empty))", Fraction(0), Fraction(0)),
+        ("diff(blocks poly 2,shift 0 blocks poly 2)", Fraction(0), Fraction(0)),
+        ("inter(compl(compl(predicate paired)),predicate paired)", Fraction(1, 2), Fraction(1, 2)),
+        ("union(midpoint(blocks geometric 3,blocks geometric 3),empty)", Fraction(3, 4), Fraction(1, 4)),
+    ],
+)
+def test_exact_limits_only_the_canonicalize_retry_finds(text, upper, lower):
+    # neither operand pair has a joint form; the simplified expression does
+    rep = c.exact_limits(c.parse_expr(text))
+    assert (rep.upper, rep.lower) == (upper, lower)
+
+
 def test_greedy_with_a_point_added_classifies_exactly():
     # streamed at the default horizon this was Null: 1/2000 is near the
     # tolerance

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro import exprs, limits
+from cesaro import chains, exprs, limits
 from cesaro.exprs import _eval, _Table, _table_or_mask
 from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes, _window_pieces
 from conftest import PERIOD, WINDOW_START, brute_set, random_fragment, window_density
@@ -390,40 +390,62 @@ def test_block_pruned_window_extremes_match_full_count_array(kind, n, offset, se
         assert _window_extremes(mask, segments) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(BLOCK, 20 * BLOCK),
-    seed=st.integers(0, 2**32 - 1),
-    p=st.sampled_from([0.0, 0.02, 0.3, 0.5, 0.9, 1.0]),
-    pieces=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, BLOCK)), min_size=1, max_size=12),
-)
-def test_block_kernel_matches_full_count_array(n, seed, p, pieces):
-    mask = np.random.default_rng(seed).random(n) < p
-    counts = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
-    a = np.array([int(u * (n - 1)) for u, _ in pieces])
-    k = np.minimum([k for _, k in pieces], n - a)
-    before = mask.copy()
-    tops, bottoms = limits._block_extremes(mask, a, k, counts[a], counts[a + k] - counts[a])
-    assert np.array_equal(mask, before)  # the kernel clears its own copy of the rows
-    for i in range(a.size):
-        assert (tops[i], bottoms[i]) == _seg_extremes_oracle(mask, a[i], a[i] + k[i])
+def _runs_read(mask, segments):
+    """``_window_extremes`` of a mask, and the (a, b] of every run it reads
+    through ``_dense_extremes``."""
+    runs = []
+    dense = limits._dense_extremes
+
+    def counted(fill, a, b, carry, buf):
+        runs.append((a, b))
+        return dense(fill, a, b, carry, buf)
+
+    with mock.patch.object(limits, "_dense_extremes", counted):
+        return _window_extremes(mask, segments), runs
 
 
 def test_block_counts_prune_the_primes_union_scan():
     e, H = c.parse_expr("union(predicate primes, blocks geometric 2)"), 2**20
     mask = c.indicator(e, H)
     segments = _estimate_windows(H, 0.5)
-    read = []
-    kernel = limits._block_extremes
-
-    def counted(mask, a, k, ca, t):
-        read.append(int(k.sum()))
-        return kernel(mask, a, k, ca, t)
-
-    with mock.patch.object(limits, "_block_extremes", counted):
-        got = _window_extremes(mask, segments)
+    got, runs = _runs_read(mask, segments)
     assert got == [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
-    assert 0 < sum(read) <= 0.05 * (H - H // 8)
+    assert 0 < sum(b - a for a, b in runs) <= 0.05 * (H - H // 8)
+
+
+@pytest.mark.parametrize(
+    "source", ["union(predicate primes, greedy 1/3)", "union(predicate squares, residue 5 {0,1})"]
+)
+def test_block_runs_longer_than_a_chunk_and_cut_at_window_bounds(source):
+    # flat masks: their picked blocks join into long runs, some longer than
+    # a chunk and some ending at a window bound where the next run starts
+    H = 2**22
+    mask = c.indicator(c.parse_expr(source), H)
+    longest = 0
+    for segments in (_estimate_windows(H, 0.5), chains._windows(H)):
+        got, runs = _runs_read(mask, segments)
+        assert got == [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
+        bounds = {x for window in segments for x in window}
+        assert any(b == x and b in bounds for (_, b), (x, _) in zip(runs, runs[1:]))
+        longest = max(longest, *(b - a for a, b in runs))
+    if "squares" in source:
+        assert longest > _CHUNK
+
+
+def test_block_runs_join_across_short_gaps():
+    # a dilated flat mask has single unpicked blocks between picked ones:
+    # with a run per unbroken stretch of picked blocks its estimate read
+    # 491 runs
+    e, H = c.parse_expr("dilate 4 diff(residue 24 {8,16},greedy 3185/3981)"), 1285946
+    mask = c.indicator(e, H)
+    segments = _estimate_windows(H, 0.5)
+    got, runs = _runs_read(mask, segments)
+    assert got == [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
+    # runs in one stretch lie _CHUNK // 2 or more apart; runs in two have a
+    # window bound between them
+    bounds = np.unique(segments)
+    for (_, b), (x, _) in zip(runs, runs[1:]):
+        assert x - b >= _CHUNK // 2 or bounds.searchsorted(b) < bounds.searchsorted(x, side="right")
 
 
 def _estimate_limits_oracle(e, horizon, window, tolerance):
