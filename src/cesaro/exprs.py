@@ -11,10 +11,20 @@ A node kind is one class; to add one, define its methods.  Each frozen
 dataclass below holds every rule of its kind: membership (``_member``),
 its phase table (``_table``) and mask kernel (``_indicator``), counts
 (``_counts``), the rewrite of ``canonicalize`` (``_canon``), its one
-exact rule (``_rule``: the node's periodic ``_Form``, else its (upper,
-lower, method), computed once from its operands' results), and its DSL
-``keyword``, ``_parse`` and ``_format``.  ``SetExpr`` holds the
-defaults.  The public functions check their arguments and dispatch.
+exact rule (``_rule``: the node's periodic ``_Form``, its ``_Phases`` on
+a generator, else its (upper, lower, method), computed once from its
+operands' results), and its DSL ``keyword``, ``_parse`` and ``_format``.
+``SetExpr`` holds the defaults.  The public functions check their
+arguments and dispatch.
+
+A generator is a leaf whose runs grow without bound, so that it has o(N)
+runs up to N: a geometric or polynomial block set, or ``paired`` (the
+evens on the member runs of geometric 2 at half scale, the odds off
+them).  A tree over one generator and periodic or null sets, under
+Boolean, complement and shift nodes, is up to a null set one periodic
+form on the generator's member runs and one off them (``_Phases``), so
+its limits are an affine image of the generator's.  Two different
+generators, and a dilated generator inside a Boolean node, have no rule.
 
 Residue sets are sorted int64 arrays of distinct residues; the exact
 engine and ``canonicalize`` lift and combine them with the same numpy
@@ -46,6 +56,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, takewhile
@@ -122,7 +133,31 @@ class _Form:
 
 _NONE = np.empty(0, dtype=np.int64)
 _ZERO = np.zeros(1, dtype=np.int64)
-_NONE.flags.writeable = _ZERO.flags.writeable = False  # shared by many forms
+_ONE = np.ones(1, dtype=np.int64)
+_NONE.flags.writeable = _ZERO.flags.writeable = _ONE.flags.writeable = False  # shared by many forms
+
+
+class _Phases(NamedTuple):
+    """A set that follows a generator: up to a null set, the form ``on``
+    on the generator's member runs and the form ``off`` on its other runs.
+
+    The generator ``gen`` is a leaf whose runs grow without bound (a
+    geometric or polynomial block set, or ``paired``), so it has o(N) runs
+    up to N, and a form of modulus L misses its density by less than L in
+    each run: c_N = d(off)·N + (d(on) − d(off))·c_N(runs) + o(N), where
+    c_N(runs) counts the points of the member runs, whose (upper, lower,
+    method) are ``runs``.  Both phases have the period ``period``.
+    ``phases()`` builds (on, off) when a Boolean node or a midpoint combines
+    them; a complement or a shift wraps it and carries ``limits``, the
+    set's own (upper, lower, method) where a leaf gave them, so a lone
+    generator under those nodes builds no form.
+    """
+
+    gen: SetExpr
+    runs: tuple[Fraction, Fraction, str]
+    period: int
+    phases: Callable[[], tuple[_Form, _Form]]
+    limits: tuple[Fraction, Fraction, str] | None = None
 
 
 def _limits_of(rule) -> tuple[Fraction, Fraction, str]:
@@ -130,7 +165,45 @@ def _limits_of(rule) -> tuple[Fraction, Fraction, str]:
     if isinstance(rule, _Form):
         d = rule.density
         return d, d, "exact"
+    if isinstance(rule, _Phases):
+        return rule.limits or _affine(*(f.density for f in rule.phases()), rule.runs)
     return rule
+
+
+def _affine(on: Fraction, off: Fraction, runs) -> tuple[Fraction, Fraction, str]:
+    """The limits of off + (on − off)·ν_N, where ν_N has the limits
+    ``runs``: the ends swap where on < off, and on = off is an exact limit."""
+    upper, lower, method = runs
+    beta = on - off
+    if beta < 0:
+        upper, lower = lower, upper
+    return off + beta * upper, off + beta * lower, method
+
+
+def _phases_of(rule) -> tuple[_Form, _Form]:
+    """(on, off) of a pair; a form is both."""
+    return rule.phases() if isinstance(rule, _Phases) else (rule, rule)
+
+
+def _shared(a, b) -> _Form | _Phases | None:
+    """Where the rule results a and b are forms or pairs on one generator,
+    a pair among them (a, if both are forms); else None."""
+    if not (isinstance(a, (_Form, _Phases)) and isinstance(b, (_Form, _Phases))):
+        return None
+    if isinstance(a, _Phases) and isinstance(b, _Phases):
+        return a if a.gen == b.gen else None
+    return b if isinstance(b, _Phases) else a
+
+
+def _phased(p: _Phases, on: _Form, off: _Form) -> _Form | _Phases:
+    """The pair (on, off) on p's generator; where the two phases are one
+    set, that set as a fuzzy form (it differs from the pair at run ends)."""
+    L = math.lcm(on.modulus, off.modulus)
+    if _fits(on, L) and _fits(off, L):
+        res = _lift(on, L)
+        if np.array_equal(res, _lift(off, L)):
+            return _Form(L, res, True)
+    return _Phases(p.gen, p.runs, L, lambda: (on, off))
 
 
 def _fits(f: _Form, L: int) -> bool:
@@ -151,6 +224,20 @@ def _complement(f: _Form) -> np.ndarray:
     table = np.ones(f.modulus, dtype=bool)
     table[f.residues] = False
     return np.flatnonzero(table)
+
+
+def _complement_form(f: _Form) -> _Form:
+    """The complement of the form f, refused past ``MAX_FORM_ENTRIES``."""
+    if f.modulus > MAX_FORM_ENTRIES:
+        raise NotExactlySolvable(f"complement of a form of modulus {f.modulus} is past the form cap")
+    return _Form(f.modulus, _complement(f), f.fuzz)
+
+
+def _rotated_form(f: _Form, s: int) -> _Form:
+    """The form of f shifted by s >= 0: shifting drops nothing but delays
+    the pattern, so a finite prefix of the rotated residue classes is
+    missing, a null perturbation."""
+    return _Form(f.modulus, _rotate(f.residues, f.modulus, s % f.modulus), f.fuzz or s > 0)
 
 
 def _merged(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +308,13 @@ def _reduce_residue(m: int, res: np.ndarray) -> SetExpr:
 
 _EMPTY_FORM = _Form(1, _NONE, False)
 _ALL_FORM = _Form(1, _ZERO, False)
+_EVEN_FORM = _Form(2, _ZERO, False)
+_ODD_FORM = _Form(2, _ONE, False)
+
+
+def _member_runs() -> tuple[_Form, _Form]:
+    """A block set's phases: all of N on its member runs, nothing off them."""
+    return _ALL_FORM, _EMPTY_FORM
 
 
 def _table_form(L: int, res: np.ndarray) -> _Form:
@@ -891,7 +985,12 @@ class Blocks(SetExpr):
         return self.z._table(N)
 
     def _rule(self):
-        return self.z._rule()
+        rule = self.z._rule()
+        if isinstance(rule, _Form):
+            return rule
+        # geometric and polynomial runs grow without bound: a generator, all
+        # of N on its member runs and nothing off them
+        return _Phases(self, rule, 1, _member_runs, rule)
 
     @classmethod
     def _parse(cls, p):
@@ -985,6 +1084,8 @@ class Predicate(SetExpr):
 
     def _rule(self):
         spec = predicate_spec(self.name)
+        if spec.phases:
+            return spec.phases
         if spec.exact_upper == 0 and spec.exact_lower == 0:
             return _Form(1, _NONE, True)  # known null set
         return spec.exact_upper, spec.exact_lower, "exact"
@@ -1073,16 +1174,17 @@ class Binary(SetExpr):
 
     def _rule(self):
         a = _tried(self.left)
-        # with no left form only a constant right operand settles the node,
-        # so the simplified expression goes first: its rule runs the right's
-        simplified = None if isinstance(a, _Form) else self._canon()
+        # with no left form or pair only a constant right operand settles the
+        # node, so the simplified expression goes first: its rule runs the right's
+        simplified = None if isinstance(a, (_Form, _Phases)) else self._canon()
         if simplified is not None and simplified != self:
             return simplified._rule()
         return self._joint(a, _tried(self.right), simplified)
 
     def _joint(self, a, b, simplified=None):
         """The rule from the operands' rules (None: no rule): a constant operand's,
-        their joint lift, or the simplified expression's (``simplified``: if taken)."""
+        their joint lift (phase by phase on one generator, a form serving as both
+        phases), or the simplified expression's (``simplified``: if taken)."""
         # a form with no residues or all is Empty or All up to a null set: where the
         # other side's non-members stay out (lo, hi as in _unit), it keeps or drops its members
         for const, other, left in ((a, b, False), (b, a, True)):
@@ -1097,16 +1199,29 @@ class Binary(SetExpr):
                     return _Form(other.modulus, other.residues if hi else _NONE, a.fuzz or b.fuzz)
             elif other is not None or not hi:
                 return other if hi else _Form(const.modulus, _NONE, const.fuzz)
-        if isinstance(a, _Form) and isinstance(b, _Form):
-            L = math.lcm(a.modulus, b.modulus)
-            if _fits(a, L) and _fits(b, L):
-                return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
+        p = _shared(a, b)
+        if isinstance(p, _Phases):
+            (a_on, a_off), (b_on, b_off) = _phases_of(a), _phases_of(b)
+            on, off = self._lifted(a_on, b_on), self._lifted(a_off, b_off)
+            if on is not None and off is not None:
+                return _phased(p, on, off)
+        elif p is not None:
+            f = self._lifted(a, b)
+            if f is not None:
+                return f
         # identities like union with Empty can hide a solvable core; retry
         # once on the simplified expression
         simplified = simplified or self._canon()
         if simplified != self:
             return simplified._rule()
         raise NotExactlySolvable(f"{type(self).__name__} is not exactly solvable here")
+
+    def _lifted(self, a: _Form, b: _Form) -> _Form | None:
+        """The forms' joint lift, or None past the caps."""
+        L = math.lcm(a.modulus, b.modulus)
+        if _fits(a, L) and _fits(b, L):
+            return _Form(L, self.array_op(_lift(a, L), _lift(b, L)), a.fuzz or b.fuzz)
+        return None
 
     @classmethod
     def _parse(cls, p):
@@ -1165,9 +1280,23 @@ class Compl(SetExpr):
     def _rule(self):
         f = self.inner._rule()
         if isinstance(f, _Form) and f.modulus <= MAX_FORM_ENTRIES:
-            return _Form(f.modulus, _complement(f), f.fuzz)
-        upper, lower, method = _limits_of(f)
-        return 1 - lower, 1 - upper, method
+            return _complement_form(f)
+        if not isinstance(f, _Phases):
+            return self._flipped(_limits_of(f))
+        gen, runs, period, phases, limits = f
+        limits = limits and self._flipped(limits)
+        return _Phases(gen, runs, period, lambda: tuple(map(_complement_form, phases())), limits)
+
+    @staticmethod
+    def _flipped(limits):
+        # 1 − x as a fraction built directly: mixed int and Fraction
+        # arithmetic costs twice as much
+        upper, lower, method = limits
+        return (
+            Fraction(lower.denominator - lower.numerator, lower.denominator),
+            Fraction(upper.denominator - upper.numerator, upper.denominator),
+            method,
+        )
 
     @classmethod
     def _parse(cls, p):
@@ -1287,13 +1416,18 @@ class Shift(SetExpr):
         return Shift(offset + self.offset, self.inner)
 
     def _rule(self):
-        f = self.inner._rule()
-        if not isinstance(f, _Form):
-            return f
-        shifted = _rotate(f.residues, f.modulus, self.offset % f.modulus)
-        # shifting drops nothing but delays the pattern: a finite prefix
-        # of the shifted residue classes is missing, a null perturbation
-        return _Form(f.modulus, shifted, f.fuzz or self.offset > 0)
+        f, s = self.inner._rule(), self.offset
+        if isinstance(f, _Phases):
+            # the shifted generator is the generator but for O(s) points per
+            # run end, a null set: both phases rotate, unmoved by a multiple
+            # of their period
+            gen, runs, period, phases, limits = f
+            if not s % period:
+                return f
+            return _Phases(
+                gen, runs, period, lambda: tuple(_rotated_form(x, s) for x in phases()), limits
+            )
+        return _rotated_form(f, s) if isinstance(f, _Form) else f
 
     @classmethod
     def _parse(cls, p):
@@ -1337,7 +1471,9 @@ class Midpoint(SetExpr):
     two fuzz-free forms is a form (``_midpoint_form``).  Otherwise the
     exact limit is (d(lower) + d(lower ∪ upper)) / 2 when both exist, the
     union's from its own rule: a null perturbation of an operand may flip
-    the selection parity from some point on, but moves no density.
+    the selection parity from some point on, but moves no density.  Where
+    lower and the union follow one generator, ν_N is that mean phase by
+    phase, so its limits follow from the generator's.
     """
 
     lower: SetExpr
@@ -1400,6 +1536,13 @@ class Midpoint(SetExpr):
                 x = _lift(lo, L)
                 return _midpoint_form(L, x, _diff(_lift(hi, L), x), 0)  # its one-piece table
         union = Union(self.lower, self.upper)._joint(lo, hi)
+        p = _shared(lo, union)
+        if isinstance(p, _Phases):
+            # ν_N is the mean of the lower's and the union's: phase by phase
+            (lo_on, lo_off), (on, off) = _phases_of(lo), _phases_of(union)
+            return _affine(
+                (lo_on.density + on.density) / 2, (lo_off.density + off.density) / 2, p.runs
+            )
         (lu, ll, lm), (uu, ul, um) = _limits_of(lo), _limits_of(union)
         if lu == ll and uu == ul:
             mid = (lu + uu) / 2
@@ -1458,15 +1601,21 @@ def _paired_table(N: int) -> _Table:
     base = Geometric(2)._table((N + 1) // 2)
     bounds = base.bounds * 2
     bounds[-1] = N
-    odd, even = _Form(2, np.array([1]), False), _Form(2, np.array([0]), False)
-    return _Table(bounds, base.phase, (odd, even))  # for base's (Empty, All)
+    return _Table(bounds, base.phase, (_ODD_FORM, _EVEN_FORM))  # for base's (Empty, All)
+
+
+def _paired_phases() -> tuple[_Form, _Form]:
+    """``paired`` on its table's runs: the evens on the member runs, the odds off them."""
+    return _EVEN_FORM, _ODD_FORM
 
 
 @dataclass(frozen=True)
 class PredicateSpec:
     """A named set: its exact limits, and either its phase table, from
     which ``Predicate`` reads membership and counts as for any tree, or
-    its membership, exact count and mask kernels."""
+    its membership, exact count and mask kernels.  A set that follows a
+    generator whose runs grow without bound also gives its ``_Phases``,
+    which is then its exact rule."""
 
     exact_upper: Fraction  # the upper Cesàro limit
     exact_lower: Fraction
@@ -1474,6 +1623,7 @@ class PredicateSpec:
     count_upto: object = None  # N -> int, exactly
     indicator: object = None  # N -> np.ndarray
     table: object = None  # N -> _Table, for a piecewise-periodic set
+    phases: _Phases | None = None
 
 
 def _sparse(term, count) -> PredicateSpec:
@@ -1510,6 +1660,14 @@ PREDICATES: dict[str, PredicateSpec] = {
         exact_upper=Fraction(1, 2),
         exact_lower=Fraction(1, 2),
         table=_paired_table,
+        # its generator holds the runs of geometric 2 at half scale, doubled
+        phases=_Phases(
+            Predicate("paired"),
+            (Fraction(2, 3), Fraction(1, 3), "exact"),
+            2,
+            _paired_phases,
+            (Fraction(1, 2), Fraction(1, 2), "exact"),
+        ),
     ),
 }
 

@@ -7,7 +7,11 @@ null perturbation never moves the upper or lower limit, so |R|/m survives
 finite exceptions and unions with known null sets.  Greedy sets and
 periodic run lists are such forms, other block families have closed
 forms, and complements, dilations, shifts and midpoints follow from their
-operands' results.  In a Boolean node a null operand (no residues) acts
+operands' results.  A tree over one generator, a block set whose runs
+grow without bound or ``paired`` (so o(N) runs up to N), is up to a null
+set a periodic set X on the generator's member runs and Y off them, so
+ν_N = d(Y) + (d(X) − d(Y))·ν_N(generator) + o(1) and both limits follow
+from the block formula.  In a Boolean node a null operand (no residues) acts
 as Empty next to any operand; with no joint form the node retries once on
 its ``canonicalize``d expression.  Everything else falls back to a
 windowed streaming estimate with an explicit Unknown verdict when the
@@ -97,11 +101,18 @@ def exact_limits(e: SetExpr) -> LimitReport:
     Covers residue/explicit Boolean combinations (with null perturbations),
     geometric, polynomial and periodic run-list block sets, greedy targets,
     registered predicates with known limits, and midpoints/complements/
-    affine images of all of these.
+    affine images of all of these.  A tree over one generator (a geometric
+    or polynomial block set, or ``paired``: runs that grow without bound,
+    so o(N) runs up to N) and periodic or null sets is exact too: a
+    periodic set X on the generator's member runs and Y off them has
+    limits d(Y) + (d(X) − d(Y))·(the generator's upper or lower limit).
+    Trees over two different generators, and a dilated generator inside
+    a Boolean node, raise NotExactlySolvable and stream in ``classify``.
     """
     upper, lower, method = _exact(e)
-    verdict = Verdict.IN_F if upper == lower else Verdict.NOT_IN_F
-    return LimitReport(upper, lower, upper if upper == lower else None, method, None, 0, verdict)
+    if upper == lower:
+        return LimitReport(upper, lower, upper, method, None, 0, Verdict.IN_F)
+    return LimitReport(upper, lower, None, method, None, 0, Verdict.NOT_IN_F)
 
 
 # ---------------------------------------------------------------------------

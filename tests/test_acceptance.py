@@ -73,9 +73,14 @@ def test_criterion_03_counterexample_pair():
     cnt = _counts(cc, h)
     narr = np.arange(1, h + 1, dtype=np.int64)
     assert np.all(np.abs(2 * cnt - narr) <= 2)
+    est = c.estimate_limits(c.Inter(b, cc), 2**22, tolerance=1e-2)
+    assert est.verdict is c.Verdict.NOT_IN_F and not est.exact
+    assert est.upper - est.lower >= 0.15
+    # C is the evens on the member runs of geometric 2 at half scale and
+    # the odds off them, so B inter C has exact limits 1/3 and 1/6
     cls_i = c.classify(c.Inter(b, cc), 2**22, tolerance=1e-2)
-    assert cls_i.kind == "NotInF" and cls_i.approximate
-    assert cls_i.report.upper - cls_i.report.lower >= 0.15
+    assert cls_i.kind == "NotInF" and not cls_i.approximate
+    assert (cls_i.report.upper, cls_i.report.lower) == (Fraction(1, 3), Fraction(1, 6))
     budget.check()
 
 

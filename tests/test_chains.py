@@ -492,11 +492,20 @@ def test_verify_chain_on_tables_matches_the_masks(monkeypatch, elements, horizon
     ids=["uniformity_check", "dense_extension", "skeleton"],
 )
 def test_element_without_exact_limit_is_a_chain_error(call):
-    fuzzy = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
+    # two generators, paired's and geometric 3's, have no joint exact rule
+    fuzzy = c.parse_expr("union(inter(predicate paired, blocks geometric 3), explicit{2,5})")
     chain = c.verify_chain([c.Empty(), fuzzy, c.All()], 1000)
     assert chain.elements[1] == fuzzy
     with pytest.raises(c.ChainError, match="^element 1 has no exact limit: Union is not exactly solvable here$"):
         call(chain)
+
+
+def test_paired_element_with_points_added_has_an_exact_limit():
+    # paired is the evens and the odds on alternate runs of one generator,
+    # so inter it with multiples of 3 is 0 or 3 mod 6 on those runs: 1/6
+    fuzzy = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
+    chain = c.verify_chain([c.Empty(), fuzzy, c.All()], 1000)
+    assert _exact_nus(chain.elements) == [0, Fraction(1, 6), 1]
 
 
 def test_greedy_element_with_points_added_has_an_exact_limit():

@@ -36,16 +36,26 @@ def test_limits_exact_json(capsys):
 
 
 def test_limits_streamed_json(capsys):
+    # two generators, geometric 2 and paired's, have no joint exact rule
     code, out, _ = run(
         capsys,
         "limits",
-        "inter(blocks geometric 2, residue 2 {0})",
+        "inter(blocks geometric 2, predicate paired)",
         "--horizon",
         "65536",
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == "streamed" and doc["horizon"] == 65536
+    assert doc["verdict"] == "NotInF"
+
+
+def test_limits_of_one_generator_and_a_residue_class_json(capsys):
+    code, out, _ = run(capsys, "limits", "inter(blocks geometric 2, residue 2 {0})")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "block-formula" and doc["horizon"] is None
+    assert (doc["upper"]["rational"], doc["lower"]["rational"]) == ("1/3", "1/6")
     assert doc["verdict"] == "NotInF"
 
 
@@ -176,7 +186,7 @@ def test_chain_incomparable_exit_code(capsys, tmp_path):
 
 def test_chain_certify_element_without_exact_limit_exit_code(capsys, tmp_path):
     chainfile = tmp_path / "chain.txt"
-    chainfile.write_text("union(inter(predicate paired, residue 3 {0}), explicit{2,5})\n")
+    chainfile.write_text("union(inter(predicate paired, blocks geometric 3), explicit{2,5})\n")
     code, out, err = run(capsys, "chain", "certify", str(chainfile), "--epsilon", "1/10")
     assert code == 5 and out == ""
     assert err == "chain error: element 0 has no exact limit: Union is not exactly solvable here\n"
@@ -233,7 +243,7 @@ def test_repro_prints_pass_lines(capsys):
 
 def test_default_horizon_env(capsys, monkeypatch):
     monkeypatch.setenv("CESARO_DEFAULT_HORIZON", "4096")
-    code, out, _ = run(capsys, "limits", "inter(blocks geometric 2, residue 2 {0})")
+    code, out, _ = run(capsys, "limits", "inter(blocks geometric 2, predicate paired)")
     assert code == 0
     assert json.loads(out)["horizon"] == 4096
 

@@ -8,6 +8,7 @@ verbatim in substance: one Python set operation per lifted residue.
 
 import math
 import random
+from bisect import bisect_left
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -25,11 +26,12 @@ from cesaro.exprs import (
     MAX_MODULUS,
     SetExpr,
     _form,
+    _Phases,
     _reduce_residue,
     predicate_spec,
 )
 from cesaro.limits import NotExactlySolvable
-from conftest import _brute_blocks, _brute_greedy
+from conftest import _brute_blocks, _brute_greedy, brute_set
 
 # ---------------------------------------------------------------------------
 # the frozenset engine, as the oracle
@@ -308,6 +310,8 @@ def _nodes(e):
         "midpoint(shift 2 residue 6 {1,4}, union(residue 4 {1}, compl(residue 3 {0})))",
         "compl(dilate 3 compl(residue 16777217 {0}))",  # the inner form is refused
         "shift 5 dilate 7 greedy 2/9",
+        # a pair next to a form: no canonicalize retry runs a rule again
+        "union(inter(predicate paired, residue 3 {0}), union(residue 2 {0}, empty))",
     ],
 )
 def test_every_rule_runs_once_per_query(text, monkeypatch):
@@ -518,14 +522,216 @@ def test_null_operand_makes_an_unsolved_side_null(text):
 @pytest.mark.parametrize(
     "text",
     [
-        "union(predicate primes, inter(predicate paired, residue 3 {0}))",
-        "symdiff(explicit{1}, inter(predicate paired, residue 3 {0}))",
-        "diff(inter(predicate paired, residue 3 {0}), predicate squares)",
+        "union(predicate primes, inter(predicate paired, blocks geometric 3))",
+        "symdiff(explicit{1}, inter(predicate paired, blocks geometric 3))",
+        "diff(inter(predicate paired, blocks geometric 3), predicate squares)",
     ],
 )
 def test_null_operand_leaves_an_unsolved_side_unsolved(text):
     with pytest.raises(NotExactlySolvable):
         c.exact_limits(c.parse_expr(text))
+
+
+_HALF, _THIRD, _SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+
+
+@pytest.mark.parametrize(
+    "text, upper, lower, method",
+    [
+        ("inter(blocks geometric 2, residue 2 {0})", _THIRD, _SIXTH, "block-formula"),
+        ("union(blocks geometric 3, residue 3 {0})", Fraction(5, 6), _HALF, "block-formula"),
+        ("inter(blocks poly 2, residue 3 {1,2})", _THIRD, _THIRD, "block-formula"),
+        ("shift 1 union(blocks poly 3, predicate squares)", _HALF, _HALF, "block-formula"),
+        ("midpoint(empty, blocks geometric 2)", _THIRD, _SIXTH, "block-formula"),
+        ("union(blocks geometric 2, residue 3 {1})", Fraction(7, 9), Fraction(5, 9), "block-formula"),
+        (
+            "inter(union(predicate primes,blocks geometric 3),residue 5 {1,2})",
+            Fraction(3, 10),
+            Fraction(1, 10),
+            "block-formula",
+        ),
+        (
+            "midpoint(inter(blocks geometric 2, residue 3 {1}), blocks geometric 2)",
+            Fraction(4, 9),
+            Fraction(2, 9),
+            "block-formula",
+        ),
+        ("shift 200 union(blocks geometric 2, compl(blocks geometric 2))", 1, 1, "exact"),
+        (
+            "union(blocks geometric 2, greedy 537/991)",
+            Fraction(2519, 2973),
+            Fraction(2065, 2973),
+            "block-formula",
+        ),
+        # paired next to multiples of 3 is 0 mod 6 on its generator's
+        # member runs and 3 mod 6 off them: 1/6 on both
+        ("union(predicate primes, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact"),
+        ("symdiff(explicit{1}, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact"),
+        ("diff(inter(predicate paired, residue 3 {0}), predicate squares)", _SIXTH, _SIXTH, "exact"),
+        ("union(explicit{1}, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact"),
+        ("shift 1000 inter(predicate paired, residue 3 {0})", _SIXTH, _SIXTH, "exact"),
+        (
+            "inter(inter(predicate paired, residue 3 {0}), greedy 537/991)",
+            Fraction(179, 1982),
+            Fraction(179, 1982),
+            "exact",
+        ),
+        (
+            "union(inter(predicate paired, residue 3 {0}), greedy 537/991)",
+            Fraction(1838, 2973),
+            Fraction(1838, 2973),
+            "exact",
+        ),
+        (
+            "symdiff(inter(predicate paired, residue 6 {0,3}), greedy 537/991)",
+            Fraction(3139, 5946),
+            Fraction(3139, 5946),
+            "exact",
+        ),
+        # the phases rotate under a shift and flip under a complement
+        (
+            "inter(shift 1 inter(blocks geometric 2, residue 3 {0}), residue 3 {1})",
+            Fraction(2, 9),
+            Fraction(1, 9),
+            "block-formula",
+        ),
+        (
+            "inter(compl(inter(blocks geometric 3, residue 2 {0})), residue 4 {0,1})",
+            Fraction(7, 16),
+            Fraction(5, 16),
+            "block-formula",
+        ),
+        # 0 and 3 mod 6 with the evens: 1/2 on the member runs, 2/3 off them
+        (
+            "union(inter(predicate paired, residue 3 {0}), union(residue 2 {0}, empty))",
+            Fraction(11, 18),
+            Fraction(5, 9),
+            "exact",
+        ),
+    ],
+)
+def test_one_generator_trees_have_exact_limits(text, upper, lower, method):
+    # once streamed: one generator whose runs grow without bound, plus
+    # periodic and null sets
+    rep = c.exact_limits(c.parse_expr(text))
+    assert (rep.upper, rep.lower, rep.method) == (upper, lower, method)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two different generators, also at two scales of one block law
+        "inter(blocks geometric 2, predicate paired)",
+        "union(blocks geometric 2, blocks geometric 3)",
+        "midpoint(blocks geometric 2, blocks poly 2)",
+        # a dilated generator inside a Boolean node
+        "inter(dilate 2 blocks geometric 2, residue 2 {0})",
+    ],
+)
+def test_trees_over_two_generators_stay_unsolved(text):
+    with pytest.raises(NotExactlySolvable):
+        c.exact_limits(c.parse_expr(text))
+
+
+# ---------------------------------------------------------------------------
+# a tree over one generator counts as its phases: α·n + β·c_n(gen)
+
+#: generators, with the limits of their member runs (the block formula;
+#: paired's are geometric 2's at half scale)
+_GENERATORS = st.one_of(
+    st.integers(2, 4).map(lambda r: (c.Blocks(c.Geometric(r)), Fraction(r, r + 1), Fraction(1, r + 1))),
+    st.integers(1, 3).map(lambda e: (c.Blocks(c.Poly(e)), _HALF, _HALF)),
+    st.just((c.Predicate("paired"), Fraction(2, 3), _THIRD)),
+)
+
+
+def _over(gen):
+    """Trees over ``gen``, residue classes of modulus up to 30 and small
+    explicit sets, under Boolean, complement and shift nodes.  The moduli
+    share factors, so that a rotated phase changes a joint lift."""
+    residues = st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 24, 30)).flatmap(
+        lambda m: st.sets(st.integers(0, m - 1), min_size=1, max_size=3).map(
+            lambda r: c.Residue(m, frozenset(r))
+        )
+    )
+    explicit = st.sets(st.integers(1, 300), min_size=1, max_size=4).map(
+        lambda x: c.Explicit(tuple(sorted(x)))
+    )
+    return st.recursive(
+        st.one_of(st.just(gen), st.just(gen), residues, explicit),
+        lambda sub: st.one_of(
+            st.builds(lambda op, a, b: op(a, b), st.sampled_from(_BOOLEAN), sub, sub),
+            st.builds(c.Compl, sub),
+            st.builds(c.Shift, st.integers(0, 50), sub),
+        ),
+        max_leaves=5,
+    )
+
+
+def _coefficients(e):
+    """(α, β) of e's exact rule: a pair's d(off) and d(on) − d(off); a
+    form's density and 0."""
+    rule = e._rule()
+    on, off = rule.phases() if isinstance(rule, _Phases) else (rule, rule)
+    return off.density, on.density - off.density
+
+
+def _stated_error(trees, n_runs):
+    """The allowed |c_n − (α·n + β·c_n(gen))|: less than the common
+    modulus L per run, S points after each run end for shifts adding up
+    to S, and the explicit sets' points."""
+    L, S, nulls = 2, 0, 0  # 2: paired's phases
+    for t in trees:
+        for node in _nodes(t):
+            if isinstance(node, c.Residue):
+                L = math.lcm(L, node.modulus)
+            elif isinstance(node, c.Shift):
+                S += node.offset
+            elif isinstance(node, c.Explicit):
+                nulls += len(node.elements)
+    return (L + S) * (n_runs + 1) + nulls
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_one_generator_tree_counts_follow_its_phases(data):
+    gen, g_upper, g_lower = data.draw(_GENERATORS)
+    tree = _over(gen).filter(lambda t: gen in _nodes(t))
+    top = data.draw(st.sampled_from(("none", "midpoint", "dilate")))
+    if top == "midpoint":
+        lo, hi = data.draw(tree), data.draw(tree)
+        body, e, k = (lo, hi), c.Midpoint(lo, hi), 1
+        (a0, b0), (a1, b1) = _coefficients(lo), _coefficients(c.Union(lo, hi))
+        alpha, beta = (a0 + a1) / 2, (b0 + b1) / 2  # c_lo + ceil(c_gap / 2)
+    else:
+        t = data.draw(tree)
+        k = data.draw(st.integers(2, 4)) if top == "dilate" else 1
+        body, e = (t,), c.Dilate(k, t) if k > 1 else t
+        alpha, beta = _coefficients(t)
+    # the generator's run ends, from its run lengths (paired's: geometric
+    # 2's doubled); three consecutive ones in (2^12, 2^22]
+    z = gen.z if isinstance(gen, c.Blocks) else c.Geometric(2)
+    scale = 1 if isinstance(gen, c.Blocks) else 2
+    ends, pos, j = [], 0, 1
+    while pos <= 2**22:
+        pos += scale * z.run(j)
+        ends.append(pos)
+        j += 1
+    first = [i for i, x in enumerate(ends) if 2**12 < x and i + 2 < len(ends) and ends[i + 2] <= 2**22]
+    i = data.draw(st.sampled_from(first))
+    top_end = ends[i + 2]
+    base = _brute_blocks(z, (top_end + 1) // scale)
+    members = {scale * m - d for m in base for d in range(scale)}  # paired's generator: 2m - 1, 2m
+    got = brute_set(e, k * top_end)
+    for n in ends[i : i + 3]:
+        c_gen = sum(1 for m in members if m <= n)
+        c_n = sum(1 for m in got if m <= k * n)  # dilate k: c_{kn} of it is c_n of its operand
+        bound = _stated_error(body, bisect_left(ends, n) + 1) + (top == "midpoint")
+        assert abs(c_n - (alpha * n + beta * c_gen)) <= bound, (e, n)
+    # and the exact limits are the affine image of the generator's
+    ends_of = sorted((alpha + beta * g_upper, alpha + beta * g_lower))
+    rep = c.exact_limits(e)
+    assert (rep.upper, rep.lower) == (ends_of[1] / k, ends_of[0] / k)
 
 
 def test_run_list_table_holds_no_entry_per_non_member():
@@ -585,12 +791,12 @@ def test_constant_operand_next_to_a_form_gives_the_joint_lift(op, const, other, 
     "text",
     [
         # no rule on the left, a form on the right that is not null
-        "inter(inter(predicate paired, residue 3 {0}), greedy 537/991)",
-        "union(inter(predicate paired, residue 3 {0}), greedy 537/991)",
-        # limits only on the left
-        "union(blocks geometric 2, greedy 537/991)",
+        "inter(inter(predicate paired, blocks geometric 3), greedy 537/991)",
+        "union(inter(predicate paired, blocks geometric 3), greedy 537/991)",
+        # limits only on the left: a dilated generator
+        "union(dilate 2 blocks geometric 2, greedy 537/991)",
         # the simplified expression differs: its retry runs the right's rule
-        "symdiff(inter(predicate paired, residue 6 {0,3}), greedy 537/991)",
+        "symdiff(inter(predicate paired, inter(blocks geometric 3, residue 6 {0,3})), greedy 537/991)",
     ],
 )
 def test_right_rule_runs_once_next_to_a_left_without_a_form(text, monkeypatch):

@@ -498,9 +498,9 @@ def test_primes_beyond_the_sieve_limit_are_rejected_before_allocating(op):
 # explicit set has no phase table, so these trees walk masks
 
 _UNION = "union(explicit{1}, blocks geometric 2)"
-#: a union with an explicit set that the exact engine does not solve, so
-#: that classify streams it
-_STREAMED = "union(explicit{1}, inter(predicate paired, residue 3 {0}))"
+#: a union with an explicit set that the exact engine does not solve (two
+#: generators, paired's and geometric 3's), so that classify streams it
+_STREAMED = "union(explicit{1}, inter(predicate paired, blocks geometric 3))"
 
 
 @pytest.mark.parametrize(

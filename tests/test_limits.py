@@ -103,14 +103,28 @@ def test_null_perturbation_does_not_move_exact_limits():
 
 
 def test_not_exactly_solvable():
-    geo = c.Blocks(c.Geometric(2))
+    # two generators have no joint exact rule
+    geo, other = c.Blocks(c.Geometric(2)), c.Blocks(c.Geometric(3))
     for e in (
-        c.Union(geo, c.Residue(3, frozenset({1}))),
-        c.Inter(geo, c.Residue(2, frozenset({0}))),
-        c.Midpoint(c.Empty(), geo),
+        c.Union(geo, c.Union(other, c.Residue(3, frozenset({1})))),
+        c.Inter(geo, c.Predicate("paired")),
+        c.Midpoint(c.Empty(), c.Inter(geo, other)),
     ):
         with pytest.raises(NotExactlySolvable):
             c.exact_limits(e)
+
+
+def test_one_generator_next_to_residue_classes_is_exact():
+    # geometric 2 with a periodic set X on its member runs and Y off them
+    # has limits d(Y) + (d(X) − d(Y))·(2/3 or 1/3)
+    geo = c.Blocks(c.Geometric(2))
+    for e, upper, lower in (
+        (c.Union(geo, c.Residue(3, frozenset({1}))), Fraction(7, 9), Fraction(5, 9)),
+        (c.Inter(geo, c.Residue(2, frozenset({0}))), Fraction(1, 3), Fraction(1, 6)),
+        (c.Midpoint(c.Empty(), geo), Fraction(1, 3), Fraction(1, 6)),
+    ):
+        rep = c.exact_limits(e)
+        assert (rep.upper, rep.lower, rep.method) == (upper, lower, "block-formula")
 
 
 def test_estimate_geometric_extremes():
@@ -137,8 +151,12 @@ def test_classify_kinds():
     cls = c.classify(c.Dilate(2, c.Blocks(c.Geometric(2))), 2**18)
     assert cls.kind == "NotInF" and not cls.approximate
     assert (cls.report.upper, cls.report.lower) == (Fraction(1, 3), Fraction(1, 6))
-    # but an intersection with a residue class falls back to streaming
-    mixed = c.Inter(c.Blocks(c.Geometric(2)), c.Residue(2, frozenset({0})))
+    # and so do intersections with a residue class
+    cls = c.classify(c.Inter(c.Blocks(c.Geometric(2)), c.Residue(2, frozenset({0}))), 2**18)
+    assert cls.kind == "NotInF" and not cls.approximate
+    assert (cls.report.upper, cls.report.lower) == (Fraction(1, 3), Fraction(1, 6))
+    # but an intersection with a second generator falls back to streaming
+    mixed = c.Inter(c.Blocks(c.Geometric(2)), c.Predicate("paired"))
     cls = c.classify(mixed, 2**18)
     assert cls.kind == "NotInF" and cls.approximate
     assert cls.report.upper - cls.report.lower > 0.1
@@ -151,7 +169,7 @@ def test_classify_unknown_kind():
     # {512..750} on [1, 1000]: the members of blocks geometric 2 in late,
     # joined with a set that has no exact rule and no point up to 1000
     geo = c.Blocks(c.Geometric(2))
-    unsolved = c.parse_expr("shift 1000 inter(predicate paired, residue 3 {0})")
+    unsolved = c.parse_expr("shift 1000 inter(predicate paired, blocks geometric 3)")
     cls = c.classify(c.Union(c.Inter(geo, late), unsolved), 1000)
     assert cls.kind == "Unknown" and cls.approximate
     assert cls.report.verdict is c.Verdict.UNKNOWN and cls.report.limit is None

@@ -166,10 +166,21 @@ def test_null_modify_bound_validation():
 
 
 def test_null_modify_streamed_bound_is_flagged_approximate():
-    mixed = c.Inter(c.Blocks(c.Geometric(2)), c.Residue(2, frozenset({0})))
+    # two generators, geometric 2 and paired's, have no joint exact rule
+    mixed = c.Inter(c.Blocks(c.Geometric(2)), c.Predicate("paired"))
     res = c.null_modify(mixed, Fraction(1, 3), 10**4)
     assert res.approximate
     res.verify()
+
+
+def test_null_modify_one_generator_bound_is_exact():
+    # the evens on geometric 2's member runs: upper limit 1/3, exactly
+    mixed = c.Inter(c.Blocks(c.Geometric(2)), c.Residue(2, frozenset({0})))
+    res = c.null_modify(mixed, Fraction(1, 3), 10**4)
+    assert not res.approximate
+    res.verify()
+    with pytest.raises(c.NullModError):
+        c.null_modify(mixed, Fraction(1, 4), 10**4)
 
 
 def test_null_modify_random_fragments_conform():
@@ -629,11 +640,23 @@ def test_chain_phi_memory_is_its_masks_plus_chunks():
     assert peak <= returned + CHUNK_BUDGET
 
 
+#: paired next to multiples of 3 with two points added, up to 10^5, joined
+#: with a set over two generators (no exact rule) that has no point there
+_UNSOLVED = (
+    "union(union(inter(predicate paired, residue 3 {0}), explicit{2,5}),"
+    " shift 100000 inter(predicate paired, blocks geometric 3))"
+)
+
+
 def test_chain_nus_take_the_streamed_estimate_where_the_exact_engine_fails():
-    e = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
+    e = c.parse_expr(_UNSOLVED)
     with pytest.raises(c.NotExactlySolvable):
         c.exact_limits(e)
     assert _chain_nus([e], 10**5) == ([Fraction(4167437494792281, 25000000000000000)], True)
+    # without the second generator the limit is exact: 0 or 3 mod 6 on
+    # paired's generator's runs
+    e = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
+    assert _chain_nus([e], 10**5) == ([Fraction(1, 6)], False)
     exact = [c.Residue(2, frozenset({0})), c.Dilate(2, c.Predicate("squares"))]
     assert _chain_nus(exact, 10**5) == ([Fraction(1, 2), Fraction(0)], False)
 
@@ -653,7 +676,7 @@ def test_trimming_with_long_denominators_matches_the_big_int_rule():
 
 @pytest.mark.parametrize("chain_map", [c.chain_psi, c.chain_phi])
 def test_chain_maps_take_an_estimated_density(chain_map):
-    e = c.parse_expr("union(inter(predicate paired, residue 3 {0}), explicit{2,5})")
+    e = c.parse_expr(_UNSOLVED)
     out = chain_map([e], 10**5)
     assert out.approximate
     (mod,) = out.modifications

@@ -434,13 +434,23 @@ def test_null_equivalent_exact_branches():
 
 
 def test_null_equivalent_streamed_branches():
+    # two generators, geometric 2 and paired's, have no joint exact rule
     geo = c.Blocks(c.Geometric(2))
-    mixed = c.Inter(geo, c.Residue(2, frozenset({0})))
+    mixed = c.Inter(geo, c.Predicate("paired"))
     v = c.null_equivalent(mixed, c.Empty(), 2**16)
     assert v.value == "Distinct" and not v.exact
     # a large tolerance makes the streamed floor inconclusive
     v = c.null_equivalent(mixed, c.Empty(), 2**16, tolerance=0.4)
     assert v.value == "Unknown" and not v.exact
+
+
+def test_null_equivalent_of_one_generator_trees_is_exact():
+    geo = c.Blocks(c.Geometric(2))
+    v = c.null_equivalent(c.Inter(geo, c.Residue(2, frozenset({0}))), c.Empty(), 2**16)
+    assert v.value == "Distinct" and v.exact and v.density == Fraction(1, 3)
+    # geometric 2 or not: all of N, less the shift's 200 points
+    v = c.null_equivalent(c.Shift(200, c.Union(geo, c.Compl(geo))), c.All(), 1000)
+    assert v.value == "Equivalent" and v.exact and v.density == 0
 
 
 def _streamed_verdict_oracle(a, b, horizon, tolerance):
@@ -470,17 +480,17 @@ def _streamed_verdict_oracle(a, b, horizon, tolerance):
 
 
 def test_null_equivalent_streamed_matches_count_array():
-    geo = c.Blocks(c.Geometric(2))
-    # no exact rule: the paired set next to a residue class
-    paired = c.Inter(c.Predicate("paired"), c.Residue(3, frozenset({0})))
+    geo, other = c.Blocks(c.Geometric(2)), c.Blocks(c.Geometric(3))
+    # no exact rule: two generators, here paired's and geometric 3's
+    paired = c.Inter(c.Predicate("paired"), other)
     pairs = [
-        (c.Inter(geo, c.Residue(2, frozenset({0}))), c.Empty()),
+        (c.Inter(geo, c.Predicate("paired")), c.Empty()),
         (paired, c.Union(paired, c.Predicate("cubes"))),
-        (c.Union(geo, c.Residue(3, frozenset({0}))), c.Diff(geo, c.Predicate("pow2"))),
-        (c.Midpoint(c.Inter(geo, c.Residue(3, frozenset({1}))), geo), geo),
+        (c.Union(geo, other), c.Diff(geo, c.Predicate("pow2"))),
+        (c.Midpoint(c.Inter(geo, other), geo), geo),
         # {n > 200}, streamed: at horizon 1000 only the lowest sub-window
         # holds a zero average
-        (c.Shift(200, c.Union(geo, c.Compl(geo))), c.Empty()),
+        (c.Shift(200, c.Union(geo, c.Compl(c.Inter(geo, other)))), c.Empty()),
     ]
     for a, b in pairs:
         for horizon, tolerance in ((1000, 1e-3), (2**16 + 5, 1e-3), (200_000, 0.2)):
