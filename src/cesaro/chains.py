@@ -26,13 +26,13 @@ from .exprs import (
     SetExpr,
     SymDiff,
     _as_fraction,
+    _bools,
     _check_mask,
     _first_outside,
     _members,
     _step,
     _Table,
-    _table_or_mask,
-    indicator,
+    _table_or_words,
 )
 from .limits import (
     _CHUNK,
@@ -100,12 +100,12 @@ def verify_chain(elements, horizon: int = 10**4) -> Chain:
     if not elems:
         raise ChainError("empty chain")
     _check_mask(horizon, ChainError)
-    return _verify(elems, [_table_or_mask(e, horizon) for e in elems], horizon)
+    return _verify(elems, [_table_or_words(e, horizon) for e in elems], horizon)
 
 
 def _verify(elems: list[SetExpr], sets: list, horizon: int) -> Chain:
     """``verify_chain`` of ``elems`` from their sets on [1, horizon] as
-    ``_table_or_mask`` gives them."""
+    ``_table_or_words`` gives them."""
     counts = [_members(r) for r in sets]
     order = sorted(range(len(elems)), key=lambda i: (counts[i], i))
     evidence = []
@@ -217,7 +217,7 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         q, p = nu.denominator, nu.numerator
         if q * eps.denominator * horizon >= 2**62:
             raise ChainError("parameters too large for exact deviation scan")
-        src = _table_or_mask(e, horizon)
+        src = _bools(_table_or_words(e, horizon), horizon)
         nu_f = p / q
         tops = [max(mx - nu_f, nu_f - mn) for mx, mn in _window_extremes(src, windows)]
         stats.append((nu_f, tops))
@@ -250,7 +250,7 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         tail = tops[k + (a < n_eps) :]
         if a < n_eps < horizon:
             # N_eps lies inside this window: recount the window for its tail
-            dev = _window_deviations(_table_or_mask(e, b), a, b, nu_f)[2]
+            dev = _window_deviations(_bools(_table_or_words(e, b), b), a, b, nu_f)[2]
             tail.append(float(dev[n_eps - a :].max()))
         deviations.append(max(tail, default=0.0))
     return UniformityCertificate(eps, n_eps, horizon, tuple(deviations))
@@ -268,7 +268,7 @@ def dense_extension(chain: Chain, k: int, check_horizon: int = 10**4) -> Chain:
     and All are added first if absent.
 
     Each entry holds its set on the checking prefix as ``verify_chain``
-    holds it (``_table_or_mask``): a midpoint's is the one evaluation step
+    holds it (``_table_or_words``): a midpoint's is the one evaluation step
     of ``Midpoint`` on its neighbours' sets, and the final ordering check
     reads these.  Containment of each gap is checked as ``midpoint_set``
     checks it; every entry's limit is exact (the inputs' by
@@ -290,7 +290,7 @@ def dense_extension(chain: Chain, k: int, check_horizon: int = 10**4) -> Chain:
     if max(b[0] - a[0] for a, b in zip(entries, entries[1:])) < D >> k:
         return verify_chain([e for _, e in entries], H)  # no gap to split
     _check_mask(H)  # as the masks of the first gap's midpoint_set do
-    entries = [(x, e, _table_or_mask(e, H)) for x, e in entries]
+    entries = [(x, e, _table_or_words(e, H)) for x, e in entries]
     for j in range(1, k + 1):
         widths = [b[0] - a[0] for a, b in zip(entries, entries[1:])]
         gaps = [i for i, w in enumerate(widths) if w >= D >> j]
@@ -300,7 +300,7 @@ def dense_extension(chain: Chain, k: int, check_horizon: int = 10**4) -> Chain:
             (lo_x, lo, lo_set), (hi_x, hi, hi_set) = entries[i], entries[i + 1]
             _check_contained(lo, hi, lo_set, hi_set, H)
             mid = Midpoint(lo, hi)
-            parts = [(r if isinstance(r, _Table) else r.copy(), H) for r in (lo_set, hi_set)]
+            parts = [r if isinstance(r, _Table) else r.copy() for r in (lo_set, hi_set)]
             mids[i] = ((lo_x + hi_x) // 2, mid, _step(mid, H, parts, H))
         # a midpoint's density lies strictly between its neighbours'
         entries = [x for i, t in enumerate(entries) for x in (t, mids.get(i)) if x]
@@ -340,8 +340,7 @@ def skeleton(chain: Chain, epsilon) -> Chain:
 
 def _restrict(e: SetExpr, universe: int) -> int:
     """Members of e in 1..universe as a bitmask, bit k - 1 for member k."""
-    bits = np.packbits(indicator(e, universe), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
+    return int.from_bytes(_table_or_words(e, universe).tobytes(), "little")
 
 
 def _restricted_ladder(chain: Chain, universe: int) -> list[int]:

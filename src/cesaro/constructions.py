@@ -19,7 +19,7 @@ from .exprs import (
     Shift,
     _check_mask,
     _first_outside,
-    _table_or_mask,
+    _table_or_words,
 )
 from .limits import NotExactlySolvable, Verdict, exact_limits
 
@@ -51,7 +51,7 @@ def counterexample_pair() -> tuple[SetExpr, SetExpr]:
 
 def _check_contained(lower: SetExpr, upper: SetExpr, lo, hi, check_horizon: int) -> None:
     """Reject ``lower`` not contained in ``upper`` on the checking prefix,
-    naming the least witness, from their sets there (``_table_or_mask``)."""
+    naming the least witness, from their sets there (``_table_or_words``)."""
     n = _first_outside(lower, upper, lo, hi, check_horizon)
     if n is not None:
         raise ConstructionError(f"lower is not contained in upper: witness {n}")
@@ -66,7 +66,7 @@ def midpoint_set(lower: SetExpr, upper: SetExpr, check_horizon: int = 10**4) -> 
     endpoints (exactly known) are rejected.
     """
     _check_mask(check_horizon)
-    sets = [_table_or_mask(side, check_horizon) for side in (lower, upper)]
+    sets = [_table_or_words(side, check_horizon) for side in (lower, upper)]
     _check_contained(lower, upper, *sets, check_horizon)
     for side in (lower, upper):
         try:

@@ -31,30 +31,36 @@ engine and ``canonicalize`` lift and combine them with the same numpy
 operations (``_lift``, ``_union``, ``_inter``, ``_symdiff``, ``_diff``).
 
 A set on [1, N] is evaluated once per call, bottom up (``_eval``), as a
-phase table where it has one and as a 0/1 mask otherwise; ``_eval`` is
+phase table where it has one and as a word mask otherwise; ``_eval`` is
 the only route from an expression to either, and its one policy picks
-between them.  A phase table (``_Table``) cuts [1, N] at a few
-breakpoints into pieces that are each one fuzz-free form: residue
-classes and constants are one piece, a greedy set with target p/q is
-periodic with period q from n = 3 on, block sets are one All or Empty
-piece per run (a ``RunList`` set adds one periodic piece once its listed
-runs are spent), and the combinators combine their operands' tables
-piece by piece.  Counts and the streamed window scan read a table in
-closed form, and ``indicator`` fills it out to a mask.  The policy: a
+between them.  A word mask is a uint64 array of ceil(N/64) words, one
+bit per position: bit i of word w is n = 64w + i + 1, and the bits past N
+are 0.  The mask kernels combine, shift and count whole words
+(``np.bitwise_count``); ``indicator``, the window scans and trims of
+the chain layer and the streamed window scan unpack a word mask once
+into the bool array they hand on.  A phase table (``_Table``) cuts [1, N]
+at a few breakpoints into pieces that are each one fuzz-free form:
+residue classes and constants are one piece, a greedy set with target
+p/q is periodic with period q from n = 3 on, block sets are one All or
+Empty piece per run (a ``RunList`` set adds one periodic piece once its
+listed runs are spent), and the combinators combine their operands'
+tables piece by piece.  Counts and the streamed window scan read a table
+in closed form, and ``indicator`` fills it out to a mask.  The policy: a
 leaf takes its table where it has one; a combinator takes its table
 only in a tree whose root covers ``TABLE_BASE`` positions or more, and
 only where its table costs less than its mask (``_affordable``).
 Explicit sets, the sparse predicates and primes, and every node above
-one of them, keep mask kernels.  Masks stop below ``MAX_MASK`` and
-tables below ``MAX_TABLE``; block sets and ``paired``, whose counts come
-from their tables, count below ``MAX_TABLE`` only.  Nothing is cached
-between calls but the primes sieve.
+one of them, keep mask kernels; a table under such a node is written out
+to words (``_Table.words``).  Masks stop below ``MAX_MASK`` and tables
+below ``MAX_TABLE``; block sets and ``paired``, whose counts come from
+their tables, count below ``MAX_TABLE`` only.  Nothing is cached between
+calls but the primes sieve, kept as words of the same layout and built
+in segments (``_prime_words``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -375,6 +381,116 @@ def _fill_form(out: np.ndarray, s: int, f: _Form) -> None:
     _tile(out, period)
 
 
+# ---------------------------------------------------------------------------
+# word masks: bit i of word w is n = 64w + i + 1; the bits past N are 0
+
+_WORD = np.dtype("<u8")
+_ONES = np.uint64(2**64 - 1)
+
+
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """The words of a bool mask, entry i as bit i."""
+    if mask.size % 64:
+        mask = np.concatenate((mask, np.zeros(-mask.size % 64, dtype=bool)))
+    return np.packbits(mask, bitorder="little").view(_WORD)
+
+
+def _bools(r, N: int):
+    """A phase table as it is; word masks on [1, N] as a fresh bool mask."""
+    if isinstance(r, _Table):
+        return r
+    return np.unpackbits(r.view(np.uint8), count=N, bitorder="little").view(bool)
+
+
+def _bit(words: np.ndarray, i: int) -> bool:
+    return bool(int(words[i >> 6]) >> (i & 63) & 1)
+
+
+def _clear_tail(words: np.ndarray, N: int) -> np.ndarray:
+    """words with the bits past N cleared, in place."""
+    if N % 64:
+        words[-1] &= np.uint64((1 << N % 64) - 1)
+    return words
+
+
+def _below(x: np.ndarray) -> np.ndarray:
+    """Per entry, the word of bits below x mod 64 (0 where x mod 64 is 0)."""
+    return ~(_ONES << (x & 63).astype(np.uint64))
+
+
+def _word_counts(words: np.ndarray, xs: list[int]) -> list[int]:
+    """c_x of word masks for each x of the nondecreasing xs."""
+    counts, c, done = [], 0, 0
+    for x in xs:
+        q, r = divmod(x, 64)
+        c += int(np.bitwise_count(words[done:q]).sum())
+        done = q
+        counts.append(c + (int(words[q]) & ((1 << r) - 1)).bit_count() if r else c)
+    return counts
+
+
+def _point_words(idx: np.ndarray, N: int) -> np.ndarray:
+    """Word masks on [1, N] holding the 0-based positions idx below N: each
+    point's bit ORed into its word by one unbuffered ``bitwise_or.at``
+    (measured 1.5-3 times faster than a ``reduceat`` over each word's points
+    from 2 to 10^5 points)."""
+    out = np.zeros(_ceil_div(N, 64), dtype=_WORD)
+    np.bitwise_or.at(out, idx >> 6, np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64)))
+    return out
+
+
+def _form_words(f: _Form, k: int) -> np.ndarray:
+    """The form f on n = 1, ..., 64·k as k fresh words: one period of
+    lcm(L, 64) positions filled and packed, then tiled."""
+    first = np.zeros(64 * min(math.lcm(f.modulus, 64) // 64, k), dtype=bool)
+    _fill_form(first, 0, f)
+    out = np.empty(k, dtype=_WORD)
+    _tile(out, _pack(first))
+    return out
+
+
+def _clear(words: np.ndarray, g0: np.ndarray, g1: np.ndarray) -> None:
+    """Clear the bits [g0[i], g1[i]) of words, in place, for sorted disjoint
+    ranges that end inside them: their whole words through one byte mask
+    of runs, and their partial end words by an AND each."""
+    s, e = (g0 + 63) >> 6, g1 >> 6  # the whole words s <= w < e
+    ends = np.zeros(2 * s.size + 2, dtype=np.int64)  # where each run of kept or cleared words ends
+    ends[1:-1:2], ends[2:-1:2], ends[-1] = s, np.maximum(s, e), words.size
+    runs = np.zeros(ends.size - 1, dtype=bool)
+    runs[1::2] = True
+    np.copyto(words, 0, where=np.repeat(runs, ends[1:] - ends[:-1]))
+    head, tail = _ONES << (g0 & 63).astype(np.uint64), _below(g1)
+    same = g0 >> 6 == e
+    np.bitwise_and.at(words, g0 >> 6, ~np.where(same, head & tail, head))
+    np.bitwise_and.at(words, e[~same], ~tail[~same])
+
+
+def _keep(words: np.ndarray, a: int, b: int) -> None:
+    """Clear the bits of words outside [a, b), in place."""
+    words[: a >> 6] = 0
+    words[a >> 6] &= _ONES << np.uint64(a & 63)
+    words[_ceil_div(b, 64) :] = 0
+    _clear_tail(words[: _ceil_div(b, 64)], b)
+
+
+def _andnot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a & ~b into out, without a temporary: (a | b) ^ b."""
+    np.bitwise_or(a, b, out=out)
+    return np.bitwise_xor(out, b, out=out)
+
+
+#: below this many positions, a table of at most this many pieces is
+#: written to words by its fill, packed: about 0.15 ns a position plus
+#: 0.3-0.7 µs a piece, against 30-40 µs of numpy calls per form for the
+#: tiles and cuts.  Of the 1,381 tables that streamed-scan ops wrote to words at
+#: seeds 101 and 173 (400 ops each), the 612 below 2^17 positions took 1.7
+#: times as long by tiles as by the fill, those from 2^17 to 2^18 1.1 times
+#: less and those from 2^18 on 1.6 to 9.6 times less; at 2^15 to 2^17
+#: positions the fill costs as much as the tiles at about 64 pieces, and
+#: twice as much at 128 to 256
+_FILLED = (1 << 17, 64)
+
+
 class _Table(NamedTuple):
     """A set on [1, N] as pieces (bounds[i], bounds[i + 1]], each periodic.
 
@@ -446,6 +562,28 @@ class _Table(NamedTuple):
             if self.forms[j] is not _EMPTY_FORM:
                 _fill_form(out[lo - a : hi - a], lo, self.forms[j])
         return out
+
+    def words(self) -> np.ndarray:
+        """The membership of n = 1, ..., N as fresh word masks: each form's
+        words tiled over the whole table, cleared outside its first and
+        last piece and in the gaps between its pieces, ORed together; a
+        small table (``_FILLED``) is filled and packed instead."""
+        N = int(self.bounds[-1])
+        if N < _FILLED[0] and self.phase.size <= _FILLED[1]:
+            return _pack(self.fill(0, N))
+        k = _ceil_div(N, 64)
+        out = None
+        for j, f in enumerate(self.forms):
+            on = self.phase == j
+            if not f.residues.size or not on.any():  # empty, or a form no piece has
+                continue
+            a, b = self.bounds[:-1][on], self.bounds[1:][on]
+            fw = _form_words(f, k)
+            _keep(fw, int(a[0]), int(b[-1]))
+            if a.size > 1:  # the gaps between its pieces
+                _clear(fw, b[:-1], a[1:])
+            out = fw if out is None else np.bitwise_or(out, fw, out=out)
+        return np.zeros(k, dtype=_WORD) if out is None else out
 
 
 _ONE_PHASE = np.zeros(1, dtype=np.intp)
@@ -770,14 +908,15 @@ class SetExpr(_Keyed):
 
     Every kind names its DSL ``keyword`` and defines ``_member``,
     ``_rule``, ``_parse`` and ``_format``, and a phase table (``_table``),
-    a mask kernel (``_indicator``) or both; the methods here are the
-    defaults of its other rules.  A combinator lists its ``_operands`` and
-    gets their results: ``_table`` their tables, returning None where it
-    has no table or one too large to beat the mask, and ``_indicator``
-    their masks, which it may change in place.  The public functions below
-    have checked their arguments (n >= 1, xs >= 0 for ``_counts``,
-    1 <= N < ``MAX_TABLE`` for ``_table``, 1 <= N < ``MAX_MASK`` for
-    ``_indicator``) before they dispatch.
+    a mask kernel (``_indicator``, on word masks) or both; the methods
+    here are the defaults of its other rules.  A combinator lists its
+    ``_operands`` and gets their results: ``_table`` their tables,
+    returning None where it has no table or one too large to beat the
+    mask, and ``_indicator`` their word masks, which it may change in
+    place.  The public functions below have checked their arguments
+    (n >= 1, xs >= 0 for ``_counts``, 1 <= N < ``MAX_TABLE`` for
+    ``_table``, 1 <= N < ``MAX_MASK`` for ``_indicator``) before they
+    dispatch.
     """
 
     __slots__ = ()
@@ -803,12 +942,7 @@ class SetExpr(_Keyed):
         r = _eval(self, xs[-1])
         if isinstance(r, _Table):
             return r.counts(np.array(xs)).tolist()
-        counts, c, prev = [], 0, 0
-        for x in xs:
-            c += int(np.count_nonzero(r[prev:x]))
-            counts.append(c)
-            prev = x
-        return counts
+        return _word_counts(r, xs)
 
     def _canon(self) -> SetExpr:
         return self
@@ -897,11 +1031,8 @@ class Explicit(SetExpr):
         return i < len(self.elements) and self.elements[i] == n
 
     def _indicator(self, N):
-        arr = np.zeros(N, dtype=bool)
         cut = bisect_right(self.elements, N)
-        if cut:
-            arr[np.fromiter(self.elements[:cut], dtype=np.int64) - 1] = True
-        return arr
+        return _point_words(np.fromiter(self.elements[:cut], dtype=np.int64, count=cut) - 1, N)
 
     def _counts(self, xs):
         return [bisect_right(self.elements, x) for x in xs]
@@ -1070,7 +1201,7 @@ class Predicate(SetExpr):
         return _eval(self, n).member(n) if spec.table else bool(spec.member(n))
 
     def _indicator(self, N):
-        return predicate_spec(self.name).indicator(N)
+        return predicate_spec(self.name).words(N)
 
     def _table(self, N):
         table = predicate_spec(self.name).table
@@ -1117,8 +1248,8 @@ def _unit(lo: bool, hi: bool, x: SetExpr) -> SetExpr:
 @dataclass(frozen=True)
 class Binary(SetExpr):
     """A Boolean combination of two sets.  Each subclass is one row: its
-    ``keyword``, its ``ufunc`` on bool arrays, its ``array_op`` on sorted
-    residue arrays and its ``set_op`` on Python sets."""
+    ``keyword``, its ``bit_op`` on word masks (into ``out``), its
+    ``array_op`` on sorted residue arrays and its ``set_op`` on Python sets."""
 
     left: SetExpr
     right: SetExpr
@@ -1138,7 +1269,7 @@ class Binary(SetExpr):
         return (self.left, N), (self.right, N)
 
     def _indicator(self, N, a, b):
-        return self.ufunc(a, b, out=a)
+        return self.bit_op(a, b, out=a)
 
     def _table(self, N, a, b):
         bounds, pair, pairs = _merge(a, b)
@@ -1186,13 +1317,17 @@ class Binary(SetExpr):
         their joint lift (phase by phase on one generator, a form serving as both
         phases), or the simplified expression's (``simplified``: if taken)."""
         # a form with no residues or all is Empty or All up to a null set: where the
-        # other side's non-members stay out (lo, hi as in _unit), it keeps or drops its members
+        # other side's non-members stay out (lo, hi as in _unit), it keeps or drops its
+        # members; where both are in, the node is the constant next to any other side
+        # but a form, which the joint lift below meets on its modulus
         for const, other, left in ((a, b, False), (b, a, True)):
             if not isinstance(const, _Form) or 0 < const.residues.size < const.modulus:
                 continue
             full = const.residues.size > 0
             lo, hi = (self._truth(x, full) if left else self._truth(full, x) for x in (False, True))
-            if lo:  # All, or the other side's complement
+            if lo and hi and not isinstance(other, _Form):
+                return const
+            if lo:  # the other side's complement
                 continue
             if isinstance(other, _Form):
                 if other.modulus % const.modulus == 0:  # the joint lift, unlifted
@@ -1232,20 +1367,19 @@ class Binary(SetExpr):
 
 
 class Union(Binary):
-    keyword, ufunc, array_op, set_op = "union", np.logical_or, staticmethod(_union), or_
+    keyword, bit_op, array_op, set_op = "union", np.bitwise_or, staticmethod(_union), or_
 
 
 class Inter(Binary):
-    keyword, ufunc, array_op, set_op = "inter", np.logical_and, staticmethod(_inter), and_
+    keyword, bit_op, array_op, set_op = "inter", np.bitwise_and, staticmethod(_inter), and_
 
 
 class Diff(Binary):
-    # a > b is a & ~b on bools
-    keyword, ufunc, array_op, set_op = "diff", np.greater, staticmethod(_diff), sub
+    keyword, bit_op, array_op, set_op = "diff", staticmethod(_andnot), staticmethod(_diff), sub
 
 
 class SymDiff(Binary):
-    keyword, ufunc, array_op, set_op = "symdiff", np.logical_xor, staticmethod(_symdiff), xor
+    keyword, bit_op, array_op, set_op = "symdiff", np.bitwise_xor, staticmethod(_symdiff), xor
 
 
 @dataclass(frozen=True)
@@ -1260,7 +1394,7 @@ class Compl(SetExpr):
         return ((self.inner, N),)
 
     def _indicator(self, N, m):
-        return np.logical_not(m, out=m)
+        return _clear_tail(np.invert(m, out=m), N)
 
     def _table(self, N, t):
         if not _affordable(sum(f.modulus - f.residues.size for f in t.forms), N):
@@ -1325,9 +1459,9 @@ class Dilate(SetExpr):
         return ((self.inner, N // self.factor),)
 
     def _indicator(self, N, m):
-        arr = np.zeros(N, dtype=bool)
-        arr[self.factor - 1 :: self.factor] = m
-        return arr
+        arr = np.zeros(64 * _ceil_div(N, 64), dtype=bool)
+        arr[self.factor - 1 : N : self.factor] = _bools(m, N // self.factor)
+        return _pack(arr)
 
     def _table(self, N, t):
         k = self.factor
@@ -1387,9 +1521,17 @@ class Shift(SetExpr):
         return ((self.inner, max(N - self.offset, 0)),)
 
     def _indicator(self, N, m):
-        arr = np.zeros(N, dtype=bool)
-        arr[self.offset :] = m
-        return arr
+        # whole words, then the bit offset r carries each word's top r bits
+        # into the next word
+        q, r = divmod(self.offset, 64)
+        out = np.zeros(_ceil_div(N, 64), dtype=_WORD)
+        if not r:
+            out[q : q + m.size] = m
+            return out
+        out[q : q + m.size] = m << np.uint64(r)
+        spill = max(min(m.size, out.size - q - 1), 0)  # past N the spilt bits are 0
+        out[q + 1 : q + 1 + spill] |= m[:spill] >> np.uint64(64 - r)
+        return out
 
     def _table(self, N, t):
         s = self.offset
@@ -1437,28 +1579,24 @@ class Shift(SetExpr):
         return f"shift {self.offset} {self.inner._format()}"
 
 
+_DOUBLINGS = tuple(np.uint64(1 << j) for j in range(6))
+_TOP = np.uint64(63)
+
+
 def _every_second(gap: np.ndarray) -> np.ndarray:
-    """The first, third, fifth, ... members of a mask, as a mask.
+    """The first, third, fifth, ... members of word masks, as word masks.
 
     Bit-parallel over 64 positions a word: a prefix XOR within each word,
     flipped after each word holding an odd count, is the parity of the
-    count so far; about 0.4 ns per position at any density, plus about
-    15 µs of numpy calls, so below 2^15 positions the serial parity pass
-    (about 1.5 ns per position) is cheaper.
+    count so far.
     """
-    if gap.size < 1 << 15:
-        odd = np.logical_xor.accumulate(gap)
-        odd &= gap
-        return odd
-    words = np.packbits(gap, bitorder="little")
-    words = np.concatenate((words, np.zeros(-words.size % 8, dtype=np.uint8))).view("<u8")
-    odd = words.copy()
-    for s in (1, 2, 4, 8, 16, 32):
-        odd ^= odd << np.uint64(s)
-    flips = np.bitwise_xor.accumulate(odd >> np.uint64(63))  # bit 63 is the word's parity
+    odd = gap.copy()
+    for s in _DOUBLINGS:
+        odd ^= odd << s
+    flips = np.bitwise_xor.accumulate(odd >> _TOP)  # bit 63 is the word's parity
     odd[1:] ^= np.uint64(0) - flips[:-1]
-    odd &= words
-    return np.unpackbits(odd.view(np.uint8), count=gap.size, bitorder="little").view(bool)
+    odd &= gap
+    return odd
 
 
 @dataclass(frozen=True)
@@ -1489,10 +1627,10 @@ class Midpoint(SetExpr):
         if not member(self.upper, n):
             return False
         r = _eval(self, n)
-        return r.member(n) if isinstance(r, _Table) else bool(r[-1])
+        return r.member(n) if isinstance(r, _Table) else _bit(r, n - 1)
 
     def _indicator(self, N, lo, gap):
-        np.greater(gap, lo, out=gap)  # upper \\ lower
+        _andnot(gap, lo, out=gap)  # upper \\ lower
         lo |= _every_second(gap)
         return lo
 
@@ -1501,13 +1639,11 @@ class Midpoint(SetExpr):
         # ceil(c_gap / 2), with no parity pass
         if not xs[-1]:
             return [0] * len(xs)
-        r = _eval(self, xs[-1], kernel=lambda N, lo, hi: (lo, np.greater(hi, lo, out=hi)))
+        r = _eval(self, xs[-1], kernel=lambda N, lo, hi: (lo, _andnot(hi, lo, out=hi)))
         if isinstance(r, _Table):
             return r.counts(np.array(xs)).tolist()
         lo, gap = r
-        return [
-            int(np.count_nonzero(lo[:x])) + (int(np.count_nonzero(gap[:x])) + 1) // 2 for x in xs
-        ]
+        return [c + (g + 1) // 2 for c, g in zip(_word_counts(lo, xs), _word_counts(gap, xs))]
 
     def _table(self, N, lo, hi):
         bounds, pair, pairs = _merge(lo, hi)
@@ -1560,24 +1696,47 @@ class Midpoint(SetExpr):
 # ---------------------------------------------------------------------------
 # predicate registry
 
-_sieve_lock = threading.Lock()
-_sieve: np.ndarray = np.zeros(2, dtype=bool)  # index n, valid below len
+#: the primes as word masks on [1, 64·len]; replaced whole when it grows
+_sieve: np.ndarray = np.zeros(0, dtype=_WORD)
+#: positions sieved per segment, a multiple of 64
+_SEGMENT = 1 << 20
 
 
-def _prime_sieve(upto: int) -> np.ndarray:
+def _prime_words(upto: int) -> np.ndarray:
+    """The primes sieve's words, covering [1, upto] at least.
+
+    A larger sieve keeps the words it has and sieves the rest in segments
+    of ``_SEGMENT`` positions, each a bool array packed into its words, so
+    no N-byte array is held (Bays and Hudson, BIT 17, 1977).  The new
+    words are published by one assignment; a reader reads the global once.
+    """
     global _sieve
     if upto >= MAX_MASK:
         raise CesaroError(f"primes sieve up to {upto} not below the mask limit {MAX_MASK}")
-    with _sieve_lock:
-        if len(_sieve) <= upto:
-            size = max(upto + 1, 2 * len(_sieve), 1 << 16)
-            s = np.ones(size, dtype=bool)
-            s[:2] = False
-            for p in range(2, math.isqrt(size - 1) + 1):
-                if s[p]:
-                    s[p * p :: p] = False
-            _sieve = s
-        return _sieve
+    old = _sieve
+    if 64 * old.size >= upto:
+        return old
+    size = min(max(upto, 128 * old.size, 1 << 16), MAX_MASK)
+    words = np.empty(_ceil_div(size, 64), dtype=_WORD)
+    words[: old.size] = old
+    top = 64 * words.size
+    small = np.ones(math.isqrt(top) + 1, dtype=bool)  # the primes up to sqrt(top)
+    small[:2] = False
+    for p in range(2, math.isqrt(small.size - 1) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    base = np.flatnonzero(small).tolist()
+    for lo in range(64 * old.size, top, _SEGMENT):
+        hi = min(lo + _SEGMENT, top)
+        seg = np.ones(hi - lo, dtype=bool)  # entry i: n = lo + 1 + i
+        seg[0] = lo > 0  # 1 is no prime
+        for p in base:
+            if p * p > hi:
+                break
+            seg[max(p * p, _ceil_div(lo + 1, p) * p) - lo - 1 :: p] = False
+        words[lo // 64 : hi // 64] = _pack(seg)
+    _sieve = words
+    return words
 
 
 def _icbrt(n: int) -> int:
@@ -1589,8 +1748,8 @@ def _icbrt(n: int) -> int:
     return r
 
 
-def _primes_indicator(N: int) -> np.ndarray:
-    return _prime_sieve(N)[1 : N + 1].copy()
+def _primes_words(N: int) -> np.ndarray:
+    return _clear_tail(_prime_words(N)[: _ceil_div(N, 64)].copy(), N)
 
 
 def _paired_table(N: int) -> _Table:
@@ -1613,7 +1772,7 @@ def _paired_phases() -> tuple[_Form, _Form]:
 class PredicateSpec:
     """A named set: its exact limits, and either its phase table, from
     which ``Predicate`` reads membership and counts as for any tree, or
-    its membership, exact count and mask kernels.  A set that follows a
+    its membership, exact count and word-mask kernel.  A set that follows a
     generator whose runs grow without bound also gives its ``_Phases``,
     which is then its exact rule."""
 
@@ -1621,7 +1780,7 @@ class PredicateSpec:
     exact_lower: Fraction
     member: object = None  # n -> bool
     count_upto: object = None  # N -> int, exactly
-    indicator: object = None  # N -> np.ndarray
+    words: object = None  # N -> word masks on [1, N], fresh
     table: object = None  # N -> _Table, for a piecewise-periodic set
     phases: _Phases | None = None
 
@@ -1629,16 +1788,10 @@ class PredicateSpec:
 def _sparse(term, count) -> PredicateSpec:
     """The null set {term(k) : k >= 1}, where count(N) is the number of
     terms up to N; ``term`` maps an int64 array of k elementwise."""
-
-    def sparse_indicator(N: int) -> np.ndarray:
-        arr = np.zeros(N, dtype=bool)
-        arr[term(np.arange(1, count(N) + 1, dtype=np.int64)) - 1] = True
-        return arr
-
     return PredicateSpec(
         member=lambda n: count(n) > count(n - 1),
         count_upto=count,
-        indicator=sparse_indicator,
+        words=lambda N: _point_words(term(np.arange(1, count(N) + 1, dtype=np.int64)) - 1, N),
         exact_upper=Fraction(0),
         exact_lower=Fraction(0),
     )
@@ -1649,9 +1802,9 @@ PREDICATES: dict[str, PredicateSpec] = {
     "cubes": _sparse(lambda k: k**3, _icbrt),
     "pow2": _sparse(lambda k: 2**k, lambda N: N.bit_length() - 1 if N >= 2 else 0),
     "primes": PredicateSpec(
-        member=lambda n: bool(_prime_sieve(n)[n]),
-        count_upto=lambda N: int(np.count_nonzero(_prime_sieve(N)[: N + 1])),
-        indicator=_primes_indicator,
+        member=lambda n: _bit(_prime_words(n), n - 1),
+        count_upto=lambda N: _word_counts(_prime_words(N), [N])[0],
+        words=_primes_words,
         exact_upper=Fraction(0),  # prime number theorem
         exact_lower=Fraction(0),
     ),
@@ -1694,16 +1847,17 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
     """Boolean array of length N; entry i is membership of n = i + 1.
 
     The array is fresh and the caller owns it: it may be changed in place
-    without affecting any later call.  The combinators rely on this and
-    combine into their left operand's mask, so every mask kernel, and every
-    registered predicate's ``indicator``, must return an array it keeps no
-    reference to; a table's fill always is.
+    without affecting any later call.  The combinators rely on this for
+    their word masks and combine into their left operand's, so every mask
+    kernel, and every registered predicate's ``words``, must return words
+    it keeps no reference to; a table's fill always is, and so is the one
+    unpacking of word masks here.
     """
     if N < 0:
         raise ValueError("prefix length must be >= 0")
     _check_mask(N)
     r = _eval(e, N)
-    return r.fill(0, N) if isinstance(r, _Table) else r
+    return r.fill(0, N) if isinstance(r, _Table) else _bools(r, N)
 
 
 def _check_mask(N: int, error: type[CesaroError] = CesaroError) -> None:
@@ -1716,10 +1870,11 @@ def _check_mask(N: int, error: type[CesaroError] = CesaroError) -> None:
 
 
 def _eval(e: SetExpr, N: int, over: int = 0, kernel=None) -> _Table | np.ndarray:
-    """e on [1, N]: its phase table, else its mask, from its operands'
-    results; each node is evaluated once.  ``kernel`` stands for e's mask
-    kernel ``_indicator``.  A mask is fresh, owned by the caller, and
-    refused from ``MAX_MASK`` elements on; a table from ``MAX_TABLE`` on.
+    """e on [1, N]: its phase table, else its word masks, from its
+    operands' results; each node is evaluated once.  ``kernel`` stands for
+    e's mask kernel ``_indicator``.  Word masks are fresh, owned by the
+    caller, and refused from ``MAX_MASK`` positions on; a table from
+    ``MAX_TABLE`` on.  An empty prefix (N = 0) is no words.
 
     The one table-or-mask policy: a leaf takes its table where it has
     one.  ``over`` is the length of the root, when that is ``TABLE_BASE``
@@ -1732,49 +1887,57 @@ def _eval(e: SetExpr, N: int, over: int = 0, kernel=None) -> _Table | np.ndarray
     if N >= MAX_TABLE:
         raise CesaroError(f"horizon {N} not below the table limit 2^{MAX_TABLE.bit_length() - 1}")
     if not N:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(0, dtype=_WORD)
     over = over or (N if N >= TABLE_BASE else 0)
-    return _step(e, N, [(_eval(x, M, over), M) for x, M in e._operands(N)], over, kernel)
+    return _step(e, N, [_eval(x, M, over) for x, M in e._operands(N)], over, kernel)
 
 
 def _step(e: SetExpr, N: int, parts, over: int = 0, kernel=None) -> _Table | np.ndarray:
-    """e on [1, N] from its operands' results: ``parts`` pairs
-    each operand's table or mask with the prefix it covers, and a mask
-    among them may be changed in place.  ``over`` and ``kernel`` are as in
-    ``_eval``, which runs this step for every node."""
-    if not parts or (over and all(isinstance(p, _Table) for p, _ in parts)):
-        t = e._table(N, *(p for p, _ in parts))
+    """e on [1, N] from its operands' results ``parts``, each a table or
+    word masks on the prefix it covers; word masks among them may be
+    changed in place.  ``over`` and ``kernel`` are as in ``_eval``, which
+    runs this step for every node."""
+    if not parts or (over and all(isinstance(p, _Table) for p in parts)):
+        t = e._table(N, *parts)
         if t is not None:
             return t
     _check_mask(over or N)
-    masks = (p.fill(0, M) if isinstance(p, _Table) else p for p, M in parts)
+    masks = (p.words() if isinstance(p, _Table) else p for p in parts)
     return (kernel or e._indicator)(N, *masks)
 
 
-def _table_or_mask(e: SetExpr, N: int) -> _Table | np.ndarray:
-    """e on [1, N] for the chain layer: below ``TABLE_BASE``, where a
-    table's fixed cost exceeds a scan of the mask, its mask, fresh; from
-    there on ``_eval``'s table or mask."""
-    return indicator(e, N) if N < TABLE_BASE else _eval(e, N)
+def _table_or_words(e: SetExpr, N: int) -> _Table | np.ndarray:
+    """e on [1, N] for the chain layer: ``_eval``'s table or word masks,
+    and below ``TABLE_BASE``, where a table's fixed cost exceeds a scan of
+    the mask, word masks only.  Its window scans and trims unpack word
+    masks with ``_bools``."""
+    r = _eval(e, N)
+    return r.words() if N < TABLE_BASE and isinstance(r, _Table) else r
 
 
 def _members(r: _Table | np.ndarray) -> int:
-    """The members of a set on [1, N], from its phase table or its mask."""
-    return int(r.counts(r.bounds[-1:])[0]) if isinstance(r, _Table) else int(np.count_nonzero(r))
+    """The members of a set on [1, N], from its phase table or its word masks."""
+    if isinstance(r, _Table):
+        return int(r.counts(r.bounds[-1:])[0])
+    return int(np.bitwise_count(r).sum())
 
 
 def _first_outside(lower: SetExpr, upper: SetExpr, lo, hi, N: int) -> int | None:
     """The least n in [1, N] in ``lower`` but not in ``upper``, or None,
-    from their sets ``lo`` and ``hi`` there (``_table_or_mask``, left
+    from their sets ``lo`` and ``hi`` there (``_table_or_words``, left
     unchanged).  The difference is counted from its phase table where
-    both sets are tables; masks are built only to name n."""
+    both sets are tables; word masks are built only to name n."""
     if isinstance(lo, _Table) and isinstance(hi, _Table):
         diff = Diff(lower, upper)._table(N, lo, hi)
         if diff is not None and not _members(diff):
             return None
-    lo, hi = (r.fill(0, N) if isinstance(r, _Table) else r for r in (lo, hi))
-    extra = np.greater(lo, hi)  # lo & ~hi
-    return int(extra.argmax()) + 1 if extra.any() else None
+    lo, hi = (r.words() if isinstance(r, _Table) else r for r in (lo, hi))
+    extra = lo & ~hi
+    if not extra.any():
+        return None
+    i = int(np.flatnonzero(extra)[0])
+    w = int(extra[i])
+    return 64 * i + (w & -w).bit_length()  # the lowest bit of word i
 
 
 def _as_fraction(x) -> Fraction:

@@ -34,6 +34,7 @@ from .exprs import (
     TABLE_SHARE,
     NotExactlySolvable,
     SetExpr,
+    _bools,
     _complement,
     _distinct,
     _eval,
@@ -415,7 +416,7 @@ def _estimate(
     start = max(1, math.ceil((1 - window) * horizon))
     doubling = [(horizon // 2, horizon), (horizon // 4, horizon // 2), (horizon // 8, horizon // 4)]
     (upper, lower), *subs = _window_extremes(
-        _eval(e, horizon), [(start - 1, horizon), *doubling]
+        _bools(_eval(e, horizon), horizon), [(start - 1, horizon), *doubling]
     )
     persistent = all(mx - mn > tolerance for mx, mn in subs)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.chains import _exact_nus
-from cesaro.exprs import _Table, _table_or_mask
+from cesaro.exprs import _pack, _Table, _table_or_words
 from cesaro.limits import _CHUNK
 
 
@@ -425,8 +425,9 @@ def test_uniformity_check_replays_the_count_oracle(monkeypatch, name, eps, horiz
 
 
 def _dense_only(monkeypatch):
-    """No phase tables in the chain layer: every scan reads masks."""
-    monkeypatch.setattr("cesaro.chains._table_or_mask", lambda e, h: c.indicator(e, h))
+    """No phase tables in the chain layer: every scan and every containment
+    check reads masks."""
+    monkeypatch.setattr("cesaro.chains._table_or_words", lambda e, h: _pack(c.indicator(e, h)))
 
 
 def _greedy(t):
@@ -565,9 +566,9 @@ def _held_sets(monkeypatch):
 
 
 def _same_set(held, e, horizon):
-    want = _table_or_mask(e, horizon)
+    want = _table_or_words(e, horizon)
     assert isinstance(held, _Table) == isinstance(want, _Table)
-    held, want = (r.fill(0, horizon) if isinstance(r, _Table) else r for r in (held, want))
+    held, want = (r.words() if isinstance(r, _Table) else r for r in (held, want))
     assert np.array_equal(held, want)
 
 

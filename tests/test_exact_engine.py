@@ -497,6 +497,26 @@ def test_exact_limits_only_the_canonicalize_retry_finds(text, upper, lower):
     assert (rep.upper, rep.lower) == (upper, lower)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "union(shift 3 all, inter(blocks geometric 2, predicate paired))",
+        "union(compl(explicit{2}), inter(blocks geometric 2, predicate paired))",
+        "union(inter(blocks geometric 2, predicate paired), shift 3 all)",
+    ],
+)
+def test_a_co_finite_operand_decides_a_union_next_to_any_subtree(text):
+    # the other operand is over two generators and has no rule; the union
+    # is all of N but for finitely many points
+    e = c.parse_expr(text)
+    rep = c.exact_limits(e)
+    assert (rep.upper, rep.lower, rep.method) == (Fraction(1), Fraction(1), "exact")
+    cls = c.classify(e)
+    assert cls.kind == "InF" and not cls.approximate
+    N = 5000
+    assert N - c.count_upto(e, N) == len(set(range(1, N + 1)) - brute_set(e, N)) <= 3
+
+
 def test_greedy_with_a_point_added_classifies_exactly():
     # streamed at the default horizon this was Null: 1/2000 is near the
     # tolerance

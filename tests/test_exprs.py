@@ -13,7 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cesaro as c
-from cesaro.exprs import MAX_MASK, PREDICATES, _every_second, _farey_neighbours, _icbrt
+from cesaro.exprs import (
+    MAX_MASK,
+    PREDICATES,
+    _bools,
+    _eval,
+    _every_second,
+    _farey_neighbours,
+    _icbrt,
+    _pack,
+    _Table,
+)
 from conftest import brute_set, random_fragment
 
 SPECIALS = [
@@ -393,12 +403,118 @@ def test_midpoint_xor_parity_matches_cumsum_parity(lower, upper, nested):
     offset=st.integers(0, 7),
 )
 def test_every_second_member_matches_cumsum_parity(n, p, seed, offset):
-    # both sides of the serial / bit-parallel switch, on views at byte offsets
-    buf = np.zeros(n + 8, dtype=bool)
-    gap = buf[offset : offset + n]
-    gap[:] = np.random.default_rng(seed).random(n) < p
+    # word masks of n positions, on views at word offsets
+    gap = np.random.default_rng(seed).random(n) < p
+    words = _pack(gap)
+    buf = np.zeros(words.size + 8, dtype=words.dtype)
+    view = buf[offset : offset + words.size]
+    view[:] = words
     want = gap & (np.cumsum(gap) % 2 == 1)
-    assert np.array_equal(_every_second(gap), want)
+    got = _every_second(view)
+    assert np.array_equal(_bools(got, n), want)
+    assert np.array_equal(view, words)  # the operand is left as it was
+
+
+# ---------------------------------------------------------------------------
+# word masks at word edges: n = 64w + i + 1 is bit i of word w, so sizes,
+# shifts and selections that end at, just before or just past a multiple of
+# 64 are checked against the oracle; 2^16 +- 1 straddles TABLE_BASE, so
+# trees of tables take their tables there and word masks below
+
+_EDGE_N = (1, 63, 64, 65, 127, 128, 129, 2**16 - 1, 2**16 + 1)
+_POINTS = "explicit{1,2,63,64,65,66,127,128,129,130,4096,65535,65536,65537}"
+_EDGE_TREES = [
+    *(f"shift {s} union({_POINTS}, residue 7 {{0,3}})" for s in (0, 1, 63, 64, 65)),
+    *(f"shift {s} compl(predicate squares)" for s in (0, 1, 63, 64, 65)),
+    *(f"shift {s} union(residue 7 {{0,3}}, blocks geometric 2)" for s in (0, 1, 63, 64, 65)),
+    *(f"dilate {k} union({_POINTS}, residue 3 {{1}})" for k in (2, 3, 4, 5)),
+    *(f"dilate {k} diff(blocks geometric 2, predicate squares)" for k in (2, 3, 4, 5)),
+    *(f"dilate {k} symdiff(greedy 5/11, residue 4 {{1}})" for k in (2, 3, 4, 5)),
+    # three gap points per 64, two of them in the next word: the selection
+    # parity flips at every word edge
+    "midpoint(predicate squares, union(predicate squares, residue 64 {0,1,63}))",
+    f"midpoint({_POINTS}, union(residue 64 {{0,1,63}}, {_POINTS}))",
+    "midpoint(residue 64 {5}, residue 64 {0,1,5,63})",
+    f"midpoint(inter({_POINTS}, residue 2 {{0}}), shift 63 compl(predicate cubes))",
+    "inter(compl(predicate pow2), shift 1 residue 64 {0,62,63})",
+    "diff(blocks poly 2, shift 64 predicate squares)",
+]
+
+
+@pytest.mark.parametrize("text", _EDGE_TREES)
+def test_word_masks_at_word_edges_match_oracle(text):
+    e = c.parse_expr(text)
+    for N in _EDGE_N:
+        truth = brute_set(e, N)
+        ind = c.indicator(e, N)
+        assert ind.dtype == bool and ind.shape == (N,)
+        assert set((np.flatnonzero(ind) + 1).tolist()) == truth, N
+        assert c.count_upto(e, N) == len(truth), N
+        for frm in {1, max(1, N - 64), max(1, N - 63), (N + 1) // 2, N}:
+            want = sum(frm <= n for n in truth)
+            assert c.prefix_scan(e, frm, N) == c.PrefixStat(N - frm + 1, want), (N, frm)
+    assert c.indicator(e, 0).shape == (0,) and c.count_upto(e, 0) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # tables of one to about 500 pieces past 2^17 positions, periodic
+        # pieces between pieces of another form among them, written to
+        # words under a mask node by tiles
+        "union(blocks poly 2, predicate squares)",
+        f"inter(union(residue 7 {{0,3}}, blocks geometric 2), {_POINTS[:-1]},131073,131136}})",
+        "diff(shift 63 union(residue 5 {1}, blocks poly 1), predicate cubes)",
+        "symdiff(union(greedy 5/11, residue 4 {1}), shift 1 predicate pow2)",
+    ],
+)
+def test_table_words_past_2_17_match_oracle(text):
+    e = c.parse_expr(text)
+    for N in (2**17 + 1, 2**17 + 63):
+        truth = brute_set(e, N)
+        assert set((np.flatnonzero(c.indicator(e, N)) + 1).tolist()) == truth, N
+        assert c.count_upto(e, N) == len(truth), N
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "blocks poly 1",
+        "union(residue 5 {1}, blocks poly 1)",
+        "symdiff(residue 7 {0,3}, blocks poly 2)",
+        "union(residue 7 {0,3}, blocks geometric 2)",
+        "symdiff(greedy 5/11, residue 4 {1})",
+        "diff(residue 3 {1}, blocks list [1;1,62,1,2,63,64,65] cycle)",
+        "residue 1009 {1,500}",
+        "all",
+    ],
+)
+@pytest.mark.parametrize("shift", [0, 1, 31, 63, 64, 65])
+def test_table_words_are_the_packed_fill(text, shift):
+    # piece bounds at every offset in a word: gaps inside one word, gaps
+    # from or to a word edge, and the first and last piece cut mid-word
+    e = c.Shift(shift, c.parse_expr(text))
+    for N in (*_EDGE_N, 2**17 + 1, 2**17 + 63, 2**18 + 37):
+        t = _eval(e, N, N)
+        if isinstance(t, _Table):
+            assert np.array_equal(t.words(), _pack(t.fill(0, N))), N
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _POINTS,
+        "predicate primes",
+        "shift 65 predicate squares",
+        "midpoint(predicate primes, residue 3 {1})",
+        f"dilate 3 union({_POINTS}, predicate cubes)",
+    ],
+)
+def test_complement_counts_add_up_at_every_word_offset(text):
+    x = c.parse_expr(text)
+    for N in range(1000, 1064):  # every N mod 64
+        assert c.count_upto(c.Compl(x), N) + c.count_upto(x, N) == N, N
+        assert c.indicator(c.Compl(x), N).sum() == N - c.count_upto(x, N), N
 
 
 @pytest.mark.parametrize("e", NODE_KINDS, ids=lambda e: type(e).__name__)
@@ -490,6 +606,28 @@ def test_primes_beyond_the_sieve_limit_are_rejected_before_allocating(op):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_a_cold_primes_sieve_holds_no_byte_per_position(monkeypatch):
+    # the sieve is built in segments and kept as words: well under a byte
+    # per position at any time, also while the union's masks are combined
+    N = 2**24
+    monkeypatch.setattr(c.exprs, "_sieve", np.zeros(0, dtype=np.uint64))
+    e = c.parse_expr("union(residue 3 {1}, predicate primes)")
+    tracemalloc.start()
+    try:
+        got = c.count_upto(e, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N // 2
+    sieve = np.ones(N + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)
+    assert got == (N + 2) // 3 + int(np.count_nonzero(primes % 3 != 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro import chains, exprs, limits
-from cesaro.exprs import _eval, _Table, _table_or_mask
+from cesaro.exprs import _eval, _Table, _table_or_words
 from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes, _window_pieces
 from conftest import PERIOD, WINDOW_START, brute_set, random_fragment, window_density
 from test_grammar import _leaves, _nodes
@@ -654,7 +654,7 @@ def test_short_table_pieces_scan_without_numpy_warnings(text, upper, lower):
         warnings.simplefilter("error")
         rep = c.estimate_limits(e, H)
         got = _window_extremes(_eval(e, H), segments)
-    assert isinstance(_eval(e, H), _Table) and isinstance(_table_or_mask(e, H), _Table)
+    assert isinstance(_eval(e, H), _Table) and isinstance(_table_or_words(e, H), _Table)
     assert (rep.upper, rep.lower) == (upper, lower)
     with mock.patch.object(exprs, "TABLE_BASE", exprs.MAX_TABLE):
         assert got == _window_extremes(c.indicator(e, H), segments)

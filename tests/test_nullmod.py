@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro.cli import main
-from cesaro.exprs import _table_or_mask
+from cesaro.exprs import _pack, _table_or_words
 from cesaro.limits import _CHUNK
 from cesaro.nullmod import (
     _AUDIT_CHUNK,
@@ -744,7 +744,7 @@ def test_table_trimming_matches_the_dense_pass(seed, horizon, bound, dirty, with
     e = _table_tree(rng)
     b = _table_tree(rng) if with_below else None
     tree = c.Diff(e, b) if with_below else e
-    t = _table_or_mask(tree, horizon)
+    t = _table_or_words(tree, horizon)
     if not isinstance(t, _Table):
         return  # a mask-only tree: the dense pass is the only one
     if bound == "upper":
@@ -782,7 +782,7 @@ def test_table_trimming_matches_the_dense_pass(seed, horizon, bound, dirty, with
 def test_table_trimming_steps_over_pieces_with_members(text, bound, dirty):
     horizon = 3 * _CHUNK + 17
     e, nu = c.parse_expr(text), Fraction(bound)
-    t = _table_or_mask(e, horizon)
+    t = _table_or_words(e, horizon)
     assert isinstance(t, _Table)
     mask = _edited(c.indicator(e, horizon), random.Random(dirty), dirty)
     want = _removed_points(mask, nu.numerator, nu.denominator)
@@ -845,7 +845,7 @@ TABLE_PARTS = {
 
 def _dense_only(monkeypatch):
     """No phase tables in the chain layer: every pass scans its masks."""
-    monkeypatch.setattr("cesaro.nullmod._table_or_mask", lambda e, h: c.indicator(e, h))
+    monkeypatch.setattr("cesaro.nullmod._table_or_words", lambda e, h: _pack(c.indicator(e, h)))
 
 
 @pytest.mark.parametrize("horizon", [2**16, 3 * _CHUNK + 17, 10**6])
