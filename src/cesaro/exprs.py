@@ -11,9 +11,10 @@ A node kind is one class; to add one, define its methods.  Each frozen
 dataclass below holds every rule of its kind: membership (``_member``),
 its phase table (``_table``) and mask kernel (``_indicator``), counts
 (``_counts``), the rewrite of ``canonicalize`` (``_canon``), its one
-exact rule (``_rule``: the node's periodic ``_Form``, its ``_Phases`` on
-a generator, else its (upper, lower, method), computed once from its
-operands' results), and its DSL ``keyword``, ``_parse`` and ``_format``.
+exact rule (``_rule``: one ``_Rule``, the node's periodic forms on the
+phases of a lattice, else a bracket of its (upper, lower, method),
+computed once from its operands' rules), and its DSL ``keyword``,
+``_parse`` and ``_format``.
 ``SetExpr`` holds the defaults.  The public functions check their
 arguments and dispatch.
 
@@ -22,9 +23,10 @@ runs up to N: a geometric or polynomial block set, or ``paired`` (the
 evens on the member runs of geometric 2 at half scale, the odds off
 them).  A tree over one generator and periodic or null sets, under
 Boolean, complement and shift nodes, is up to a null set one periodic
-form on the generator's member runs and one off them (``_Phases``), so
-its limits are an affine image of the generator's.  Two different
-generators, and a dilated generator inside a Boolean node, have no rule.
+form on the generator's member runs and one off them (its two phases),
+so its limits are an affine image of the generator's.  A dilated
+generator keeps only that image, a bracket; two different generators,
+and a dilated generator inside a Boolean node, have no rule.
 
 Residue sets are sorted int64 arrays of distinct residues; the exact
 engine and ``canonicalize`` lift and combine them with the same numpy
@@ -143,73 +145,80 @@ _ONE = np.ones(1, dtype=np.int64)
 _NONE.flags.writeable = _ZERO.flags.writeable = _ONE.flags.writeable = False  # shared by many forms
 
 
-class _Phases(NamedTuple):
-    """A set that follows a generator: up to a null set, the form ``on``
-    on the generator's member runs and the form ``off`` on its other runs.
+class _Rule(NamedTuple):
+    """A node's exact rule: up to a null set, one form per phase of a
+    lattice, or where there are no phases, a bracket.
 
-    The generator ``gen`` is a leaf whose runs grow without bound (a
-    geometric or polynomial block set, or ``paired``), so it has o(N) runs
+    The lattice is empty (``gen`` None), with one phase, the set's form,
+    whose density is both limits; or it is one generator ``gen``, a leaf
+    whose runs grow without bound (a geometric or polynomial block set, or
+    ``paired``), with two phases: the form ``on`` on the generator's member
+    runs and the form ``off`` on its other runs.  A generator has o(N) runs
     up to N, and a form of modulus L misses its density by less than L in
     each run: c_N = d(off)·N + (d(on) − d(off))·c_N(runs) + o(N), where
     c_N(runs) counts the points of the member runs, whose (upper, lower,
-    method) are ``runs``.  Both phases have the period ``period``.
-    ``phases()`` builds (on, off) when a Boolean node or a midpoint combines
-    them; a complement or a shift wraps it and carries ``limits``, the
-    set's own (upper, lower, method) where a leaf gave them, so a lone
-    generator under those nodes builds no form.
+    method) are ``runs``.  With no phases, ``bracket`` is the set's
+    (upper, lower, method).
     """
 
-    gen: SetExpr
-    runs: tuple[Fraction, Fraction, str]
-    period: int
-    phases: Callable[[], tuple[_Form, _Form]]
-    limits: tuple[Fraction, Fraction, str] | None = None
+    phases: tuple[_Form, ...]
+    gen: SetExpr | None = None
+    runs: tuple[Fraction, Fraction, str] | None = None
+    bracket: tuple[Fraction, Fraction, str] | None = None
+
+    @property
+    def form(self) -> _Form | None:
+        """The one phase of the empty lattice, or None."""
+        return self.phases[0] if len(self.phases) == 1 else None
+
+    def limits(self) -> tuple[Fraction, Fraction, str]:
+        """(upper, lower, method) of the set."""
+        return self.bracket or self.at([f.density for f in self.phases])
+
+    def at(self, densities: list[Fraction]) -> tuple[Fraction, Fraction, str]:
+        """The limits of a set on this lattice whose phases have these
+        densities: on a generator those of off + (on − off)·ν_N, where ν_N
+        has the limits ``runs``, so the ends swap where on < off."""
+        if self.gen is None:
+            (d,) = densities
+            return d, d, "exact"
+        (on, off), (upper, lower, method) = densities, self.runs
+        beta = on - off
+        if beta < 0:
+            upper, lower = lower, upper
+        return off + beta * upper, off + beta * lower, method
+
+    def map(self, fn: Callable[..., _Form], *args) -> _Rule:
+        """This rule with each phase f mapped to fn(f, *args)."""
+        return _Rule(tuple([fn(f, *args) for f in self.phases]), self.gen, self.runs, self.bracket)
+
+    def rephased(self, phases: list[_Form]) -> _Rule:
+        """These phases on this lattice; where a generator's two phases are
+        one set, that set as a fuzzy form (it differs from them at run ends)."""
+        if len(phases) == 2:
+            on, off = phases
+            L = math.lcm(on.modulus, off.modulus)
+            if _fits(on, L) and _fits(off, L):
+                res = _lift(on, L)
+                if np.array_equal(res, _lift(off, L)):
+                    return _Rule((_Form(L, res, True),))
+        return _Rule(tuple(phases), self.gen, self.runs)
 
 
-def _limits_of(rule) -> tuple[Fraction, Fraction, str]:
-    """(upper, lower, method) of a ``_rule`` result; a form's density is both."""
-    if isinstance(rule, _Form):
-        d = rule.density
-        return d, d, "exact"
-    if isinstance(rule, _Phases):
-        return rule.limits or _affine(*(f.density for f in rule.phases()), rule.runs)
-    return rule
+def _bracket(upper: Fraction, lower: Fraction, method: str) -> _Rule:
+    """The rule with no phases whose bracket is (upper, lower, method)."""
+    return _Rule((), bracket=(upper, lower, method))
 
 
-def _affine(on: Fraction, off: Fraction, runs) -> tuple[Fraction, Fraction, str]:
-    """The limits of off + (on − off)·ν_N, where ν_N has the limits
-    ``runs``: the ends swap where on < off, and on = off is an exact limit."""
-    upper, lower, method = runs
-    beta = on - off
-    if beta < 0:
-        upper, lower = lower, upper
-    return off + beta * upper, off + beta * lower, method
-
-
-def _phases_of(rule) -> tuple[_Form, _Form]:
-    """(on, off) of a pair; a form is both."""
-    return rule.phases() if isinstance(rule, _Phases) else (rule, rule)
-
-
-def _shared(a, b) -> _Form | _Phases | None:
-    """Where the rule results a and b are forms or pairs on one generator,
-    a pair among them (a, if both are forms); else None."""
-    if not (isinstance(a, (_Form, _Phases)) and isinstance(b, (_Form, _Phases))):
+def _aligned(a: _Rule, b: _Rule) -> tuple[_Rule, tuple[_Form, ...], tuple[_Form, ...]] | None:
+    """The rule of a and b whose lattice is their joint one, and each one's
+    phases on it (a form is every phase); None where one has no phases or
+    they follow different generators."""
+    if not (a.phases and b.phases) or (a.gen and b.gen and a.gen != b.gen):
         return None
-    if isinstance(a, _Phases) and isinstance(b, _Phases):
-        return a if a.gen == b.gen else None
-    return b if isinstance(b, _Phases) else a
-
-
-def _phased(p: _Phases, on: _Form, off: _Form) -> _Form | _Phases:
-    """The pair (on, off) on p's generator; where the two phases are one
-    set, that set as a fuzzy form (it differs from the pair at run ends)."""
-    L = math.lcm(on.modulus, off.modulus)
-    if _fits(on, L) and _fits(off, L):
-        res = _lift(on, L)
-        if np.array_equal(res, _lift(off, L)):
-            return _Form(L, res, True)
-    return _Phases(p.gen, p.runs, L, lambda: (on, off))
+    lattice = b if a.gen is None else a
+    n = len(lattice.phases)
+    return lattice, a.phases * (n // len(a.phases)), b.phases * (n // len(b.phases))
 
 
 def _fits(f: _Form, L: int) -> bool:
@@ -318,9 +327,8 @@ _EVEN_FORM = _Form(2, _ZERO, False)
 _ODD_FORM = _Form(2, _ONE, False)
 
 
-def _member_runs() -> tuple[_Form, _Form]:
-    """A block set's phases: all of N on its member runs, nothing off them."""
-    return _ALL_FORM, _EMPTY_FORM
+#: a block set's phases: all of N on its member runs, nothing off them
+_MEMBER_RUNS = (_ALL_FORM, _EMPTY_FORM)
 
 
 def _table_form(L: int, res: np.ndarray) -> _Form:
@@ -741,7 +749,8 @@ class ZSpec(_Keyed):
     def _table(self, N: int) -> _Table:
         return _run_table(self._ends(N), N)
 
-    def _rule(self) -> _Form | tuple[Fraction, Fraction, str]:
+    def _rule(self, blocks: Blocks) -> _Rule:
+        """The rule of ``blocks``, the block set of these runs."""
         raise NotExactlySolvable(f"blocks {self._format()} has no block formula")
 
     @classmethod
@@ -768,11 +777,12 @@ class Geometric(ZSpec):
         ends = takewhile(lambda e: e < N, accumulate(self.ratio**k for k in count()))
         return np.array(list(ends), dtype=np.int64)
 
-    def _rule(self):
+    def _rule(self, blocks):
         r = self.ratio
         # run lengths r**(n-1): averages at block ends alternate between
         # r/(r+1) (after a one-run) and 1/(r+1) (after a zero-run)
-        return Fraction(r, r + 1), Fraction(1, r + 1), "block-formula"
+        runs = Fraction(r, r + 1), Fraction(1, r + 1), "block-formula"
+        return _Rule(_MEMBER_RUNS, blocks, runs)
 
     def _format(self):
         return f"geometric {self.ratio}"
@@ -806,8 +816,8 @@ class Poly(ZSpec):
         ends = np.cumsum(runs)
         return ends[: ends.searchsorted(N)]
 
-    def _rule(self):
-        return Fraction(1, 2), Fraction(1, 2), "block-formula"
+    def _rule(self, blocks):
+        return _Rule(_MEMBER_RUNS, blocks, (Fraction(1, 2), Fraction(1, 2), "block-formula"))
 
     def _format(self):
         return f"poly {self.exponent}"
@@ -876,11 +886,12 @@ class RunList(ZSpec):
         head = _run_table(listed[:-1], start)
         return _Table(np.append(head.bounds, N), np.append(head.phase, 2), (*head.forms, form))
 
-    def _rule(self):
+    def _rule(self, blocks):
         tail, ones = self._tail()
         if tail.sum() > MAX_CANON_MODULUS:
-            return super()._rule()
-        return self._tail_form(tail, ones, self.head + sum(self.runs), True)  # listed runs: fuzz
+            return super()._rule(blocks)
+        start = self.head + sum(self.runs)
+        return _Rule((self._tail_form(tail, ones, start, True),))  # listed runs: fuzz
 
     @classmethod
     def _parse(cls, p):
@@ -913,10 +924,13 @@ class SetExpr(_Keyed):
     ``_operands`` and gets their results: ``_table`` their tables,
     returning None where it has no table or one too large to beat the
     mask, and ``_indicator`` their word masks, which it may change in
-    place.  The public functions below have checked their arguments
-    (n >= 1, xs >= 0 for ``_counts``, 1 <= N < ``MAX_TABLE`` for
-    ``_table``, 1 <= N < ``MAX_MASK`` for ``_indicator``) before they
-    dispatch.
+    place.  ``_rule`` returns one ``_Rule`` from its operands' rules: its
+    periodic form, the one phase of the empty lattice; its two phases on
+    a generator; or, with no phases, a bracket of its (upper, lower,
+    method); it raises NotExactlySolvable where it has none.  The public
+    functions below have checked their arguments (n >= 1, xs >= 0 for
+    ``_counts``, 1 <= N < ``MAX_TABLE`` for ``_table``, 1 <= N <
+    ``MAX_MASK`` for ``_indicator``) before they dispatch.
     """
 
     __slots__ = ()
@@ -950,7 +964,7 @@ class SetExpr(_Keyed):
     def _complemented(self) -> SetExpr:
         """The canonical complement of this canonical expression."""
         if self._residue_class:
-            f = self._rule()
+            f = self._rule().form
             if f.modulus <= MAX_CANON_MODULUS:
                 return _reduce_residue(f.modulus, _complement(f))
         return Compl(self)
@@ -986,7 +1000,7 @@ class _Constant(SetExpr):
         return Shift(offset, self) if self._constant else self
 
     def _rule(self):
-        return _Form(1, _ZERO if self._constant else _NONE, False)
+        return _Rule((_ALL_FORM if self._constant else _EMPTY_FORM,))
 
     @classmethod
     def _parse(cls, p):
@@ -1047,7 +1061,7 @@ class Explicit(SetExpr):
         return Explicit(tuple(n + offset for n in self.elements))
 
     def _rule(self):
-        return _Form(1, _NONE, bool(self.elements))
+        return _Rule((_Form(1, _NONE, bool(self.elements)),))
 
     @classmethod
     def _parse(cls, p):
@@ -1088,10 +1102,11 @@ class Residue(SetExpr):
         return [sum(x // m + (0 < r <= x % m) for r in self.residues) for x in xs]
 
     def _canon(self):
-        return _reduce_residue(self.modulus, self._rule().residues)
+        return _reduce_residue(self.modulus, self._rule().form.residues)
 
     def _rule(self):
-        return _Form(self.modulus, np.array(sorted(self.residues), dtype=np.int64), False)
+        res = np.array(sorted(self.residues), dtype=np.int64)
+        return _Rule((_Form(self.modulus, res, False),))
 
     @classmethod
     def _parse(cls, p):
@@ -1116,12 +1131,9 @@ class Blocks(SetExpr):
         return self.z._table(N)
 
     def _rule(self):
-        rule = self.z._rule()
-        if isinstance(rule, _Form):
-            return rule
-        # geometric and polynomial runs grow without bound: a generator, all
-        # of N on its member runs and nothing off them
-        return _Phases(self, rule, 1, _member_runs, rule)
+        # geometric and polynomial runs grow without bound: a generator; a run
+        # list is periodic once its listed runs are spent
+        return self.z._rule(self)
 
     @classmethod
     def _parse(cls, p):
@@ -1177,11 +1189,12 @@ class Greedy(SetExpr):
     def _rule(self):
         p, q = self.target.numerator, self.target.denominator
         if q > MAX_CANON_MODULUS:
-            return self.target, self.target, "exact"
+            return _bracket(self.target, self.target, "exact")
         # from 3 on the members are (kq + 2p) // p, k >= 1, and k + p adds q: k = -c,
         # ..., p - c - 1, c = [q <= 2p] + [q <= p], gives them mod q in order (1, 2: fuzz)
         c = (q <= 2 * p) + (q <= p)
-        return _Form(q, np.arange(2 * p - c * q, (p - c) * q + 2 * p, q, dtype=np.int64) // p, True)
+        res = np.arange(2 * p - c * q, (p - c) * q + 2 * p, q, dtype=np.int64) // p
+        return _Rule((_Form(q, res, True),))
 
     @classmethod
     def _parse(cls, p):
@@ -1215,11 +1228,11 @@ class Predicate(SetExpr):
 
     def _rule(self):
         spec = predicate_spec(self.name)
-        if spec.phases:
-            return spec.phases
+        if spec.rule:
+            return spec.rule
         if spec.exact_upper == 0 and spec.exact_lower == 0:
-            return _Form(1, _NONE, True)  # known null set
-        return spec.exact_upper, spec.exact_lower, "exact"
+            return _Rule((_Form(1, _NONE, True),))  # known null set
+        return _bracket(spec.exact_upper, spec.exact_lower, "exact")
 
     @classmethod
     def _parse(cls, p):
@@ -1294,7 +1307,7 @@ class Binary(SetExpr):
         if a == b:
             return a if f(True, True) else Empty()
         if a._residue_class and b._residue_class:
-            fa, fb = a._rule(), b._rule()
+            fa, fb = a._rule().form, b._rule().form
             L = math.lcm(fa.modulus, fb.modulus)
             if L <= MAX_CANON_MODULUS:
                 return _reduce_residue(L, self.array_op(_lift(fa, L), _lift(fb, L)))
@@ -1305,45 +1318,45 @@ class Binary(SetExpr):
 
     def _rule(self):
         a = _tried(self.left)
-        # with no left form or pair only a constant right operand settles the
-        # node, so the simplified expression goes first: its rule runs the right's
-        simplified = None if isinstance(a, (_Form, _Phases)) else self._canon()
+        # with no left phases only a constant right operand settles the node,
+        # so the simplified expression goes first: its rule runs the right's
+        simplified = None if a and a.phases else self._canon()
         if simplified is not None and simplified != self:
             return simplified._rule()
         return self._joint(a, _tried(self.right), simplified)
 
-    def _joint(self, a, b, simplified=None):
-        """The rule from the operands' rules (None: no rule): a constant operand's,
-        their joint lift (phase by phase on one generator, a form serving as both
-        phases), or the simplified expression's (``simplified``: if taken)."""
+    def _joint(self, a: _Rule | None, b: _Rule | None, simplified: SetExpr | None = None) -> _Rule:
+        """The rule from the operands' rules (None: no rule): a constant
+        operand's, their phases lifted pairwise over the joint lattice, or
+        the simplified expression's (``simplified``: if taken)."""
         # a form with no residues or all is Empty or All up to a null set: where the
         # other side's non-members stay out (lo, hi as in _unit), it keeps or drops its
         # members; where both are in, the node is the constant next to any other side
         # but a form, which the joint lift below meets on its modulus
-        for const, other, left in ((a, b, False), (b, a, True)):
-            if not isinstance(const, _Form) or 0 < const.residues.size < const.modulus:
+        fa, fb = a and a.form, b and b.form
+        for const, k, other, f, left in ((a, fa, b, fb, False), (b, fb, a, fa, True)):
+            if k is None or 0 < k.residues.size < k.modulus:
                 continue
-            full = const.residues.size > 0
+            full = k.residues.size > 0
             lo, hi = (self._truth(x, full) if left else self._truth(full, x) for x in (False, True))
-            if lo and hi and not isinstance(other, _Form):
+            if lo and hi and f is None:
                 return const
             if lo:  # the other side's complement
                 continue
-            if isinstance(other, _Form):
-                if other.modulus % const.modulus == 0:  # the joint lift, unlifted
-                    return _Form(other.modulus, other.residues if hi else _NONE, a.fuzz or b.fuzz)
-            elif other is not None or not hi:
-                return other if hi else _Form(const.modulus, _NONE, const.fuzz)
-        p = _shared(a, b)
-        if isinstance(p, _Phases):
-            (a_on, a_off), (b_on, b_off) = _phases_of(a), _phases_of(b)
-            on, off = self._lifted(a_on, b_on), self._lifted(a_off, b_off)
-            if on is not None and off is not None:
-                return _phased(p, on, off)
-        elif p is not None:
-            f = self._lifted(a, b)
             if f is not None:
-                return f
+                if f.modulus % k.modulus == 0:  # the joint lift, unlifted
+                    return _Rule((_Form(f.modulus, f.residues if hi else _NONE, k.fuzz or f.fuzz),))
+            elif other is not None or not hi:
+                return other if hi else _Rule((_Form(k.modulus, _NONE, k.fuzz),))
+        if fa is not None and fb is not None:  # both on the empty lattice
+            f = self._lifted(fa, fb)
+            if f is not None:
+                return _Rule((f,))
+        elif joint := a and b and _aligned(a, b):
+            lattice, xs, ys = joint
+            lifted = [self._lifted(x, y) for x, y in zip(xs, ys)]
+            if None not in lifted:
+                return lattice.rephased(lifted)
         # identities like union with Empty can hide a solvable core; retry
         # once on the simplified expression
         simplified = simplified or self._canon()
@@ -1412,21 +1425,15 @@ class Compl(SetExpr):
         return self.inner
 
     def _rule(self):
-        f = self.inner._rule()
-        if isinstance(f, _Form) and f.modulus <= MAX_FORM_ENTRIES:
-            return _complement_form(f)
-        if not isinstance(f, _Phases):
-            return self._flipped(_limits_of(f))
-        gen, runs, period, phases, limits = f
-        limits = limits and self._flipped(limits)
-        return _Phases(gen, runs, period, lambda: tuple(map(_complement_form, phases())), limits)
-
-    @staticmethod
-    def _flipped(limits):
-        # 1 − x as a fraction built directly: mixed int and Fraction
-        # arithmetic costs twice as much
-        upper, lower, method = limits
-        return (
+        r = self.inner._rule()
+        f = r.form
+        if r.phases and not (f and f.modulus > MAX_FORM_ENTRIES):
+            return r.map(_complement_form)
+        # a bracket, or a form past the form cap: its limits flipped, 1 − x as
+        # a fraction built directly (mixed int and Fraction arithmetic costs
+        # twice as much)
+        upper, lower, method = r.limits()
+        return _bracket(
             Fraction(lower.denominator - lower.numerator, lower.denominator),
             Fraction(upper.denominator - upper.numerator, upper.denominator),
             method,
@@ -1485,11 +1492,12 @@ class Dilate(SetExpr):
         return Dilate(factor * self.factor, self.inner)
 
     def _rule(self):
-        f = self.inner._rule()
-        if isinstance(f, _Form) and f.modulus * self.factor <= MAX_MODULUS:
-            return _Form(f.modulus * self.factor, f.residues * self.factor, f.fuzz)
-        upper, lower, method = _limits_of(f)
-        return Fraction(upper, self.factor), Fraction(lower, self.factor), method
+        r, k = self.inner._rule(), self.factor
+        f = r.form
+        if f and f.modulus * k <= MAX_MODULUS:
+            return _Rule((_Form(f.modulus * k, f.residues * k, f.fuzz),))
+        upper, lower, method = r.limits()
+        return _bracket(Fraction(upper, k), Fraction(lower, k), method)
 
     @classmethod
     def _parse(cls, p):
@@ -1558,18 +1566,9 @@ class Shift(SetExpr):
         return Shift(offset + self.offset, self.inner)
 
     def _rule(self):
-        f, s = self.inner._rule(), self.offset
-        if isinstance(f, _Phases):
-            # the shifted generator is the generator but for O(s) points per
-            # run end, a null set: both phases rotate, unmoved by a multiple
-            # of their period
-            gen, runs, period, phases, limits = f
-            if not s % period:
-                return f
-            return _Phases(
-                gen, runs, period, lambda: tuple(_rotated_form(x, s) for x in phases()), limits
-            )
-        return _rotated_form(f, s) if isinstance(f, _Form) else f
+        # the shifted generator is the generator but for O(s) points per run
+        # end, a null set: its phases rotate as a form does
+        return self.inner._rule().map(_rotated_form, self.offset)
 
     @classmethod
     def _parse(cls, p):
@@ -1666,23 +1665,22 @@ class Midpoint(SetExpr):
 
     def _rule(self):
         lo, hi = self.lower._rule(), self.upper._rule()
-        if isinstance(lo, _Form) and isinstance(hi, _Form) and not (lo.fuzz or hi.fuzz):
-            L = math.lcm(lo.modulus, hi.modulus)
-            if _fits(lo, 2 * L) and _fits(hi, 2 * L):
-                x = _lift(lo, L)
-                return _midpoint_form(L, x, _diff(_lift(hi, L), x), 0)  # its one-piece table
+        x, y = lo.form, hi.form
+        if x and y and not (x.fuzz or y.fuzz):
+            L = math.lcm(x.modulus, y.modulus)
+            if _fits(x, 2 * L) and _fits(y, 2 * L):
+                low = _lift(x, L)  # the form of its one-piece table
+                return _Rule((_midpoint_form(L, low, _diff(_lift(y, L), low), 0),))
         union = Union(self.lower, self.upper)._joint(lo, hi)
-        p = _shared(lo, union)
-        if isinstance(p, _Phases):
+        joint = _aligned(lo, union)
+        if joint:
             # ν_N is the mean of the lower's and the union's: phase by phase
-            (lo_on, lo_off), (on, off) = _phases_of(lo), _phases_of(union)
-            return _affine(
-                (lo_on.density + on.density) / 2, (lo_off.density + off.density) / 2, p.runs
-            )
-        (lu, ll, lm), (uu, ul, um) = _limits_of(lo), _limits_of(union)
+            lattice, xs, ys = joint
+            return _bracket(*lattice.at([(u.density + v.density) / 2 for u, v in zip(xs, ys)]))
+        (lu, ll, lm), (uu, ul, um) = lo.limits(), union.limits()
         if lu == ll and uu == ul:
             mid = (lu + uu) / 2
-            return mid, mid, "exact" if lm == um == "exact" else "block-formula"
+            return _bracket(mid, mid, "exact" if lm == um == "exact" else "block-formula")
         raise NotExactlySolvable("midpoint of divergent endpoints")
 
     @classmethod
@@ -1763,18 +1761,13 @@ def _paired_table(N: int) -> _Table:
     return _Table(bounds, base.phase, (_ODD_FORM, _EVEN_FORM))  # for base's (Empty, All)
 
 
-def _paired_phases() -> tuple[_Form, _Form]:
-    """``paired`` on its table's runs: the evens on the member runs, the odds off them."""
-    return _EVEN_FORM, _ODD_FORM
-
-
 @dataclass(frozen=True)
 class PredicateSpec:
     """A named set: its exact limits, and either its phase table, from
     which ``Predicate`` reads membership and counts as for any tree, or
     its membership, exact count and word-mask kernel.  A set that follows a
-    generator whose runs grow without bound also gives its ``_Phases``,
-    which is then its exact rule."""
+    generator whose runs grow without bound also gives its phases on it, as
+    its exact ``rule``."""
 
     exact_upper: Fraction  # the upper Cesàro limit
     exact_lower: Fraction
@@ -1782,7 +1775,7 @@ class PredicateSpec:
     count_upto: object = None  # N -> int, exactly
     words: object = None  # N -> word masks on [1, N], fresh
     table: object = None  # N -> _Table, for a piecewise-periodic set
-    phases: _Phases | None = None
+    rule: _Rule | None = None
 
 
 def _sparse(term, count) -> PredicateSpec:
@@ -1813,13 +1806,12 @@ PREDICATES: dict[str, PredicateSpec] = {
         exact_upper=Fraction(1, 2),
         exact_lower=Fraction(1, 2),
         table=_paired_table,
-        # its generator holds the runs of geometric 2 at half scale, doubled
-        phases=_Phases(
+        # its generator holds the runs of geometric 2 at half scale, doubled:
+        # the evens on the member runs, the odds off them
+        rule=_Rule(
+            (_EVEN_FORM, _ODD_FORM),
             Predicate("paired"),
             (Fraction(2, 3), Fraction(1, 3), "exact"),
-            2,
-            _paired_phases,
-            (Fraction(1, 2), Fraction(1, 2), "exact"),
         ),
     ),
 }
@@ -1964,15 +1956,10 @@ def canonicalize(e: SetExpr) -> SetExpr:
 
 def _form(e: SetExpr) -> _Form:
     """The periodic normal form of e, or NotExactlySolvable."""
-    f = e._rule()
-    if not isinstance(f, _Form):
+    f = e._rule().form
+    if f is None:
         raise NotExactlySolvable(f"{type(e).__name__} has no periodic form")
     return f
-
-
-def _exact(e: SetExpr) -> tuple[Fraction, Fraction, str]:
-    """(upper, lower, method) of e's exact limits, or NotExactlySolvable."""
-    return _limits_of(e._rule())
 
 
 def partial_average(e: SetExpr, N: int) -> Fraction:

@@ -1,19 +1,20 @@
 """Upper/lower Cesàro limits: exact where structure allows, streamed otherwise.
 
-The exact engine (``exprs._exact``) evaluates each node's one exact rule
-once: a periodic normal form (residues modulo m as a sorted int64 array,
-possibly perturbed by a density-zero set), else the node's limits.  A
-null perturbation never moves the upper or lower limit, so |R|/m survives
-finite exceptions and unions with known null sets.  Greedy sets and
-periodic run lists are such forms, other block families have closed
-forms, and complements, dilations, shifts and midpoints follow from their
-operands' results.  A tree over one generator, a block set whose runs
-grow without bound or ``paired`` (so o(N) runs up to N), is up to a null
-set a periodic set X on the generator's member runs and Y off them, so
+The exact engine evaluates each node's one exact rule (``_rule``) once:
+its periodic forms on the phases of a lattice (residues modulo m as a
+sorted int64 array, possibly perturbed by a density-zero set), else a
+bracket of the node's limits.  A null perturbation never moves the
+upper or lower limit, so |R|/m survives finite exceptions and unions
+with known null sets.  Greedy sets and periodic run lists are such
+forms, other block families have closed forms, and complements,
+dilations, shifts and midpoints follow from their operands' results.
+A tree over one generator, a block set whose runs grow without bound or
+``paired`` (so o(N) runs up to N), is up to a null set a periodic set X
+on the generator's member runs and Y off them, so
 ν_N = d(Y) + (d(X) − d(Y))·ν_N(generator) + o(1) and both limits follow
-from the block formula.  In a Boolean node a null operand (no residues) acts
-as Empty next to any operand; with no joint form the node retries once on
-its ``canonicalize``d expression.  Everything else falls back to a
+from the block formula.  In a Boolean node a null operand (no residues)
+acts as Empty next to any operand; with no joint lift the node retries
+once on its ``canonicalize``d expression.  Everything else falls back to a
 windowed streaming estimate with an explicit Unknown verdict when the
 evidence is inconclusive.  The estimate reads the set's phase table where
 it has one, with no mask and so no mask limit, and otherwise one mask,
@@ -38,7 +39,6 @@ from .exprs import (
     _complement,
     _distinct,
     _eval,
-    _exact,
     _Form,
     _Table,
     _union,
@@ -109,8 +109,12 @@ def exact_limits(e: SetExpr) -> LimitReport:
     limits d(Y) + (d(X) − d(Y))·(the generator's upper or lower limit).
     Trees over two different generators, and a dilated generator inside
     a Boolean node, raise NotExactlySolvable and stream in ``classify``.
+
+    The limits come from the root's ``_rule``: the density of its periodic
+    form, the affine image above of its two phases on a generator, or its
+    bracket, the (upper, lower, method) of a node without phases.
     """
-    upper, lower, method = _exact(e)
+    upper, lower, method = e._rule().limits()
     if upper == lower:
         return LimitReport(upper, lower, upper, method, None, 0, Verdict.IN_F)
     return LimitReport(upper, lower, None, method, None, 0, Verdict.NOT_IN_F)

@@ -75,6 +75,8 @@ def _brute_blocks(z, N):
 
 
 def _brute_greedy(target: Fraction, N: int) -> set[int]:
+    if N < 1:
+        return set()
     out, cnt = {1}, 1
     for m in range(2, N + 1):
         if Fraction(cnt, m - 1) < target:

@@ -26,7 +26,6 @@ from cesaro.exprs import (
     MAX_MODULUS,
     SetExpr,
     _form,
-    _Phases,
     _reduce_residue,
     predicate_spec,
 )
@@ -489,6 +488,11 @@ def test_exact_limits_of_greedy_run_list_and_null_operand_trees(text, upper, low
         ("diff(blocks poly 2,shift 0 blocks poly 2)", Fraction(0), Fraction(0)),
         ("inter(compl(compl(predicate paired)),predicate paired)", Fraction(1, 2), Fraction(1, 2)),
         ("union(midpoint(blocks geometric 3,blocks geometric 3),empty)", Fraction(3, 4), Fraction(1, 4)),
+        # the joint lift is past the form cap, or meets a dilated generator's
+        # bracket; streamed, the last reads NotInF
+        ("union(all,residue 16777259 {1})", Fraction(1), Fraction(1)),
+        ("symdiff(residue 999999937 {3},all)", Fraction(999999936, 999999937), Fraction(999999936, 999999937)),
+        ("inter(residue 6 {0,5},shift 2 dilate 1 blocks poly 2)", Fraction(1, 6), Fraction(1, 6)),
     ],
 )
 def test_exact_limits_only_the_canonicalize_retry_finds(text, upper, lower):
@@ -555,58 +559,67 @@ def test_null_operand_leaves_an_unsolved_side_unsolved(text):
 _HALF, _THIRD, _SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
 
 
+_NOT, _IN = "NotInF", "InF"
+
+
 @pytest.mark.parametrize(
-    "text, upper, lower, method",
+    "text, upper, lower, method, verdict",
     [
-        ("inter(blocks geometric 2, residue 2 {0})", _THIRD, _SIXTH, "block-formula"),
-        ("union(blocks geometric 3, residue 3 {0})", Fraction(5, 6), _HALF, "block-formula"),
-        ("inter(blocks poly 2, residue 3 {1,2})", _THIRD, _THIRD, "block-formula"),
-        ("shift 1 union(blocks poly 3, predicate squares)", _HALF, _HALF, "block-formula"),
-        ("midpoint(empty, blocks geometric 2)", _THIRD, _SIXTH, "block-formula"),
-        ("union(blocks geometric 2, residue 3 {1})", Fraction(7, 9), Fraction(5, 9), "block-formula"),
+        ("inter(blocks geometric 2, residue 2 {0})", _THIRD, _SIXTH, "block-formula", _NOT),
+        ("union(blocks geometric 3, residue 3 {0})", Fraction(5, 6), _HALF, "block-formula", _NOT),
+        ("inter(blocks poly 2, residue 3 {1,2})", _THIRD, _THIRD, "block-formula", _IN),
+        ("shift 1 union(blocks poly 3, predicate squares)", _HALF, _HALF, "block-formula", _IN),
+        ("midpoint(empty, blocks geometric 2)", _THIRD, _SIXTH, "block-formula", _NOT),
+        ("union(blocks geometric 2, residue 3 {1})", Fraction(7, 9), Fraction(5, 9), "block-formula", _NOT),
         (
             "inter(union(predicate primes,blocks geometric 3),residue 5 {1,2})",
             Fraction(3, 10),
             Fraction(1, 10),
             "block-formula",
+            _NOT,
         ),
         (
             "midpoint(inter(blocks geometric 2, residue 3 {1}), blocks geometric 2)",
             Fraction(4, 9),
             Fraction(2, 9),
             "block-formula",
+            _NOT,
         ),
-        ("shift 200 union(blocks geometric 2, compl(blocks geometric 2))", 1, 1, "exact"),
+        ("shift 200 union(blocks geometric 2, compl(blocks geometric 2))", 1, 1, "exact", _IN),
         (
             "union(blocks geometric 2, greedy 537/991)",
             Fraction(2519, 2973),
             Fraction(2065, 2973),
             "block-formula",
+            _NOT,
         ),
         # paired next to multiples of 3 is 0 mod 6 on its generator's
         # member runs and 3 mod 6 off them: 1/6 on both
-        ("union(predicate primes, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact"),
-        ("symdiff(explicit{1}, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact"),
-        ("diff(inter(predicate paired, residue 3 {0}), predicate squares)", _SIXTH, _SIXTH, "exact"),
-        ("union(explicit{1}, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact"),
-        ("shift 1000 inter(predicate paired, residue 3 {0})", _SIXTH, _SIXTH, "exact"),
+        ("union(predicate primes, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact", _IN),
+        ("symdiff(explicit{1}, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact", _IN),
+        ("diff(inter(predicate paired, residue 3 {0}), predicate squares)", _SIXTH, _SIXTH, "exact", _IN),
+        ("union(explicit{1}, inter(predicate paired, residue 3 {0}))", _SIXTH, _SIXTH, "exact", _IN),
+        ("shift 1000 inter(predicate paired, residue 3 {0})", _SIXTH, _SIXTH, "exact", _IN),
         (
             "inter(inter(predicate paired, residue 3 {0}), greedy 537/991)",
             Fraction(179, 1982),
             Fraction(179, 1982),
             "exact",
+            _IN,
         ),
         (
             "union(inter(predicate paired, residue 3 {0}), greedy 537/991)",
             Fraction(1838, 2973),
             Fraction(1838, 2973),
             "exact",
+            _IN,
         ),
         (
             "symdiff(inter(predicate paired, residue 6 {0,3}), greedy 537/991)",
             Fraction(3139, 5946),
             Fraction(3139, 5946),
             "exact",
+            _IN,
         ),
         # the phases rotate under a shift and flip under a complement
         (
@@ -614,12 +627,14 @@ _HALF, _THIRD, _SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
             Fraction(2, 9),
             Fraction(1, 9),
             "block-formula",
+            _NOT,
         ),
         (
             "inter(compl(inter(blocks geometric 3, residue 2 {0})), residue 4 {0,1})",
             Fraction(7, 16),
             Fraction(5, 16),
             "block-formula",
+            _NOT,
         ),
         # 0 and 3 mod 6 with the evens: 1/2 on the member runs, 2/3 off them
         (
@@ -627,14 +642,43 @@ _HALF, _THIRD, _SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
             Fraction(11, 18),
             Fraction(5, 9),
             "exact",
+            _NOT,
         ),
+        # one answer per shape of a rule: a form and a fuzzy form, the one
+        # phase of the empty lattice; a pair on each generator, and under a
+        # complement, a shift and a midpoint; a lone generator under a
+        # complement; brackets from a dilated generator; and a union that a
+        # constant decides next to a subtree without a rule
+        ("residue 6 {1,5}", _THIRD, _THIRD, "exact", _IN),
+        ("union(greedy 1/2000,explicit{1})", Fraction(1, 2000), Fraction(1, 2000), "exact", _IN),
+        ("inter(blocks poly 2, residue 2 {0})", Fraction(1, 4), Fraction(1, 4), "block-formula", _IN),
+        ("inter(predicate paired, residue 4 {0,1})", Fraction(1, 4), Fraction(1, 4), "exact", _IN),
+        ("compl(inter(blocks geometric 2, residue 2 {0}))", Fraction(5, 6), Fraction(2, 3), "block-formula", _NOT),
+        ("shift 1 inter(blocks poly 2, residue 2 {0})", Fraction(1, 4), Fraction(1, 4), "block-formula", _IN),
+        (
+            "midpoint(inter(predicate paired, residue 4 {0,1}), predicate paired)",
+            Fraction(3, 8),
+            Fraction(3, 8),
+            "exact",
+            _IN,
+        ),
+        ("compl(blocks geometric 3)", Fraction(3, 4), Fraction(1, 4), "block-formula", _NOT),
+        ("compl(blocks poly 2)", _HALF, _HALF, "block-formula", _IN),
+        ("compl(predicate paired)", _HALF, _HALF, "exact", _IN),
+        ("dilate 2 blocks geometric 2", _THIRD, _SIXTH, "block-formula", _NOT),
+        ("dilate 3 inter(predicate paired, residue 3 {0})", Fraction(1, 18), Fraction(1, 18), "exact", _IN),
+        ("union(compl(explicit{2}), inter(blocks geometric 2, predicate paired))", 1, 1, "exact", _IN),
+        ("inter(predicate squares, inter(blocks geometric 2, predicate paired))", 0, 0, "exact", "Null"),
     ],
 )
-def test_one_generator_trees_have_exact_limits(text, upper, lower, method):
+def test_one_generator_trees_have_exact_limits(text, upper, lower, method, verdict):
     # once streamed: one generator whose runs grow without bound, plus
     # periodic and null sets
-    rep = c.exact_limits(c.parse_expr(text))
+    e = c.parse_expr(text)
+    rep = c.exact_limits(e)
     assert (rep.upper, rep.lower, rep.method) == (upper, lower, method)
+    cls = c.classify(e)
+    assert (cls.kind, cls.approximate) == (verdict, False)
 
 
 @pytest.mark.parametrize(
@@ -691,8 +735,8 @@ def _over(gen):
 def _coefficients(e):
     """(α, β) of e's exact rule: a pair's d(off) and d(on) − d(off); a
     form's density and 0."""
-    rule = e._rule()
-    on, off = rule.phases() if isinstance(rule, _Phases) else (rule, rule)
+    phases = e._rule().phases
+    on, off = phases * (2 // len(phases))
     return off.density, on.density - off.density
 
 

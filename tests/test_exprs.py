@@ -438,6 +438,10 @@ _EDGE_TREES = [
     f"midpoint(inter({_POINTS}, residue 2 {{0}}), shift 63 compl(predicate cubes))",
     "inter(compl(predicate pow2), shift 1 residue 64 {0,62,63})",
     "diff(blocks poly 2, shift 64 predicate squares)",
+    # 1 is a member from N = 1 on, none before
+    "greedy 1/3",
+    "union(greedy 3/7, explicit{2})",
+    "shift 1 greedy 2/5",
 ]
 
 
@@ -453,7 +457,7 @@ def test_word_masks_at_word_edges_match_oracle(text):
         for frm in {1, max(1, N - 64), max(1, N - 63), (N + 1) // 2, N}:
             want = sum(frm <= n for n in truth)
             assert c.prefix_scan(e, frm, N) == c.PrefixStat(N - frm + 1, want), (N, frm)
-    assert c.indicator(e, 0).shape == (0,) and c.count_upto(e, 0) == 0
+    assert c.indicator(e, 0).shape == (0,) and c.count_upto(e, 0) == len(brute_set(e, 0)) == 0
 
 
 @pytest.mark.parametrize(
