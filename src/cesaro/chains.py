@@ -26,10 +26,11 @@ from .exprs import (
     SetExpr,
     SymDiff,
     _as_fraction,
-    _bools,
     _check_mask,
+    _counts_at,
     _first_outside,
     _members,
+    _segment,
     _step,
     _Table,
     _table_or_words,
@@ -166,13 +167,10 @@ class UniformityFailure:
 
 def _window_deviations(src, a: int, b: int, nu_f: float):
     """c_a, the running counts c_n - c_a and the float |c_n/n - nu| for n in
-    the window (a, b], from a dense recount of ``src``, a mask or a phase
-    table; a table fills only the window."""
-    if isinstance(src, _Table):
-        carry, seg = int(src.counts(np.array([a]))[0]), src.fill(a, b)
-    else:
-        carry, seg = int(np.count_nonzero(src[:a])), src[a:b]
-    avg, run = _running_averages(seg, a, carry)
+    the window (a, b], from a dense recount of ``src``, word masks or a
+    phase table, of which only the window is read."""
+    carry = _counts_at(src, [a])[0]
+    avg, run = _running_averages(_segment(src, a, b), a, carry)
     avg -= nu_f
     return carry, run, np.abs(avg, out=avg)
 
@@ -191,15 +189,15 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
     reaches the horizon itself.
 
     One ``_window_extremes`` pass per element, over its phase table where
-    it has one and its mask otherwise, with ``_windows`` as windows, keeps
-    for each window the larger of max(c_n/n) - nu and nu - min(c_n/n);
+    it has one and its word masks otherwise, with ``_windows`` as windows,
+    keeps for each window the larger of max(c_n/n) - nu and nu - min(c_n/n);
     x -> fl(x - nu) is monotone, so these are the largest float deviations
     above and below nu in the window.  Only windows whose deviation
     reaches epsilon - 1e-12 are recounted for the exact integer test, from
-    the top down until one holds a violation; a table fills only the
-    window it recounts.  The deviations above N_eps then come from the
+    the top down until one holds a violation; only the window recounted
+    is unpacked or filled.  The deviations above N_eps then come from the
     kept window figures, except in the window holding N_eps, which is
-    recounted.  At most one element's mask is in memory at a time.
+    recounted.  At most one element's words are in memory at a time.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
@@ -217,7 +215,7 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         q, p = nu.denominator, nu.numerator
         if q * eps.denominator * horizon >= 2**62:
             raise ChainError("parameters too large for exact deviation scan")
-        src = _bools(_table_or_words(e, horizon), horizon)
+        src = _table_or_words(e, horizon)
         nu_f = p / q
         tops = [max(mx - nu_f, nu_f - mn) for mx, mn in _window_extremes(src, windows)]
         stats.append((nu_f, tops))
@@ -250,7 +248,7 @@ def uniformity_check(chain: Chain, epsilon, horizon: int):
         tail = tops[k + (a < n_eps) :]
         if a < n_eps < horizon:
             # N_eps lies inside this window: recount the window for its tail
-            dev = _window_deviations(_bools(_table_or_words(e, b), b), a, b, nu_f)[2]
+            dev = _window_deviations(_table_or_words(e, b), a, b, nu_f)[2]
             tail.append(float(dev[n_eps - a :].max()))
         deviations.append(max(tail, default=0.0))
     return UniformityCertificate(eps, n_eps, horizon, tuple(deviations))

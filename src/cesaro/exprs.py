@@ -38,9 +38,11 @@ the only route from an expression to either, and its one policy picks
 between them.  A word mask is a uint64 array of ceil(N/64) words, one
 bit per position: bit i of word w is n = 64w + i + 1, and the bits past N
 are 0.  The mask kernels combine, shift and count whole words
-(``np.bitwise_count``); ``indicator``, the window scans and trims of
-the chain layer and the streamed window scan unpack a word mask once
-into the bool array they hand on.  A phase table (``_Table``) cuts [1, N]
+(``np.bitwise_count``).  Two readers serve a table and words alike:
+``_segment``, the membership of a range as a bool array, of words only
+those covering it unpacked, and ``_counts_at``, the counts at given
+positions; ``indicator``, the counts, the window scans and the chain
+layer's trims read a set through them.  A phase table (``_Table``) cuts [1, N]
 at a few breakpoints into pieces that are each one fuzz-free form:
 residue classes and constants are one piece, a greedy set with target
 p/q is periodic with period q from n = 3 on, block sets are one All or
@@ -403,13 +405,6 @@ def _pack(mask: np.ndarray) -> np.ndarray:
     return np.packbits(mask, bitorder="little").view(_WORD)
 
 
-def _bools(r, N: int):
-    """A phase table as it is; word masks on [1, N] as a fresh bool mask."""
-    if isinstance(r, _Table):
-        return r
-    return np.unpackbits(r.view(np.uint8), count=N, bitorder="little").view(bool)
-
-
 def _bit(words: np.ndarray, i: int) -> bool:
     return bool(int(words[i >> 6]) >> (i & 63) & 1)
 
@@ -424,17 +419,6 @@ def _clear_tail(words: np.ndarray, N: int) -> np.ndarray:
 def _below(x: np.ndarray) -> np.ndarray:
     """Per entry, the word of bits below x mod 64 (0 where x mod 64 is 0)."""
     return ~(_ONES << (x & 63).astype(np.uint64))
-
-
-def _word_counts(words: np.ndarray, xs: list[int]) -> list[int]:
-    """c_x of word masks for each x of the nondecreasing xs."""
-    counts, c, done = [], 0, 0
-    for x in xs:
-        q, r = divmod(x, 64)
-        c += int(np.bitwise_count(words[done:q]).sum())
-        done = q
-        counts.append(c + (int(words[q]) & ((1 << r) - 1)).bit_count() if r else c)
-    return counts
 
 
 def _point_words(idx: np.ndarray, N: int) -> np.ndarray:
@@ -592,6 +576,30 @@ class _Table(NamedTuple):
                 _clear(fw, b[:-1], a[1:])
             out = fw if out is None else np.bitwise_or(out, fw, out=out)
         return np.zeros(k, dtype=_WORD) if out is None else out
+
+
+def _segment(r: _Table | np.ndarray, a: int, b: int) -> np.ndarray:
+    """The membership of n = a + 1, ..., b as a fresh bool array: a
+    table's fill, or of word masks only the bytes that cover (a, b]
+    unpacked."""
+    if isinstance(r, _Table):
+        return r.fill(a, b)
+    start = a >> 3
+    bits = np.unpackbits(r.view(np.uint8)[start:], count=b - 8 * start, bitorder="little")
+    return bits[a & 7 :].view(bool)
+
+
+def _counts_at(r: _Table | np.ndarray, xs: list[int]) -> list[int]:
+    """c_x for each x of the nondecreasing xs, 0 <= x <= N."""
+    if isinstance(r, _Table):
+        return r.counts(np.array(xs)).tolist()
+    counts, c, done = [], 0, 0
+    for x in xs:
+        q, s = divmod(x, 64)
+        c += int(np.bitwise_count(r[done:q]).sum())
+        done = q
+        counts.append(c + (int(r[q]) & ((1 << s) - 1)).bit_count() if s else c)
+    return counts
 
 
 _ONE_PHASE = np.zeros(1, dtype=np.intp)
@@ -953,10 +961,7 @@ class SetExpr(_Keyed):
     def _counts(self, xs: list[int]) -> list[int]:
         """c_x for each x of the nondecreasing xs, x >= 0: here from one
         evaluation up to the last."""
-        r = _eval(self, xs[-1])
-        if isinstance(r, _Table):
-            return r.counts(np.array(xs)).tolist()
-        return _word_counts(r, xs)
+        return _counts_at(_eval(self, xs[-1]), xs)
 
     def _canon(self) -> SetExpr:
         return self
@@ -1467,7 +1472,7 @@ class Dilate(SetExpr):
 
     def _indicator(self, N, m):
         arr = np.zeros(64 * _ceil_div(N, 64), dtype=bool)
-        arr[self.factor - 1 : N : self.factor] = _bools(m, N // self.factor)
+        arr[self.factor - 1 : N : self.factor] = _segment(m, 0, N // self.factor)
         return _pack(arr)
 
     def _table(self, N, t):
@@ -1640,9 +1645,9 @@ class Midpoint(SetExpr):
             return [0] * len(xs)
         r = _eval(self, xs[-1], kernel=lambda N, lo, hi: (lo, _andnot(hi, lo, out=hi)))
         if isinstance(r, _Table):
-            return r.counts(np.array(xs)).tolist()
+            return _counts_at(r, xs)
         lo, gap = r
-        return [c + (g + 1) // 2 for c, g in zip(_word_counts(lo, xs), _word_counts(gap, xs))]
+        return [c + (g + 1) // 2 for c, g in zip(_counts_at(lo, xs), _counts_at(gap, xs))]
 
     def _table(self, N, lo, hi):
         bounds, pair, pairs = _merge(lo, hi)
@@ -1796,7 +1801,7 @@ PREDICATES: dict[str, PredicateSpec] = {
     "pow2": _sparse(lambda k: 2**k, lambda N: N.bit_length() - 1 if N >= 2 else 0),
     "primes": PredicateSpec(
         member=lambda n: _bit(_prime_words(n), n - 1),
-        count_upto=lambda N: _word_counts(_prime_words(N), [N])[0],
+        count_upto=lambda N: _counts_at(_prime_words(N), [N])[0],
         words=_primes_words,
         exact_upper=Fraction(0),  # prime number theorem
         exact_lower=Fraction(0),
@@ -1842,14 +1847,13 @@ def indicator(e: SetExpr, N: int) -> np.ndarray:
     without affecting any later call.  The combinators rely on this for
     their word masks and combine into their left operand's, so every mask
     kernel, and every registered predicate's ``words``, must return words
-    it keeps no reference to; a table's fill always is, and so is the one
-    unpacking of word masks here.
+    it keeps no reference to; ``_segment``'s array, a table's fill or
+    the words unpacked, always is.
     """
     if N < 0:
         raise ValueError("prefix length must be >= 0")
     _check_mask(N)
-    r = _eval(e, N)
-    return r.fill(0, N) if isinstance(r, _Table) else _bools(r, N)
+    return _segment(_eval(e, N), 0, N)
 
 
 def _check_mask(N: int, error: type[CesaroError] = CesaroError) -> None:
@@ -1901,8 +1905,8 @@ def _step(e: SetExpr, N: int, parts, over: int = 0, kernel=None) -> _Table | np.
 def _table_or_words(e: SetExpr, N: int) -> _Table | np.ndarray:
     """e on [1, N] for the chain layer: ``_eval``'s table or word masks,
     and below ``TABLE_BASE``, where a table's fixed cost exceeds a scan of
-    the mask, word masks only.  Its window scans and trims unpack word
-    masks with ``_bools``."""
+    the mask, word masks only.  Its window scans and trims read either
+    through ``_segment`` and ``_counts_at``."""
     r = _eval(e, N)
     return r.words() if N < TABLE_BASE and isinstance(r, _Table) else r
 

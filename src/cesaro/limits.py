@@ -17,9 +17,10 @@ acts as Empty next to any operand; with no joint lift the node retries
 once on its ``canonicalize``d expression.  Everything else falls back to a
 windowed streaming estimate with an explicit Unknown verdict when the
 evidence is inconclusive.  The estimate reads the set's phase table where
-it has one, with no mask and so no mask limit, and otherwise one mask,
-only in the runs of blocks that can hold an extreme; both give the same
-floats (``_window_extremes``).
+it has one, with no mask and so no mask limit, and otherwise its word
+masks, counted by blocks and unpacked a chunk at a time only in the runs
+of blocks that can hold an extreme; both give the same floats
+(``_window_extremes``).
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from .exprs import (
     TABLE_SHARE,
     NotExactlySolvable,
     SetExpr,
-    _bools,
     _complement,
+    _counts_at,
     _distinct,
     _eval,
     _Form,
+    _segment,
     _Table,
     _union,
 )
@@ -124,7 +126,7 @@ def exact_limits(e: SetExpr) -> LimitReport:
 # streamed estimation
 
 
-#: Elements per chunk of the chunked passes over a mask; their buffers
+#: Elements per chunk of the chunked passes over a set; their buffers
 #: and temporaries are this long.
 _CHUNK = 1 << 16
 
@@ -186,14 +188,14 @@ def _piece_extremes(seg: np.ndarray, a: int, carry: int, total: int, buf: np.nda
     return float(before.max(initial=max(ends))), at
 
 
-def _dense_extremes(fill, a: int, b: int, carry: int, buf: np.ndarray):
+def _dense_extremes(src, a: int, b: int, carry: int, buf: np.ndarray):
     """(max, min) of c_n/n over n in (a, b], and c_b, for c_a = carry, from
-    the mask ``fill(x, y)`` of n = x + 1, ..., y, one ``_CHUNK`` at a time
-    (``_piece_extremes``): the one reader of a table's short pieces, of a
-    mask's runs of picked blocks and of a mask read whole."""
+    ``_segment(src, ...)``, one ``_CHUNK`` at a time (``_piece_extremes``):
+    the one reader of a table's short pieces, of word masks' runs of picked
+    blocks and of word masks read whole."""
     top, bottom = -math.inf, math.inf
     for x in range(a, b, _CHUNK):
-        seg = fill(x, min(b, x + _CHUNK))
+        seg = _segment(src, x, min(b, x + _CHUNK))
         total = int(np.count_nonzero(seg))
         t, m = _piece_extremes(seg, x, carry, total, buf)
         top, bottom, carry = max(top, t), min(bottom, m), carry + total
@@ -261,65 +263,51 @@ def _table_extremes(t: _Table, cuts: np.ndarray):
             tops[i] = np.maximum(tops[i], top)
             bottoms[i] = np.minimum(bottoms[i], bottom)
         for i in np.flatnonzero(on & ~long).tolist():
-            top, bottom, _ = _dense_extremes(t.fill, int(a[i]), int(b[i]), int(ca[i]), buf)
+            top, bottom, _ = _dense_extremes(t, int(a[i]), int(b[i]), int(ca[i]), buf)
             tops[i], bottoms[i] = max(tops[i], top), min(bottoms[i], bottom)
     return tops, bottoms
 
 
-#: Positions per block of the block-count pass over a mask; a byte lane
-#: of its uint64 lane sums holds at most _BLOCK // 8 of them.
+#: Positions per block of the block-count pass over word masks: four
+#: words, counted by ``np.bitwise_count``.
 _BLOCK = 256
 #: Spans shorter than this are scanned whole: below it the block-count
 #: pass and its bookkeeping cost more than the scan they save.  At least
 #: 2 * _BLOCK, so a counted span holds a whole block.
 _PRUNE_FROM = 1 << 17
-_LOW_BYTES = np.uint64(0x00FF00FF00FF00FF)
-_SUM_SHORTS = np.uint64(0x0001000100010001)
 
 
-def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, segments):
+def _mask_extremes(words: np.ndarray, first: int, last: int, edges: np.ndarray, segments):
     """The cuts of (first, last] and the (max, min) of c_n/n on each piece
-    between them, from a mask; see ``_window_extremes``."""
+    between them, from word masks; see ``_window_extremes``."""
     B = _BLOCK
     bounds = edges.tolist()
     buf = np.empty((3, _CHUNK // 2))
-
-    def fill(x, y):
-        return mask[x:y]
-
-    carry = int(np.count_nonzero(mask[:first]))
+    base, top = first - first % B, last - last % B
+    c_base, carry = _counts_at(words, [base, first])
     # a short span, or a rarer bit under one position per block before it,
     # is read whole: counting blocks costs more than reading it
     if last - first < _PRUNE_FROM or min(carry, first - carry) * B < first:
         tops, bottoms = np.empty((2, len(bounds) - 1))
         for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            tops[i], bottoms[i], carry = _dense_extremes(fill, a, b, carry, buf)
+            tops[i], bottoms[i], carry = _dense_extremes(words, a, b, carry, buf)
         return edges, tops, bottoms
-    mask = np.ascontiguousarray(mask)
-    base, top = first - first % B, last - last % B
-    # the count of every aligned block: byte lanes of a uint64 lane sum,
-    # folded to 16-bit lanes (a full block's 256 overflows a byte), summed
-    lanes = np.add.reduceat(mask[base:top].view(np.uint64), np.arange(0, (top - base) // 8, B // 8))
-    low = lanes & _LOW_BYTES
-    lanes >>= np.uint64(8)
-    lanes &= _LOW_BYTES
-    lanes += low
-    lanes *= _SUM_SHORTS
-    lanes >>= np.uint64(48)
-    grid = np.empty(lanes.size + 1, dtype=np.int64)
-    grid[0] = carry - np.count_nonzero(mask[base:first])
-    np.cumsum(lanes.view(np.int64), out=grid[1:])
-    grid[1:] += grid[0]
-    # the grid cut at every window bound off it, where c is the grid's
-    # count plus the members since the block's start
+    # c at every aligned block's end, from the bit counts of its words
+    bits = np.bitwise_count(words[base // 64 : top // 64]).reshape(-1, B // 64)
+    grid = np.zeros(bits.shape[0] + 1, dtype=np.int64)
+    grid[0] = c_base
+    for k in range(B // 64):
+        grid[1:] += bits[:, k]
+    np.cumsum(grid, out=grid)
+    # the grid cut at every window bound off it
     points = np.arange(base, top + 1, B)
+    inside = [x for x in bounds if x % B]
     cuts, counts, done = [], [], 0
-    for x in bounds:
-        if x % B:
-            j = (x - base) // B + 1
-            cuts += [points[done:j], [x]]
-            counts += [grid[done:j], [grid[j - 1] + np.count_nonzero(mask[x - x % B : x])]]
-            done = j
+    for x, c in zip(inside, _counts_at(words, inside)):
+        j = (x - base) // B + 1
+        cuts += [points[done:j], [x]]
+        counts += [grid[done:j], [c]]
+        done = j
     cuts, counts = np.concatenate([*cuts, points[done:]]), np.concatenate([*counts, grid[done:]])
     ends = cuts.searchsorted(edges)
     cuts, counts = cuts[ends[0] : ends[-1] + 1], counts[ends[0] : ends[-1] + 1]
@@ -358,22 +346,23 @@ def _mask_extremes(mask: np.ndarray, first: int, last: int, edges: np.ndarray, s
     bottoms = tops.copy()
     runs = zip(starts.tolist(), cuts[starts].tolist(), cuts[stops].tolist(), counts[starts].tolist())
     for i, x, y, c in runs:
-        tops[i], bottoms[i], _ = _dense_extremes(fill, x, y, c, buf)
+        tops[i], bottoms[i], _ = _dense_extremes(words, x, y, c, buf)
     return cuts, tops, bottoms
 
 
 def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, float]]:
     """(max, min) of the partial averages c_n/n over n in (lo, hi], per window.
 
-    ``src`` is a mask or a phase table.  One pass over the span of the
+    ``src`` is word masks or a phase table.  One pass over the span of the
     windows, cut at every window bound, and every bound of a table, so each
     piece lies wholly inside or outside each window and windows share the
     pieces they overlap.  Windows must be nonempty.
 
-    A mask spanning ``_PRUNE_FROM`` or more, whose rarer bit has at least
-    as many positions before the span as there are blocks there, is first
-    counted by aligned blocks of ``_BLOCK`` positions, one uint64 lane-sum
-    pass, so c is exact at every block end and every window bound.  c_b/b at a piece's
+    Word masks spanning ``_PRUNE_FROM`` or more, whose rarer bit has at
+    least as many positions before the span as there are blocks there, are
+    first counted by aligned blocks of ``_BLOCK`` positions, from the bit
+    counts of their words, and c at every window bound inside a block comes
+    from ``_counts_at``, so c is exact at every cut.  c_b/b at a piece's
     end is attained; with t members and 0 < t < b - a, c_n <= min(c_b,
     c_a + n - a) bounds the piece's max by c_b/(a + t) and c_n >= max(c_a,
     c_b - b + n) its min by c_a/(b - t).  A piece is picked only if its
@@ -383,9 +372,10 @@ def _window_extremes(src, segments: list[tuple[int, int]]) -> list[tuple[float, 
     ``_dense_extremes``, whose (max, min) goes on the run's first piece.
     The skipped pieces cannot hold a window's extreme, and as float
     rounding is monotone, a bound that does not beat it in floats does not
-    in reals: the floats are those of a dense scan.  Any other mask is
-    read whole by ``_dense_extremes``, one stretch between window bounds
-    after another.
+    in reals: the floats are those of a dense scan.  Any other word masks
+    are read whole by ``_dense_extremes``, one stretch between window
+    bounds after another.  Either way words are unpacked one ``_CHUNK`` at
+    a time (``_segment``), so no scan holds a mask of the whole span.
     """
     cuts, tops, bottoms = _window_pieces(src, segments)
     # windows overlap, so each gets its own (start, end) pair of indices;
@@ -419,9 +409,7 @@ def _estimate(
         raise ValueError("window must lie in (0, 1)")
     start = max(1, math.ceil((1 - window) * horizon))
     doubling = [(horizon // 2, horizon), (horizon // 4, horizon // 2), (horizon // 8, horizon // 4)]
-    (upper, lower), *subs = _window_extremes(
-        _bools(_eval(e, horizon), horizon), [(start - 1, horizon), *doubling]
-    )
+    (upper, lower), *subs = _window_extremes(_eval(e, horizon), [(start - 1, horizon), *doubling])
     persistent = all(mx - mn > tolerance for mx, mn in subs)
 
     if upper - lower <= tolerance:
@@ -448,10 +436,11 @@ def estimate_limits(
     one pass over the windows, which reads c_n/n only at the positions of
     each piece's rarer bit and just before them; a tree with a phase table
     builds no mask, and no running count or N-long count array is built.
-    On a mask, a block-count pass first bounds c_n/n in every block of 256
-    positions, and only the runs of blocks whose bound can beat a window's
-    max or min, from the exact c_b/b at the block ends, are read that way
-    (a short span and a sparse mask are read whole); float rounding is
+    On word masks, a block-count pass over the words' bit counts first
+    bounds c_n/n in every block of 256 positions, and only the runs of
+    blocks whose bound can beat a window's max or min, from the exact c_b/b
+    at the block ends, are unpacked and read that way (a short span and a
+    sparse set are read whole, a chunk at a time); float rounding is
     monotone, so the estimate is the dense scan's to the bit
     (``_window_extremes``).
     """

@@ -30,10 +30,10 @@ from .exprs import (
     SetExpr,
     Union,
     _as_fraction,
-    _bools,
     _check_mask,
     _farey_neighbours,
     _members,
+    _segment,
     _Table,
     _table_or_words,
 )
@@ -158,7 +158,7 @@ def _mask_and_table(e: SetExpr, horizon: int) -> tuple[np.ndarray, _Table | None
     """e's mask on [1, horizon], fresh, and its phase table or None
     (``_table_or_words``)."""
     r = _table_or_words(e, horizon)
-    return (r.fill(0, horizon), r) if isinstance(r, _Table) else (_bools(r, horizon), None)
+    return _segment(r, 0, horizon), (r if isinstance(r, _Table) else None)
 
 
 def _masks_and_tables(sets, horizon: int) -> tuple[list[np.ndarray], list[_Table | None]]:

@@ -16,12 +16,12 @@ import cesaro as c
 from cesaro.exprs import (
     MAX_MASK,
     PREDICATES,
-    _bools,
     _eval,
     _every_second,
     _farey_neighbours,
     _icbrt,
     _pack,
+    _segment,
     _Table,
 )
 from conftest import brute_set, random_fragment
@@ -411,7 +411,7 @@ def test_every_second_member_matches_cumsum_parity(n, p, seed, offset):
     view[:] = words
     want = gap & (np.cumsum(gap) % 2 == 1)
     got = _every_second(view)
-    assert np.array_equal(_bools(got, n), want)
+    assert np.array_equal(_segment(got, 0, n), want)
     assert np.array_equal(view, words)  # the operand is left as it was
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import cesaro as c
 from cesaro import chains, exprs, limits
-from cesaro.exprs import _eval, _Table, _table_or_words
+from cesaro.exprs import _eval, _pack, _Table, _table_or_words
 from cesaro.limits import _CHUNK, NotExactlySolvable, _window_extremes, _window_pieces
 from conftest import PERIOD, WINDOW_START, brute_set, random_fragment, window_density
 from test_grammar import _leaves, _nodes
@@ -254,7 +254,7 @@ def test_window_extremes_match_full_count_array(kind, horizon, window, seed, den
     mask = _test_mask(kind, horizon, seed, density)
     segments = _estimate_windows(horizon, window)
     want = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
-    assert _window_extremes(mask, segments) == want
+    assert _window_extremes(_pack(mask), segments) == want
 
 
 EDGE_N = 2 * _CHUNK + 5
@@ -303,10 +303,11 @@ def _edge_mask(kind):
 def test_window_extremes_at_piece_edges(kind):
     mask = _edge_mask(kind)
     want = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in EDGE_WINDOWS]
-    assert _window_extremes(mask, EDGE_WINDOWS) == want
+    words = _pack(mask)
+    assert _window_extremes(words, EDGE_WINDOWS) == want
     # one window at a time: each is then cut into pieces from its own start
     for window, extremes in zip(EDGE_WINDOWS, want):
-        assert _window_extremes(mask, [window]) == [extremes]
+        assert _window_extremes(words, [window]) == [extremes]
 
 
 def _windows(draw, n):
@@ -343,12 +344,13 @@ def window_sources(draw):
 @given(source=window_sources())
 def test_window_extremes_match_a_loop_over_the_windows(source):
     src, windows = source
-    cuts, tops, bottoms = _window_pieces(src, windows)
+    scanned = src if isinstance(src, _Table) else _pack(src)
+    cuts, tops, bottoms = _window_pieces(scanned, windows)
     want = []
     for lo, hi in windows:
         i, j = cuts.searchsorted((lo, hi))
         want.append((float(tops[i:j].max()), float(bottoms[i:j].min())))
-    got = _window_extremes(src, windows)
+    got = _window_extremes(scanned, windows)
     assert got == want
     if not isinstance(src, _Table):
         assert got == [_seg_extremes_oracle(src, lo, hi) for lo, hi in windows]
@@ -393,10 +395,12 @@ def _block_mask(kind, n, seed, p):
 @example(kind="whole-blocks", n=20 * BLOCK, offset=5, seed=1, p=0.5, bounds=[0.3, 0.5])
 @example(kind="oscillating", n=64 * BLOCK, offset=1, seed=2, p=0.0, bounds=[0.0, 1.0])
 def test_block_pruned_window_extremes_match_full_count_array(kind, n, offset, seed, p, bounds):
-    # a view at a byte offset, as a uint64 lane sum reads it unaligned
-    buf = np.zeros(n + 8, dtype=bool)
-    mask = buf[offset : offset + n]
-    mask[:] = _block_mask(kind, n, seed, p)
+    # word masks on a view at a word offset into a larger buffer of ones
+    mask = _block_mask(kind, n, seed, p)
+    words = _pack(mask)
+    buf = np.full(words.size + 8, 2**64 - 1, dtype=words.dtype)
+    view = buf[offset : offset + words.size]
+    view[:] = words
     xs = sorted(int(u * (n - 1)) for u in bounds)
     segments = [*_estimate_windows(n, 0.5), (xs[0], xs[-1] + 1)]
     # windows that start and end inside blocks, and shorter than one
@@ -405,21 +409,21 @@ def test_block_pruned_window_extremes_match_full_count_array(kind, n, offset, se
     want = [_seg_extremes_oracle(mask, lo, hi) for lo, hi in segments]
     # every span of two blocks or more takes the block-count pass
     with mock.patch.object(limits, "_PRUNE_FROM", 2 * BLOCK):
-        assert _window_extremes(mask, segments) == want
+        assert _window_extremes(view, segments) == want
 
 
 def _runs_read(mask, segments):
-    """``_window_extremes`` of a mask, and the (a, b] of every run it reads
-    through ``_dense_extremes``."""
+    """``_window_extremes`` of a mask's words, and the (a, b] of every run
+    it reads through ``_dense_extremes``."""
     runs = []
     dense = limits._dense_extremes
 
-    def counted(fill, a, b, carry, buf):
+    def counted(src, a, b, carry, buf):
         runs.append((a, b))
-        return dense(fill, a, b, carry, buf)
+        return dense(src, a, b, carry, buf)
 
     with mock.patch.object(limits, "_dense_extremes", counted):
-        return _window_extremes(mask, segments), runs
+        return _window_extremes(_pack(mask), segments), runs
 
 
 def test_block_counts_prune_the_primes_union_scan():
@@ -614,7 +618,7 @@ def test_table_scans_match_the_mask(e, window, cut):
         if H == TABLE_HORIZONS[0]:
             assert set((np.flatnonzero(mask) + 1).tolist()) == brute_set(e, H)
         segments = _estimate_windows(H, window)
-        want_extremes = _window_extremes(mask, segments)
+        want_extremes = _window_extremes(_pack(mask), segments)
         # every periodic piece scanned from candidates, then every one filled
         for share in (0, 2**40):
             with mock.patch.object(limits, "TABLE_SHARE", share):
@@ -633,6 +637,25 @@ def test_streamed_estimate_at_1e9_from_a_phase_table():
         tracemalloc.stop()
     assert rep.method == "streamed" and rep.verdict is c.Verdict.NOT_IN_F
     assert peak < 16 << 20
+
+
+def test_scans_of_word_masks_hold_no_mask_sized_array():
+    # word masks take N/8 bytes; a bool mask unpacked whole would take N
+    N = 2**24
+    c.count_upto(c.Predicate("primes"), N)  # the sieve, kept between calls
+    chain = c.verify_chain([c.parse_expr("union(residue 2 {0}, predicate squares)")], 1000)
+    scans = [
+        lambda: c.estimate_limits(c.parse_expr("union(residue 3 {1}, predicate primes)"), N),
+        lambda: c.uniformity_check(chain, Fraction(1, 100), N),
+    ]
+    for scan in scans:
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N, peak
 
 
 @pytest.mark.parametrize(
@@ -657,6 +680,6 @@ def test_short_table_pieces_scan_without_numpy_warnings(text, upper, lower):
     assert isinstance(_eval(e, H), _Table) and isinstance(_table_or_words(e, H), _Table)
     assert (rep.upper, rep.lower) == (upper, lower)
     with mock.patch.object(exprs, "TABLE_BASE", exprs.MAX_TABLE):
-        assert got == _window_extremes(c.indicator(e, H), segments)
+        assert got == _window_extremes(_pack(c.indicator(e, H)), segments)
         masked = c.estimate_limits(e, H)
     assert (masked.upper, masked.lower) == (upper, lower)
